@@ -60,6 +60,10 @@ class Graph:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             seen.add((u, v) if u < v else (v, u))
+        if len(seen) < n - 1:
+            # too few edges to connect n vertices: reject before the
+            # per-vertex sets below are allocated
+            raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
         edges = tuple(sorted(seen))
         neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:

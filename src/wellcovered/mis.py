@@ -8,7 +8,7 @@ of the complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -78,6 +78,10 @@ class MisList:
 
     graph: Graph
     sets: tuple[frozenset, ...]
+    # built on the first as_sorted_tuples call, so that callers that only
+    # count the sets never pay for it
+    _tuples: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -86,7 +90,10 @@ class MisList:
         return iter(self.sets)
 
     def as_sorted_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(s)) for s in self.sets]
+        if self._tuples is None:
+            object.__setattr__(self, "_tuples",
+                               tuple(tuple(sorted(s)) for s in self.sets))
+        return list(self._tuples)
 
     def to_json(self) -> list[list[int]]:
         return [list(t) for t in self.as_sorted_tuples()]

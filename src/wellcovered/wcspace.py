@@ -7,29 +7,33 @@ pairwise differences against the first MIS gives a homogeneous system whose
 nullspace is exactly the well-covered space; its dimension is the
 well-covered dimension.
 
-For large MIS lists the constraint matrix is never materialized.  A fast
-incremental elimination modulo a prime selects a small spanning subset of
-difference rows; the exact reduced echelon computation then runs on that
-subset only.  Over a prime field the selection is itself exact.  Over the
-rationals the prime is only a heuristic filter, so every candidate basis
-vector is verified against the full MIS list with exact integer sums, and
-any violated difference row is added back until verification passes; the
-final result is exact regardless of the filter prime.
+For large MIS lists the constraint matrix is never materialized.  A
+kernel-membership filter selects a spanning subset of difference rows
+instead.  It keeps vectors spanning the kernel of the rows selected so far,
+starting from the identity: coprime integers over the rationals, residues
+over GF(p).  A MIS's difference row already lies in the selected row space
+exactly when every kernel vector has the same sum on that MIS as on MIS 0,
+compared modulo p over GF(p); this holds over every field, since a subspace
+is the annihilator of its annihilator.  A MIS that fails the test has its
+row selected, and one failing kernel vector is used to eliminate the new row
+from the others, then dropped.  The row space only grows, so the final kernel
+satisfies every MIS: the selection is exact over every field and needs no
+verification pass.  The exact reduced echelon computation then runs once, on
+the selected rows.  Reduced echelon form depends only on the row space, so
+the basis does not depend on which spanning rows were selected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .graph import Graph
 from .linalg import (FieldSpec, Matrix, QQ, integerize, nullspace_basis)
 from .mis import DEFAULT_MIS_CAP, MisList, enumerate_mis
-
-# Mersenne prime used only to pre-filter rows in the rationals path; results
-# never depend on this choice.
-_FILTER_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -80,24 +84,6 @@ class WcSpace:
         return [list(w.values) for w in self.basis]
 
 
-def constraint_matrix(g: Graph, mis: MisList, field: FieldSpec) -> Matrix:
-    """Full pairwise-difference constraint system: row k is the indicator of
-    MIS k+1 minus the indicator of MIS 0.  Its nullspace is the well-covered
-    space over the given field."""
-    if len(mis) == 0:
-        raise ValueError("a valid graph always has at least one MIS")
-    tuples = mis.as_sorted_tuples()
-    rows = []
-    for k in range(1, len(tuples)):
-        row = [0] * g.n
-        for v in tuples[k]:
-            row[v] += 1
-        for v in tuples[0]:
-            row[v] -= 1
-        rows.append(row)
-    return Matrix.from_rows(rows, field, cols=g.n)
-
-
 def _difference_row(tuples: Sequence[tuple[int, ...]], k: int, n: int) -> list[int]:
     row = [0] * n
     for v in tuples[k]:
@@ -107,39 +93,72 @@ def _difference_row(tuples: Sequence[tuple[int, ...]], k: int, n: int) -> list[i
     return row
 
 
-def _select_spanning_rows(tuples: Sequence[tuple[int, ...]], n: int,
-                          p: int) -> list[int]:
-    """Indices k whose difference row extends the row space modulo p.
-
-    Incremental echelon elimination; each kept row is normalized to a leading
-    one.  Rows reducing to zero mod p are dropped.
-    """
-    pivots: dict[int, list[int]] = {}
-    picked: list[int] = []
-    for k in range(1, len(tuples)):
-        row = _difference_row(tuples, k, n)
-        for c in range(n):
-            x = row[c] % p
-            if x == 0:
-                continue
-            pivot_row = pivots.get(c)
-            if pivot_row is None:
-                inv = pow(x, p - 2, p)
-                pivots[c] = [(e * inv) % p for e in row]
-                picked.append(k)
-                break
-            row = [(a - x * b) % p for a, b in zip(row, pivot_row)]
-    return picked
+def constraint_matrix(g: Graph, mis: MisList, field: FieldSpec) -> Matrix:
+    """Full pairwise-difference constraint system: row k is the indicator of
+    MIS k+1 minus the indicator of MIS 0.  Its nullspace is the well-covered
+    space over the given field."""
+    if len(mis) == 0:
+        raise ValueError("a valid graph always has at least one MIS")
+    tuples = mis.as_sorted_tuples()
+    rows = [_difference_row(tuples, k, g.n) for k in range(1, len(tuples))]
+    return Matrix.from_rows(rows, field, cols=g.n)
 
 
-def _first_nonconstant_sum(tuples: Sequence[tuple[int, ...]],
-                           int_vec: Sequence[int]) -> int | None:
-    """Index of the first MIS whose integer-weight sum differs from MIS 0."""
-    base = sum(int_vec[v] for v in tuples[0])
-    for k in range(1, len(tuples)):
-        if sum(int_vec[v] for v in tuples[k]) != base:
+def _mis_sum(values: Sequence, members: tuple[int, ...], p: int | None):
+    """Sum of the values over one MIS, reduced modulo p unless p is None."""
+    s = sum(map(values.__getitem__, members))
+    return s % p if p else s
+
+
+def _first_unequal_sum(tuples: Sequence[tuple[int, ...]], values: Sequence,
+                       p: int | None, start: int = 1) -> int:
+    """Index of the first MIS from start on whose sum differs from the sum on
+    MIS 0 (modulo p unless p is None), or len(tuples) if there is none."""
+    get = values.__getitem__
+    base = _mis_sum(values, tuples[0], p)
+    for k in range(start, len(tuples)):
+        s = sum(map(get, tuples[k]))
+        if (s % p if p else s) != base:
             return k
-    return None
+    return len(tuples)
+
+
+def _spanning_rows(tuples: Sequence[tuple[int, ...]], n: int,
+                   p: int | None) -> list[list[int]]:
+    """Difference rows that span the whole constraint row space, over GF(p),
+    or over the rationals when p is None.
+
+    kernel spans the kernel of the rows selected so far, and bad[i] is the
+    first MIS from kernel[i]'s scan start on which kernel[i] is not constant.
+    Every MIS before the smallest bad index k lies in the selected row space,
+    so row k is selected next, the kernel vectors not orthogonal to it are
+    exactly those with bad index k, and each of those that is changed resumes
+    its scan after k.
+    """
+    m = len(tuples)
+    kernel = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    bad = [_first_unequal_sum(tuples, w, p) for w in kernel]
+    rows: list[list[int]] = []
+    while (k := min(bad, default=m)) < m:
+        row = _difference_row(tuples, k, n)
+        j, *others = [i for i, b in enumerate(bad) if b == k]
+        w = kernel[j]
+        gw = sum(map(mul, w, row))
+        for i in others:
+            u = kernel[i]
+            gu = sum(map(mul, u, row))
+            if p:
+                c = gu * pow(gw, -1, p) % p
+                u = [(a - c * b) % p for a, b in zip(u, w)]
+            else:
+                u = [gw * a - gu * b for a, b in zip(u, w)]
+                content = gcd(*u)
+                u = [x // content for x in u]
+            kernel[i] = u
+            bad[i] = _first_unequal_sum(tuples, u, p, k + 1)
+        del kernel[j], bad[j]
+        rows.append(row)
+    return rows
 
 
 def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
@@ -156,29 +175,11 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         raise ValueError("MIS list belongs to a different graph")
     tuples = mis.as_sorted_tuples()
     n = g.n
-    filter_p = _FILTER_PRIME if field.is_rationals else field.p
-    selected = _select_spanning_rows(tuples, n, filter_p)
-
-    while True:
-        rows = [_difference_row(tuples, k, n) for k in selected]
-        matrix = Matrix.from_rows(rows, field, cols=n)
-        raw_basis = nullspace_basis(matrix)
-        if not field.is_rationals:
-            basis_vectors = raw_basis
-            break
-        basis_vectors = []
-        extra_row: int | None = None
-        for vec in raw_basis:
-            ints = integerize(vec)
-            bad = _first_nonconstant_sum(tuples, ints)
-            if bad is not None:
-                extra_row = bad
-                break
-            basis_vectors.append([Fraction(x) for x in ints])
-        if extra_row is None:
-            break
-        selected.append(extra_row)
-
+    rows = _spanning_rows(tuples, n, None if field.is_rationals else field.p)
+    basis_vectors = nullspace_basis(Matrix.from_rows(rows, field, cols=n))
+    if field.is_rationals:
+        basis_vectors = [[Fraction(x) for x in integerize(vec)]
+                         for vec in basis_vectors]
     basis = tuple(
         Weighting(graph=g, field=field, values=tuple(vec))
         for vec in basis_vectors)
@@ -198,20 +199,14 @@ def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
         raise ValueError("weighting belongs to a different graph")
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    field = f.field
+    p = None if f.field.is_rationals else f.field.p
     tuples = mis.as_sorted_tuples()
-    first = tuples[0]
-    base = field.zero()
-    for v in first:
-        base = field.add(base, f.values[v])
-    for k in range(1, len(tuples)):
-        acc = field.zero()
-        for v in tuples[k]:
-            acc = field.add(acc, f.values[v])
-        if acc != base:
-            return WeightingCheck(ok=False, witness=(first, tuples[k]),
-                                  sums=(base, acc))
-    return WeightingCheck(ok=True)
+    k = _first_unequal_sum(tuples, f.values, p)
+    if k == len(tuples):
+        return WeightingCheck(ok=True)
+    return WeightingCheck(ok=False, witness=(tuples[0], tuples[k]),
+                          sums=(_mis_sum(f.values, tuples[0], p),
+                                _mis_sum(f.values, tuples[k], p)))
 
 
 def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:

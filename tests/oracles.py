@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def adjacency(n: int, edges) -> list[set[int]]:
@@ -103,3 +104,69 @@ def wcdim_fraction_elimination(n: int, edges) -> tuple[int, int, int]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return len(mis), rank, n - rank
+
+
+def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[list[int]]:
+    """Free-column basis of the full MIS difference system's nullspace.
+
+    Gauss-Jordan over Fraction when p is None, over GF(p) otherwise; basis
+    vector k has a one in the k-th free column, in increasing column order.
+    Rational vectors are scaled to coprime integers whose first nonzero entry
+    is positive.
+    """
+    if p is None:
+        def norm(x):
+            return x
+
+        def inv(x):
+            return 1 / x
+    else:
+        def norm(x):
+            return x % p
+
+        def inv(x):
+            return pow(x, p - 2, p)
+    mis = all_mis_powerset(n, edges)
+    rows = []
+    for m in mis[1:]:
+        row = [Fraction(0) if p is None else 0] * n
+        for v in m:
+            row[v] += 1
+        for v in mis[0]:
+            row[v] -= 1
+        rows.append([norm(x) for x in row])
+    pivot_cols = []
+    for col in range(n):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = inv(rows[r][col])
+        rows[r] = [norm(x * lead) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivot_cols):
+        vec = [0] * n
+        vec[free] = 1
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = norm(-rows[i][free])
+        basis.append(vec if p is not None else _coprime_integers(vec))
+    return basis
+
+
+def _coprime_integers(vec) -> list[int]:
+    fracs = [Fraction(x) for x in vec]
+    scale = 1
+    for x in fracs:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in fracs]
+    content = 0
+    for x in ints:
+        content = gcd(content, abs(x))
+    sign = -1 if next(x for x in ints if x != 0) < 0 else 1
+    return [sign * x // content for x in ints]

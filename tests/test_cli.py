@@ -90,6 +90,14 @@ def test_wcdim_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_wcdim_huge_edgeless_header_is_validation_error(tmp_path, capsys):
+    # rejected from the edge count, before any per-vertex state is built
+    huge = tmp_path / "huge.g"
+    huge.write_text("n 3000000\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "wcdim", str(huge))
+    assert code == 3 and "not connected" in err
+
+
 def test_wcdim_missing_graph(capsys):
     code, _, err = run_cli(capsys, "wcdim", "no_such_graph")
     assert code == 3

@@ -6,7 +6,7 @@ from wellcovered.graph import DisconnectedGraphError, Graph, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   figure6_composite, named_corpus, path, star,
                                   sccg_mod_base, vertex_bowtie)
-from wellcovered.mis import (MisCapExceededError, NotIndependentError,
+from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              NotSccgError, enumerate_mis, greedy_extend,
                              independent_subsets_of_connection_set,
                              is_independent, is_mis, sccg_mis_count_formula,
@@ -252,3 +252,15 @@ def test_mis_meets_cliques_and_simplicial_neighborhoods():
                 assert len(m & c) <= 1, name
             for v in simp:
                 assert m & g.closed_neighborhood([v]), name
+
+
+def test_sorted_tuples_are_built_once_and_returned_as_copies():
+    mis = enumerate_mis(figure1())
+    first, second = mis.as_sorted_tuples(), mis.as_sorted_tuples()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert mis.as_sorted_tuples() == second
+    # the cache takes no part in equality or hashing
+    fresh = MisList(graph=mis.graph, sets=mis.sets)
+    assert fresh == mis and hash(fresh) == hash(mis)

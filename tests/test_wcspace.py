@@ -1,21 +1,24 @@
+import json
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
     is_chordal, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, rref, \
-    integerize, span_equal
+    integerize, nullspace_basis, span_equal
 from wellcovered.mis import enumerate_mis
 from wellcovered.wcspace import (Weighting, constraint_matrix,
                                  indicator_weighting, is_well_covered,
                                  verify_weighting, wcdim, well_covered_space,
                                  wcspace_report)
 
-from oracles import wcdim_fraction_elimination
+from oracles import nullspace_basis_elimination, wcdim_fraction_elimination
 
 
 def test_constraint_matrix_single_mis():
@@ -253,3 +256,85 @@ def test_clique_indicator_membership_on_corpus_sccgs():
                 assert span_equal(space.basis_vectors(),
                                   space.basis_vectors() + [list(ind.values)],
                                   QQ, length=g.n), name
+
+
+def _full_matrix_basis(g, mis, field):
+    basis = nullspace_basis(constraint_matrix(g, mis, field))
+    if field.is_rationals:
+        basis = [[Fraction(x) for x in integerize(vec)] for vec in basis]
+    return basis
+
+
+def _seeded_random_graphs(seed, count):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(2, 8)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        try:
+            graphs.append(Graph(n, edges))
+        except DisconnectedGraphError:
+            continue
+    return graphs
+
+
+def test_basis_vectors_equal_full_matrix_basis():
+    # the selected rows span the whole system, so the reduced echelon basis
+    # is the one the full constraint matrix gives, entry for entry
+    graphs = _seeded_random_graphs(99, 25)
+    graphs += [g for g in named_corpus().values() if g.n <= 20]
+    for g in graphs:
+        mis = enumerate_mis(g)
+        for field in DEFAULT_FIELDS:
+            space = well_covered_space(g, field, mis=mis)
+            assert space.basis_vectors() == _full_matrix_basis(g, mis, field), g
+
+
+@st.composite
+def connected_graphs(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    return Graph(n, [(label[u], label[v]) for u, v in tree + extra])
+
+
+# rows that span the system over Q but lose rank mod 2: each field needs
+# its own row selection
+GF2_RANK_DROP = Graph(9, [(0, 1), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3),
+                          (1, 4), (1, 5), (2, 5), (2, 6), (2, 8), (3, 4),
+                          (3, 5), (3, 7), (3, 8), (4, 7), (4, 8), (5, 6),
+                          (5, 7), (6, 7), (7, 8)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+@example(GF2_RANK_DROP)
+def test_basis_matches_oracle_elimination(g):
+    mis = enumerate_mis(g)
+    for field in DEFAULT_FIELDS:
+        p = None if field.is_rationals else field.p
+        space = well_covered_space(g, field, mis=mis)
+        got = [[int(x) for x in vec] for vec in space.basis_vectors()]
+        assert got == nullspace_basis_elimination(g.n, g.edges, p)
+
+
+# sha256 of json.dumps(report, sort_keys=True) for sierpinski order 4: the
+# basis bytes depend only on the row space, not on which rows span it
+S4_REPORT_SHA256 = {
+    "Q": "7b9fc687d82b2d3cfefec94d8bff90fb44756a415f4ac6338ce56a0b29b7e5e4",
+    "GF(2)": "fad5c6a4abd19c31d7f4304e7a0f8d5833cc8250a326c6d8956ed4124bc06b2e",
+    "GF(3)": "f7b1d027c95e51b3a661f3ece6e5fefc033b1a488fdcc029da5714f654028b89",
+}
+
+
+def test_sierpinski_4_reports_are_byte_stable():
+    g = sierpinski(4).graph
+    mis = enumerate_mis(g)
+    for field in DEFAULT_FIELDS:
+        report = wcspace_report(well_covered_space(g, field, mis=mis),
+                                "sierpinski_4")
+        digest = sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == S4_REPORT_SHA256[field.label()], field.label()
