@@ -135,7 +135,9 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("suite", nargs="?", default="default",
                        choices=("default", "full"))
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--threads", type=int, default=1)
+    p_ver.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; checks always run "
+                            "serially")
     p_ver.add_argument("--random-count", type=int, default=120,
                        help="random connected graphs in the sweep")
     _add_common(p_ver)
@@ -269,7 +271,7 @@ def _cmd_mis(args) -> int:
                      f"simplicial_only={simplicial.total}{flag}")
     if args.mode == "list" and mis is not None:
         payload["sets"] = mis.to_json()
-        lines.extend(" ".join(map(str, s)) for s in mis.as_sorted_tuples())
+        lines.extend(" ".join(map(str, s)) for s in mis.sets)
     _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_RESOURCE if capped else EXIT_OK
 

@@ -11,11 +11,10 @@ the suite records the numbers verbatim instead of asserting agreement.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .families import (ScsSpec, ScsValidationError, figure6_spec, named_corpus,
@@ -81,10 +80,6 @@ def _mis(g: Graph, cap: int):
 @lru_cache(maxsize=None)
 def _space(g: Graph, fld: FieldSpec, cap: int):
     return well_covered_space(g, fld, mis=_mis(g, cap), cap=cap)
-
-
-def _sorted_sets(sets: Iterable[frozenset]) -> list[list[int]]:
-    return [sorted(s) for s in sets]
 
 
 # --- per-graph checks ---------------------------------------------------------
@@ -228,18 +223,14 @@ def check_neighbor_swap(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Whenever two MISs differ in a single vertex, every basis weighting
     agrees on the swapped pair."""
-    mis = _mis(g, cap)
-    buckets: dict[frozenset, list[int]] = {}
-    for m in mis:
-        for v in m:
-            buckets.setdefault(m - {v}, []).append(v)
+    buckets: dict[int, list[int]] = {}
+    for t in _mis(g, cap).sets:
+        mask = sum(1 << v for v in t)
+        for v in t:
+            buckets.setdefault(mask ^ (1 << v), []).append(v)
     pairs: set[tuple[int, int]] = set()
-    for stem, swaps in buckets.items():
-        if len(swaps) > 1:
-            ordered = sorted(swaps)
-            for i in range(len(ordered)):
-                for j in range(i + 1, len(ordered)):
-                    pairs.add((ordered[i], ordered[j]))
+    for swaps in buckets.values():
+        pairs.update(combinations(sorted(swaps), 2))
     space = _space(g, QQ, cap)
     for u, v in sorted(pairs):
         for b_index, w in enumerate(space.basis):
@@ -285,7 +276,7 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                                    "shared_overlap": sorted(inter)})
     mis1 = _mis(g1, cap)
     mis2 = _mis(g2, cap)
-    composite_sets = set(mis_c.sets)
+    composite_sets = set(mis_c)
     composed = 0
     for a in mis1:
         mapped_a = frozenset(comp.g1_to_composite[v] for v in a)
@@ -534,15 +525,17 @@ def run_suite(suite: str = "default", seed: int = 0,
               threads: int = 1) -> dict:
     """Run a named suite and assemble an order-normalized report.
 
-    The report is a plain JSON-ready dict; verdicts are sorted by check id
-    and inputs, so thread count never changes the output bytes.
+    The report is a plain JSON-ready dict with verdicts sorted by check id
+    and inputs.  Checks run serially for any threads value, which is kept
+    for compatibility and never changes the output bytes.  The MIS lists and
+    spaces cached during the run are released when it returns.
     """
     tasks = _suite_tasks(suite, seed, tuple(fields), cap, random_count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(_run_task, tasks))
-    else:
+    try:
         verdicts = [_run_task(t) for t in tasks]
+    finally:
+        _mis.cache_clear()
+        _space.cache_clear()
     verdicts.sort(key=lambda v: (v.check_id, v.graph_ids))
     counts = {"holds": 0, "fails": 0, "not_applicable": 0}
     asserting_failures = []

@@ -2,13 +2,14 @@
 and the closed-form counting formula for simplicial-clique-covered graphs.
 
 Enumeration runs Bron-Kerbosch with pivoting over the complement graph,
-using Python ints as vertex bitsets.  A MIS of G is exactly a maximal clique
-of the complement.
+using Python ints as vertex bitsets and an explicit stack instead of
+recursion.  A MIS of G is exactly a maximal clique of the complement.  Each
+MIS is stored once, as its ascending tuple of members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -73,30 +74,24 @@ def is_mis(g: Graph, vs: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class MisList:
-    """All maximal independent sets of a graph, in canonical order
-    (lexicographic by sorted member tuples)."""
+    """All maximal independent sets of a graph, each stored once as its
+    ascending member tuple, in canonical (lexicographic) order.  Iterating
+    yields each set as a frozenset, built on the fly."""
 
     graph: Graph
-    sets: tuple[frozenset, ...]
-    # built on the first as_sorted_tuples call, so that callers that only
-    # count the sets never pay for it
-    _tuples: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    sets: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.sets)
 
     def __iter__(self):
-        return iter(self.sets)
+        return map(frozenset, self.sets)
 
     def as_sorted_tuples(self) -> list[tuple[int, ...]]:
-        if self._tuples is None:
-            object.__setattr__(self, "_tuples",
-                               tuple(tuple(sorted(s)) for s in self.sets))
-        return list(self._tuples)
+        return list(self.sets)
 
     def to_json(self) -> list[list[int]]:
-        return [list(t) for t in self.as_sorted_tuples()]
+        return [list(t) for t in self.sets]
 
 
 def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
@@ -111,17 +106,17 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
     # complement adjacency: everything except self and true neighbors
     cadj = [(full ^ adj[v]) & ~(1 << v) for v in range(n)]
     found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             found.append(r)
             if len(found) > cap:
                 raise MisCapExceededError(cap)
-            return
-        px = p | x
+            continue
         pivot = -1
         best = -1
-        m = px
+        m = p | x
         while m:
             u = (m & -m).bit_length() - 1
             c = (p & cadj[u]).bit_count()
@@ -132,15 +127,12 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            expand(r | low, p & cadj[v], x & cadj[v])
+            stack.append((r | low, p & cadj[v], x & cadj[v]))
             p ^= low
             x |= low
             cand ^= low
 
-    expand(0, full, 0)
-    sets = sorted((frozenset(_bits(m)) for m in found),
-                  key=lambda s: tuple(sorted(s)))
-    return MisList(graph=g, sets=tuple(sets))
+    return MisList(graph=g, sets=tuple(sorted(tuple(_bits(m)) for m in found)))
 
 
 def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:

@@ -99,8 +99,7 @@ def constraint_matrix(g: Graph, mis: MisList, field: FieldSpec) -> Matrix:
     space over the given field."""
     if len(mis) == 0:
         raise ValueError("a valid graph always has at least one MIS")
-    tuples = mis.as_sorted_tuples()
-    rows = [_difference_row(tuples, k, g.n) for k in range(1, len(tuples))]
+    rows = [_difference_row(mis.sets, k, g.n) for k in range(1, len(mis))]
     return Matrix.from_rows(rows, field, cols=g.n)
 
 
@@ -173,9 +172,8 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         mis = enumerate_mis(g, cap)
     elif mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    tuples = mis.as_sorted_tuples()
     n = g.n
-    rows = _spanning_rows(tuples, n, None if field.is_rationals else field.p)
+    rows = _spanning_rows(mis.sets, n, None if field.is_rationals else field.p)
     basis_vectors = nullspace_basis(Matrix.from_rows(rows, field, cols=n))
     if field.is_rationals:
         basis_vectors = [[Fraction(x) for x in integerize(vec)]
@@ -184,7 +182,7 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         Weighting(graph=g, field=field, values=tuple(vec))
         for vec in basis_vectors)
     return WcSpace(graph=g, field=field, basis=basis,
-                   dimension=len(basis), mis_count=len(tuples))
+                   dimension=len(basis), mis_count=len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,
@@ -200,13 +198,13 @@ def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
     p = None if f.field.is_rationals else f.field.p
-    tuples = mis.as_sorted_tuples()
-    k = _first_unequal_sum(tuples, f.values, p)
-    if k == len(tuples):
+    sets = mis.sets
+    k = _first_unequal_sum(sets, f.values, p)
+    if k == len(sets):
         return WeightingCheck(ok=True)
-    return WeightingCheck(ok=False, witness=(tuples[0], tuples[k]),
-                          sums=(_mis_sum(f.values, tuples[0], p),
-                                _mis_sum(f.values, tuples[k], p)))
+    return WeightingCheck(ok=False, witness=(sets[0], sets[k]),
+                          sums=(_mis_sum(f.values, sets[0], p),
+                                _mis_sum(f.values, sets[k], p)))
 
 
 def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:

@@ -1,8 +1,8 @@
 import json
 
 from wellcovered.cli import main
-from wellcovered.families import corpus_file_text, corpus_names
-from wellcovered.graph import parse_edge_list
+from wellcovered.families import corpus_file_text, corpus_names, star
+from wellcovered.graph import format_edge_list, parse_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,14 @@ def test_wcdim_huge_edgeless_header_is_validation_error(tmp_path, capsys):
     huge.write_text("n 3000000\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "wcdim", str(huge))
     assert code == 3 and "not connected" in err
+
+
+def test_mis_on_a_2000_leaf_star(tmp_path, capsys):
+    target = tmp_path / "star2000.g"
+    target.write_text(format_edge_list(star(2000)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "mis", str(target), "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 2
 
 
 def test_wcdim_missing_graph(capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
                                   figure6_spec, path,
                                   triangle_pendant_spec, vertex_bowtie)
-from wellcovered.harness import (REPORT_ONLY_CHECKS, check_lower_bound,
+from wellcovered.harness import (REPORT_ONLY_CHECKS, _mis, _space,
+                                 check_lower_bound,
                                  check_mis_count, check_mis_structure,
                                  check_neighbor_swap,
                                  check_path_cycle_citations,
@@ -172,6 +174,20 @@ def test_run_suite_thread_count_does_not_change_output():
     r1 = run_suite("default", seed=1, random_count=10, threads=1)
     r4 = run_suite("default", seed=1, random_count=10, threads=4)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r4, sort_keys=True)
+
+
+def test_run_suite_releases_its_caches():
+    run_suite("default", seed=1, random_count=5)
+    assert _mis.cache_info().currsize == 0
+    assert _space.cache_info().currsize == 0
+
+
+def test_full_suite_report_is_byte_stable():
+    # the only test that runs neighbor_swap and mis_structure on S4; the
+    # digest pins the report bytes they produce
+    report = json.dumps(run_suite("full", seed=1), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        "c6f7f77999b75fa7b7cadc559aa50c4261762f59c6c9f82a9588b4fe46b3db58"
 
 
 def test_run_suite_report_shape():

@@ -68,7 +68,9 @@ def test_enumerate_matches_powerset_random():
         except DisconnectedGraphError:
             continue
         done += 1
-        assert enumerate_mis(g).as_sorted_tuples() == all_mis_powerset(n, g.edges)
+        mis, expected = enumerate_mis(g), all_mis_powerset(n, g.edges)
+        assert mis.as_sorted_tuples() == expected
+        assert mis.sets == tuple(expected)
 
 
 def test_enumerate_members_are_mis_and_canonical():
@@ -78,6 +80,12 @@ def test_enumerate_members_are_mis_and_canonical():
     assert tuples == sorted(tuples)
     for m in mis:
         assert is_mis(g, m)
+
+
+def test_enumerate_does_not_recurse_per_vertex():
+    # a search depth of one level per leaf would pass the recursion limit
+    mis = enumerate_mis(star(2000))
+    assert mis.sets == ((0,), tuple(range(1, 2001)))
 
 
 def test_enumerate_cap_is_a_named_error():
