@@ -16,8 +16,8 @@ from importlib import resources
 
 from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        corpus_graph, corpus_names, complete, cycle,
-                       figure1, figure2_family, figure6_composite, figure6_g1,
-                       figure6_g2, path, scs_compose, scs_split, sierpinski)
+                       figure2_family, path, scs_compose, scs_split,
+                       sierpinski)
 from .graph import (EdgeListParseError, Graph, GraphError, format_edge_list,
                     is_chordal, is_sccg, parse_edge_list, simplicial_report)
 from .harness import run_suite, suite_passed, summary_table
@@ -144,6 +144,10 @@ def _build_parser() -> _Parser:
     return top
 
 
+# the hyphenated figure names gen accepts for corpus graphs
+_FIGURE_ALIASES = {"figure6-g1": "figure6_g1", "figure6-g2": "figure6_g2"}
+
+
 def _family_graph(family: str, param: int | None) -> tuple[Graph, tuple[str, ...]]:
     sized = {"complete": complete, "path": path, "cycle": cycle}
     if family in sized:
@@ -161,17 +165,11 @@ def _family_graph(family: str, param: int | None) -> tuple[Graph, tuple[str, ...
         return (figure2_family(param),
                 (f"figure2_k{param}: clique block on {param + 2} vertices"
                  " plus two-edge tail",))
-    fixed = {"figure1": figure1, "figure6-g1": figure6_g1,
-             "figure6-g2": figure6_g2, "figure6": figure6_composite}
-    if family in fixed:
-        if param is not None:
-            raise GraphError(f"family {family!r} takes no parameter")
-        name = family.replace("-", "_")
-        return fixed[family](), corpus_comments(name)
-    if family in corpus_names():
+    name = _FIGURE_ALIASES.get(family, family)
+    if name in corpus_names():
         if param is not None:
             raise GraphError(f"corpus graph {family!r} takes no parameter")
-        return corpus_graph(family), corpus_comments(family)
+        return corpus_graph(name), corpus_comments(name)
     raise GraphError(f"unknown family {family!r}")
 
 

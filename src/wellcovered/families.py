@@ -8,7 +8,7 @@ same Graph with the same vertex numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .graph import (Graph, components, contains_simplicial_vertex,
                     format_edge_list, simplicial_report)
@@ -321,25 +321,24 @@ class ScsSplit:
         return ScsSpec(self.part1, self.part2, glue)
 
 
-def find_scs_splits(g: Graph) -> list[ScsSplit]:
-    """Every way to split the graph as a clique sum over one of its
-    simplicial cliques, in deterministic order.
+def _scs_splits(g: Graph) -> Iterator[ScsSplit]:
+    """Yield the clique-sum splits of the graph lazily, simplicial clique by
+    simplicial clique, each clique's groupings in increasing mask order.
 
-    A simplicial clique C yields a split when removing it disconnects the
-    rest; each grouping of the remaining components into two nonempty sides
-    is tested, and kept when C stays simplicial in both induced parts.
-    Cross edges between the sides cannot exist, by choice of grouping.
+    A simplicial clique C yields splits when removing it disconnects the
+    rest; every grouping of the remaining components into two nonempty sides
+    gives one.  No grouping needs re-checking.  C is N[v] for a simplicial
+    vertex v, and each part contains C, so v keeps N[v] = C there and C stays
+    simplicial in both parts.  Every component of g - C has a neighbour in C,
+    so each part is connected.  Cross edges between the sides cannot exist,
+    by choice of grouping.
     """
-    rep = simplicial_report(g)
-    out: list[ScsSplit] = []
-    for clique in rep.cliques:
+    for clique in simplicial_report(g).cliques:
         rest = [v for v in g.vertices if v not in clique]
-        if not rest:
-            continue
         comps = components(g, rest)
-        if len(comps) < 2:
-            continue
         k = len(comps)
+        if k < 2:
+            continue
         # component 0 is pinned to side one and the all-ones mask is skipped,
         # so each unordered grouping with nonempty sides appears exactly once
         for mask in range((1 << (k - 1)) - 1):
@@ -349,25 +348,22 @@ def find_scs_splits(g: Graph) -> list[ScsSplit]:
                 (side1 if (mask >> (i - 1)) & 1 else side2).update(comps[i])
             part1, labels1 = g.induced_subgraph(side1 | clique)
             part2, labels2 = g.induced_subgraph(side2 | clique)
-            back1 = {orig: i for i, orig in enumerate(labels1)}
-            back2 = {orig: i for i, orig in enumerate(labels2)}
-            c1 = {back1[v] for v in clique}
-            c2 = {back2[v] for v in clique}
-            if not contains_simplicial_vertex(part1, c1):
-                continue
-            if not contains_simplicial_vertex(part2, c2):
-                continue
-            out.append(ScsSplit(part1=part1, part2=part2,
-                                shared=frozenset(clique),
-                                part1_vertices=labels1,
-                                part2_vertices=labels2))
-    return out
+            yield ScsSplit(part1=part1, part2=part2, shared=frozenset(clique),
+                           part1_vertices=labels1, part2_vertices=labels2)
+
+
+def find_scs_splits(g: Graph) -> list[ScsSplit]:
+    """Every way to split the graph as a clique sum over one of its
+    simplicial cliques, in deterministic order (see _scs_splits).  Their
+    number grows as 2^(k-1) in the k components left by a clique; use
+    scs_split when one split is enough."""
+    return list(_scs_splits(g))
 
 
 def scs_split(g: Graph) -> ScsSplit | None:
-    """First clique-sum split in the deterministic search order, if any."""
-    splits = find_scs_splits(g)
-    return splits[0] if splits else None
+    """First clique-sum split in the deterministic search order, if any.
+    The search stops there, so it never builds the other groupings."""
+    return next(_scs_splits(g), None)
 
 
 def triangle_pendant_spec() -> ScsSpec:

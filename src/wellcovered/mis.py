@@ -43,13 +43,6 @@ def adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _mask_of(vs: Iterable[int]) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:

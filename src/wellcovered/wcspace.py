@@ -68,7 +68,13 @@ class WeightingCheck:
 
 @dataclass(frozen=True)
 class WcSpace:
-    """Basis and dimension of the well-covered space over one field."""
+    """Basis and dimension of the well-covered space over one field.
+
+    Every basis entry is integral: a residue in 0..p-1 over GF(p), and over
+    the rationals a Fraction with denominator 1, each vector's entries
+    coprime with its first nonzero entry positive.  well_covered_space is the
+    only constructor and establishes this.
+    """
 
     graph: Graph
     field: FieldSpec
@@ -222,12 +228,7 @@ def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:
 
 def wcspace_report(space: WcSpace, graph_id: str) -> dict:
     """JSON-ready report for one graph and one field."""
-    basis = []
-    for w in space.basis:
-        if space.field.is_rationals:
-            basis.append(integerize(w.values))
-        else:
-            basis.append([int(x) for x in w.values])
+    basis = [[int(x) for x in w.values] for w in space.basis]
     return {
         "graph": graph_id,
         "field": space.field.to_json(),

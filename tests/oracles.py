@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
+
+
+def is_prime_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def adjacency(n: int, edges) -> list[set[int]]:

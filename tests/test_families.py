@@ -1,4 +1,6 @@
 import importlib.resources as resources
+import json
+from hashlib import sha256
 
 import pytest
 
@@ -14,6 +16,7 @@ from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
                                   path, scs_compose, scs_split, sierpinski,
                                   sierpinski_vertex_count, star,
                                   triangle_pendant_spec, vertex_bowtie)
+from wellcovered.harness import random_connected_graphs
 
 
 def test_standard_families():
@@ -285,6 +288,38 @@ def test_star_and_kn_split_behaviour():
     comp = scs_compose(ScsSpec(star(3), complete(3), {0: 1, 1: 0}))
     splits = find_scs_splits(comp.graph)
     assert splits
+    # 40 components around {0, 1}: the first split is found without
+    # building the other 2^39 - 2 groupings
+    split = scs_split(star(40))
+    assert split.shared == {0, 1}
+    assert split.part1_vertices == (0, 1, 2)
+
+
+# sha256 of every split find_scs_splits returns on corpus graphs with n <= 15
+# and random_connected_graphs(200, 7), taken before the search became lazy
+_SPLITS_DIGEST = \
+    "36642fc6cc283a46625badbc81cb4d585604467b45b9345504057d9387a16da3"
+
+
+def test_find_scs_splits_are_pinned_and_recompose():
+    graphs = [(name, g) for name, g in named_corpus().items() if g.n <= 15]
+    graphs += random_connected_graphs(200, 7)
+    record = []
+    for name, g in graphs:
+        splits = find_scs_splits(g)
+        record.append([name, [[sorted(s.shared), s.part1_vertices,
+                               s.part1.edges, s.part2_vertices, s.part2.edges]
+                              for s in splits]])
+        for split in splits:
+            # scs_compose re-validates that the shared clique is simplicial
+            # in both parts and in the composite
+            recomposed = scs_compose(split.to_spec())
+            _, back = _canonical_relabel(recomposed.graph, split, g)
+            assert back == g, name
+        assert scs_split(g) == (splits[0] if splits else None), name
+    assert sum(len(splits) for _, splits in record) == 184
+    digest = sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == _SPLITS_DIGEST
 
 
 # --- corpus files ------------------------------------------------------------------

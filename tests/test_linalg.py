@@ -3,9 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from wellcovered.linalg import (FieldSpec, GF2, GF3, Matrix, QQ, integerize,
-                                nullspace_basis, rank_of_rows, rref,
-                                span_equal, vector_to_json)
+from oracles import is_prime_trial_division
+from wellcovered.linalg import (FieldSpec, GF2, GF3, Matrix, QQ, _is_prime,
+                                integerize, nullspace_basis, rank_of_rows,
+                                rref, span_equal, vector_to_json)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-5, 10**5):
+        assert _is_prime(n) == is_prime_trial_division(n), n
+    assert FieldSpec.gf(2**61 - 1).p == 2**61 - 1
+    # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
 
 
 def test_field_spec_validation():

@@ -269,6 +269,6 @@ def test_sorted_tuples_are_built_once_and_returned_as_copies():
     assert all(a is b for a, b in zip(first, second))
     first.clear()
     assert mis.as_sorted_tuples() == second
-    # the cache takes no part in equality or hashing
+    # a list rebuilt from the same sets is equal and hashes alike
     fresh = MisList(graph=mis.graph, sets=mis.sets)
     assert fresh == mis and hash(fresh) == hash(mis)
