@@ -3,7 +3,7 @@
 Subcommands: gen (write corpus/family graphs), wcdim, classify, mis,
 compose, verify.  Exit codes: 0 success (for verify: no asserting check
 failed), 1 usage or failed verification, 2 file parse error, 3 validation
-error, 4 resource cap exceeded.
+error, 4 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _cmd_mis(args) -> int:
             raise
         capped = True
         mis = None
-        count = f">={args.mis_cap}"
+        count = f">{args.mis_cap}"
     payload: dict = {"graph": graph_id, "count": count}
     lines = [f"graph {graph_id}: mis_count={count}"]
     if not capped and is_sccg(g):
@@ -357,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except MisCapExceededError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
+        return EXIT_RESOURCE
+    except MemoryError:
+        sys.stderr.write("resource cap: out of memory\n")
         return EXIT_RESOURCE
     except (ScsValidationError, NotSccgError, GraphError, ValueError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -2,14 +2,16 @@
 
 Scalars are plain values: fractions.Fraction over the rationals, ints in
 0..p-1 over GF(p).  A FieldSpec carries the arithmetic; matrices and vectors
-never round and never overflow.
+never round and never overflow.  Row reduction does not go through the
+FieldSpec: it eliminates on int rows for both kinds of field (fraction-free
+over the rationals) and returns Fraction scalars over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Scalar = object  # Fraction over the rationals, int residue over GF(p)
@@ -204,44 +206,64 @@ class Matrix:
         }
 
 
-def _rational_pivot_weight(x: Fraction) -> int:
-    # prefer small numerator/denominator bit sizes to limit coefficient growth
-    return abs(x.numerator).bit_length() + x.denominator.bit_length()
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """A rational row scaled by the lcm of its denominators to integers."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form with exact arithmetic.
 
     Returns (reduced matrix, rank, pivot column indices).  Pivots are leading
-    ones with zeros above and below.  Over the rationals the pivot within a
-    column is the nonzero entry of smallest bit size; this choice only
-    affects intermediate coefficient growth, never the result.
+    ones with zeros above and below.  Elimination runs on int rows for both
+    kinds of field.  Over GF(p) the rows are residues, the pivot is the first
+    nonzero entry in its column and the pivot row is scaled to a leading one.
+    Over the rationals each row is scaled to integers, the pivot is the
+    nonzero entry of least absolute value, every other row becomes
+    a * row - b * pivot_row divided by its content, and Fractions are built
+    only for the result.  The reduced echelon form depends only on the row
+    space, so the pivot choice never changes the result.
     """
     f = m.field
-    work = [list(row) for row in m.entries]
+    p = f.p
     nrows, ncols = m.rows, m.cols
+    if p:
+        work = [[x % p for x in row] for row in m.entries]
+    else:
+        work = [_integer_row(row) for row in m.entries]
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        candidates = [i for i in range(r, nrows) if not f.is_zero(work[i][c])]
+        candidates = [i for i in range(r, nrows) if work[i][c]]
         if not candidates:
             continue
-        if f.is_rationals:
-            best = min(candidates, key=lambda i: _rational_pivot_weight(work[i][c]))
-        else:
-            best = candidates[0]
+        best = candidates[0] if p else min(candidates,
+                                           key=lambda i: abs(work[i][c]))
         work[r], work[best] = work[best], work[r]
-        inv = f.inv(work[r][c])
-        work[r] = [f.mul(inv, x) for x in work[r]]
+        a = work[r][c]
+        if p:
+            inv = pow(a, -1, p)
+            work[r] = [x * inv % p for x in work[r]]
+        row_r = work[r]
         for i in range(nrows):
-            if i != r and not f.is_zero(work[i][c]):
-                factor = work[i][c]
-                row_i, row_r = work[i], work[r]
-                work[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(row_i, row_r)]
+            b = work[i][c]
+            if i == r or not b:
+                continue
+            if p:
+                work[i] = [(x - b * y) % p for x, y in zip(work[i], row_r)]
+            else:
+                row = [a * x - b * y for x, y in zip(work[i], row_r)]
+                content = gcd(*row)  # 0 for a row that became all zero
+                work[i] = [x // content for x in row] if content > 1 else row
         pivot_cols.append(c)
         r += 1
+    if not p:
+        work = ([[Fraction(x, row[c]) for x in row]
+                 for row, c in zip(work, pivot_cols)]
+                + [[Fraction(0)] * ncols for _ in range(r, nrows)])
     reduced = Matrix(nrows, ncols, tuple(tuple(row) for row in work), f)
     return reduced, len(pivot_cols), pivot_cols
 
@@ -297,21 +319,12 @@ def integerize(vec: Sequence[Fraction]) -> list[int]:
     The zero vector maps to all zeros.  Used only for presentation; scaling
     never changes membership in a linear space.
     """
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fracs]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
+    ints = _integer_row(vec)
+    content = gcd(*ints)
     if content > 1:
         ints = [x // content for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
     return ints
 
 

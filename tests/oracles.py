@@ -110,17 +110,15 @@ def wcdim_fraction_elimination(n: int, edges) -> tuple[int, int, int]:
     return len(mis), rank, n - rank
 
 
-def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[list[int]]:
-    """Free-column basis of the full MIS difference system's nullspace.
+def rref_fraction_elimination(rows, p: int | None = None):
+    """(reduced rows, rank, pivot columns) by textbook Gauss-Jordan.
 
-    Gauss-Jordan over Fraction when p is None, over GF(p) otherwise; basis
-    vector k has a one in the k-th free column, in increasing column order.
-    Rational vectors are scaled to coprime integers whose first nonzero entry
-    is positive.
+    Over Fraction when p is None, over GF(p) otherwise; the pivot is the
+    first nonzero entry of its column, scaled to one.
     """
     if p is None:
         def norm(x):
-            return x
+            return Fraction(x)
 
         def inv(x):
             return 1 / x
@@ -130,17 +128,9 @@ def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[lis
 
         def inv(x):
             return pow(x, p - 2, p)
-    mis = all_mis_powerset(n, edges)
-    rows = []
-    for m in mis[1:]:
-        row = [Fraction(0) if p is None else 0] * n
-        for v in m:
-            row[v] += 1
-        for v in mis[0]:
-            row[v] -= 1
-        rows.append([norm(x) for x in row])
+    rows = [[norm(x) for x in row] for row in rows]
     pivot_cols = []
-    for col in range(n):
+    for col in range(len(rows[0]) if rows else 0):
         r = len(pivot_cols)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
@@ -153,12 +143,33 @@ def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[lis
                 f = rows[i][col]
                 rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivot_cols.append(col)
+    return rows, len(pivot_cols), pivot_cols
+
+
+def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[list[int]]:
+    """Free-column basis of the full MIS difference system's nullspace.
+
+    Gauss-Jordan over Fraction when p is None, over GF(p) otherwise; basis
+    vector k has a one in the k-th free column, in increasing column order.
+    Rational vectors are scaled to coprime integers whose first nonzero entry
+    is positive.
+    """
+    mis = all_mis_powerset(n, edges)
+    rows = []
+    for m in mis[1:]:
+        row = [0] * n
+        for v in m:
+            row[v] += 1
+        for v in mis[0]:
+            row[v] -= 1
+        rows.append(row)
+    rows, _, pivot_cols = rref_fraction_elimination(rows, p)
     basis = []
     for free in (c for c in range(n) if c not in pivot_cols):
         vec = [0] * n
         vec[free] = 1
         for i, pc in enumerate(pivot_cols):
-            vec[pc] = norm(-rows[i][free])
+            vec[pc] = -rows[i][free] if p is None else -rows[i][free] % p
         basis.append(vec if p is not None else _coprime_integers(vec))
     return basis
 

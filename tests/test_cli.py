@@ -1,5 +1,6 @@
 import json
 
+from wellcovered import cli
 from wellcovered.cli import main
 from wellcovered.families import corpus_file_text, corpus_names, star
 from wellcovered.graph import format_edge_list, parse_edge_list
@@ -137,14 +138,28 @@ def test_mis_count_and_list(capsys):
 
 
 def test_mis_cap_exit_code_in_count_mode(capsys):
+    # enumeration stops once it has found more than the cap
     code, out, _ = run_cli(capsys, "mis", "c12", "--mis-cap", "5")
     assert code == 4
-    assert ">=5" in out
+    assert out == "graph c12: mis_count=>5\n"
+    code, out, _ = run_cli(capsys, "mis", "c12", "--mis-cap", "5", "--json")
+    assert code == 4
+    assert json.loads(out)["count"] == ">5"
 
 
 def test_mis_cap_list_mode_errors(capsys):
     code, _, err = run_cli(capsys, "mis", "c12", "--mis-cap", "5", "--mode", "list")
     assert code == 4 and "resource cap" in err
+
+
+def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "enumerate_mis", exhausted)
+    code, out, err = run_cli(capsys, "wcdim", "figure1")
+    assert code == 4
+    assert out == ""
+    assert err == "resource cap: out of memory\n"
 
 
 def test_compose_triangle_pendants(tmp_path, capsys):

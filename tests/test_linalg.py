@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import is_prime_trial_division
+from oracles import is_prime_trial_division, rref_fraction_elimination
 from wellcovered.linalg import (FieldSpec, GF2, GF3, Matrix, QQ, _is_prime,
                                 integerize, nullspace_basis, rank_of_rows,
                                 rref, span_equal, vector_to_json)
@@ -132,6 +133,58 @@ def test_span_equal():
     assert not span_equal([], [e1], QQ)
     with pytest.raises(ValueError):
         span_equal([e1], [[Fraction(1)]], QQ)
+
+
+def test_span_equal_with_dependent_vectors():
+    # eliminating a dependent vector leaves a row whose content is zero
+    a = [[Fraction(1), Fraction(2), Fraction(3)],
+         [Fraction(-2), Fraction(-4), Fraction(-6)],
+         [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
+         [Fraction(1), Fraction(3), Fraction(4)]]
+    b = [[Fraction(1), Fraction(1), Fraction(2)],
+         [Fraction(0), Fraction(3), Fraction(3)]]
+    assert rank_of_rows(a, QQ, 3) == 2
+    assert span_equal(a, b, QQ)
+    assert not span_equal(a, b[:1] + [[Fraction(0), Fraction(0), Fraction(1)]], QQ)
+
+
+@st.composite
+def field_matrices(draw):
+    """(rows, p) with p None for the rationals; some rows are forced to be
+    multiples of others or all zero."""
+    p = draw(st.sampled_from([None, 2, 3, 13]))
+    cols = draw(st.integers(1, 7))
+    if p is None:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        entry = st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=1, max_size=6))
+    if len(rows) < 6 and draw(st.booleans()):
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(entry.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), [k * x for x in src])
+    if len(rows) < 6 and draw(st.booleans()):
+        zero = Fraction(0) if p is None else 0
+        rows.insert(draw(st.integers(0, len(rows))), [zero] * cols)
+    return rows, p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(field_matrices())
+@example(([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]], None))
+@example(([[Fraction(0), Fraction(3, 2)], [Fraction(0), Fraction(0)],
+           [Fraction(-1, 4), Fraction(1)]], None))
+@example(([[1, 2, 0], [2, 4, 0], [0, 0, 0]], 3))
+def test_rref_matches_oracle_elimination(case):
+    rows, p = case
+    field = QQ if p is None else FieldSpec.gf(p)
+    reduced, rank, pivots = rref(Matrix.from_rows(rows, field))
+    want_rows, want_rank, want_pivots = rref_fraction_elimination(rows, p)
+    assert [list(r) for r in reduced.entries] == want_rows
+    assert (rank, pivots) == (want_rank, want_pivots)
+    scalar = Fraction if p is None else int
+    assert all(type(x) is scalar for r in reduced.entries for x in r)
 
 
 def test_integerize():
