@@ -44,9 +44,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_list(tokens: list[str] | None) -> tuple[FieldSpec, ...]:
+    """The fields named by --field, each once, in order of first mention."""
     if not tokens:
         return DEFAULT_FIELDS
-    return tuple(FieldSpec.parse(t) for t in tokens)
+    return tuple(dict.fromkeys(FieldSpec.parse(t) for t in tokens))
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(token: str) -> int:
+        value = int(token)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message: "invalid int value: ..."
+    return parse
 
 
 def _shipped_corpus_dir() -> str:
@@ -80,7 +92,7 @@ def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:
     if fields:
         p.add_argument("--field", action="append", metavar="q|gf:<p>",
                        help="coefficient field, repeatable (default: q, gf:2, gf:3)")
-    p.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP,
+    p.add_argument("--mis-cap", type=_int_at_least(1), default=DEFAULT_MIS_CAP,
                    help="abort enumeration past this many MISs")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--corpus", metavar="DIR",
@@ -138,7 +150,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; checks always run "
                             "serially")
-    p_ver.add_argument("--random-count", type=int, default=120,
+    p_ver.add_argument("--random-count", type=_int_at_least(0), default=120,
                        help="random connected graphs in the sweep")
     _add_common(p_ver)
     return top

@@ -7,29 +7,37 @@ pairwise differences against the first MIS gives a homogeneous system whose
 nullspace is exactly the well-covered space; its dimension is the
 well-covered dimension.
 
-For large MIS lists the constraint matrix is never materialized.  A
-kernel-membership filter selects a spanning subset of difference rows
-instead.  It keeps vectors spanning the kernel of the rows selected so far,
-starting from the identity: coprime integers over the rationals, residues
-over GF(p).  A MIS's difference row already lies in the selected row space
-exactly when every kernel vector has the same sum on that MIS as on MIS 0,
-compared modulo p over GF(p); this holds over every field, since a subspace
-is the annihilator of its annihilator.  A MIS that fails the test has its
-row selected, and one failing kernel vector is used to eliminate the new row
-from the others, then dropped.  The row space only grows, so the final kernel
-satisfies every MIS: the selection is exact over every field and needs no
-verification pass.  The exact reduced echelon computation then runs once, on
-the selected rows.  Reduced echelon form depends only on the row space, so
-the basis does not depend on which spanning rows were selected.
+For large MIS lists the constraint matrix is never materialized.  One
+forward pass over the MISs selects a spanning subset of difference rows
+instead: row k is selected exactly when it is outside the span of the rows
+selected before it.  The pass keeps vectors spanning the kernel of the rows
+selected so far, starting from the identity: coprime integers over the
+rationals, residues over GF(p).  A MIS's difference row already lies in the
+selected row space exactly when every kernel vector has the same sum on
+that MIS as on MIS 0, compared modulo p over GF(p); this holds over every
+field, since a subspace is the annihilator of its annihilator.  The kernel
+vectors are packed side by side into one integer per vertex, in slots wide
+enough that each vector's difference on a MIS is one exact digit, so a
+single integer sum per MIS tests every vector at once.  Over GF(p) the
+digits of an unequal sum are re-tested modulo p, because a difference that
+is a nonzero multiple of p is zero in the field.  A MIS that fails has its
+row selected, and one failing kernel vector is used to eliminate the new
+row from the others, then dropped.  The row space only grows, so the final
+kernel satisfies every MIS: the selection is exact over every field and
+needs no verification pass.  The exact reduced echelon computation then
+runs once, on the selected rows.  Reduced echelon form depends only on the
+row space, so the basis does not depend on which spanning rows were
+selected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from operator import mul
-from typing import Sequence
+from operator import neg, sub
+from typing import Iterable, Sequence
 
 from .graph import Graph
 from .linalg import (FieldSpec, Matrix, QQ, integerize, nullspace_basis)
@@ -90,11 +98,12 @@ class WcSpace:
         return [list(w.values) for w in self.basis]
 
 
-def _difference_row(tuples: Sequence[tuple[int, ...]], k: int, n: int) -> list[int]:
+def _difference_row(members: tuple[int, ...], first: tuple[int, ...],
+                    n: int) -> list[int]:
     row = [0] * n
-    for v in tuples[k]:
+    for v in members:
         row[v] += 1
-    for v in tuples[0]:
+    for v in first:
         row[v] -= 1
     return row
 
@@ -105,7 +114,7 @@ def constraint_matrix(g: Graph, mis: MisList, field: FieldSpec) -> Matrix:
     space over the given field."""
     if len(mis) == 0:
         raise ValueError("a valid graph always has at least one MIS")
-    rows = [_difference_row(mis.sets, k, g.n) for k in range(1, len(mis))]
+    rows = [_difference_row(m, mis.sets[0], g.n) for m in mis.sets[1:]]
     return Matrix.from_rows(rows, field, cols=g.n)
 
 
@@ -116,53 +125,100 @@ def _mis_sum(values: Sequence, members: tuple[int, ...], p: int | None):
 
 
 def _first_unequal_sum(tuples: Sequence[tuple[int, ...]], values: Sequence,
-                       p: int | None, start: int = 1) -> int:
-    """Index of the first MIS from start on whose sum differs from the sum on
-    MIS 0 (modulo p unless p is None), or len(tuples) if there is none."""
+                       p: int | None) -> int:
+    """Index of the first MIS whose sum differs from the sum on MIS 0
+    (modulo p unless p is None), or len(tuples) if there is none."""
     get = values.__getitem__
     base = _mis_sum(values, tuples[0], p)
-    for k in range(start, len(tuples)):
+    for k in range(1, len(tuples)):
         s = sum(map(get, tuples[k]))
         if (s % p if p else s) != base:
             return k
     return len(tuples)
 
 
-def _spanning_rows(tuples: Sequence[tuple[int, ...]], n: int,
+def _slot_digits(diff: int, width: int):
+    """(slot, digit) for every nonzero digit of diff in balanced base
+    2**width, whose digits lie in [-2**(width-1), 2**(width-1)); lowest slot
+    first."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    while diff:
+        shift = ((diff & -diff).bit_length() - 1) // width * width
+        d = (((diff >> shift) + half) & mask) - half
+        diff -= d << shift
+        yield shift // width, d
+
+
+def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
                    p: int | None) -> list[list[int]]:
     """Difference rows that span the whole constraint row space, over GF(p),
-    or over the rationals when p is None.
+    or over the rationals when p is None: row k is selected exactly when it
+    is not in the span of the rows selected before it.
 
-    kernel spans the kernel of the rows selected so far, and bad[i] is the
-    first MIS from kernel[i]'s scan start on which kernel[i] is not constant.
-    Every MIS before the smallest bad index k lies in the selected row space,
-    so row k is selected next, the kernel vectors not orthogonal to it are
-    exactly those with bad index k, and each of those that is changed resumes
-    its scan after k.
+    One forward pass: the MISs are read once, in order, the first being
+    MIS 0, and none is read after the kernel empties.  kernel maps a slot i
+    to a vector w_i; the live vectors span the kernel of the rows selected
+    so far, starting from the identity.  They are packed into one int per
+    vertex, packed[v] = sum of w_i[v] << (i * width), so a MIS's packed sum
+    minus MIS 0's is the integer whose balanced base 2**width digits are
+    the differences w_i . row_k.  A digit is exact while 2**(width-1)
+    exceeds its absolute value: over GF(p) every entry is a residue, so
+    n * (p - 1) bounds it; over the rationals row_k has entries in
+    {-1, 0, 1}, so the vector's L1 norm bounds it, and width at least
+    doubles (every vector is re-packed) whenever a vector outgrows it.
+    Equal packed sums mean every vector is constant on the MIS.  Over GF(p)
+    unequal sums can still agree modulo p, so only digits not divisible by
+    p fail.  A MIS with a failing digit has its row selected: the vector
+    with the lowest failing slot is the pivot, it eliminates the new row
+    from the other failing vectors (their digits are their inner products
+    with the row), and it is dropped; packed changes only in the slots that
+    changed.
     """
-    m = len(tuples)
-    kernel = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-    bad = [_first_unequal_sum(tuples, w, p) for w in kernel]
+    kernel = {i: [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)}
+    width = (n * (p - 1)).bit_length() + 1 if p else 2
+    packed = [1 << (v * width) for v in range(n)]
+    get = packed.__getitem__
+    mis = iter(mis)
+    first = next(mis)
+    base = sum(map(get, first))
     rows: list[list[int]] = []
-    while (k := min(bad, default=m)) < m:
-        row = _difference_row(tuples, k, n)
-        j, *others = [i for i, b in enumerate(bad) if b == k]
-        w = kernel[j]
-        gw = sum(map(mul, w, row))
-        for i in others:
+    for members in mis:
+        diff = sum(map(get, members)) - base
+        if not diff:
+            continue
+        failing = [(i, d) for i, d in _slot_digits(diff, width)
+                   if not p or d % p]
+        if not failing:
+            continue
+        rows.append(_difference_row(members, first, n))
+        (j, gw), *others = failing
+        w = kernel.pop(j)
+        if not kernel:
+            break
+        deltas = {j: list(map(neg, w))}
+        for i, gu in others:
             u = kernel[i]
-            gu = sum(map(mul, u, row))
             if p:
                 c = gu * pow(gw, -1, p) % p
-                u = [(a - c * b) % p for a, b in zip(u, w)]
+                new = [(a - c * b) % p for a, b in zip(u, w)]
             else:
-                u = [gw * a - gu * b for a, b in zip(u, w)]
-                content = gcd(*u)
-                u = [x // content for x in u]
-            kernel[i] = u
-            bad[i] = _first_unequal_sum(tuples, u, p, k + 1)
-        del kernel[j], bad[j]
-        rows.append(row)
+                new = [gw * a - gu * b for a, b in zip(u, w)]
+                content = gcd(*new)
+                new = [x // content for x in new]
+            kernel[i] = new
+            deltas[i] = list(map(sub, new, u))
+        l1 = 0 if p else max((sum(map(abs, kernel[i])) for i, _ in others),
+                             default=0)
+        if l1 >> (width - 1):
+            width = max(2 * width, l1.bit_length() + 1)
+            packed[:] = [0] * n
+            deltas = kernel  # re-pack every live vector at the new width
+        for i, delta in deltas.items():
+            shift = i * width
+            for v in compress(range(n), delta):
+                packed[v] += delta[v] << shift
+        base = sum(map(get, first))
     return rows
 
 

@@ -146,6 +146,37 @@ def rref_fraction_elimination(rows, p: int | None = None):
     return rows, len(pivot_cols), pivot_cols
 
 
+def greedy_spanning_rows(tuples, n: int, p: int | None = None) -> list[list[int]]:
+    """Difference rows (MIS k minus MIS 0) kept in order exactly when row k
+    raises the rank of the rows kept before it.
+
+    The rank is taken by Fraction Gauss-Jordan over Q when p is None, and
+    over GF(p) by reducing the row against an echelon basis mod p.
+    """
+    kept: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []
+    for m in tuples[1:]:
+        row = [0] * n
+        for v in m:
+            row[v] += 1
+        for v in tuples[0]:
+            row[v] -= 1
+        if p is None:
+            if rref_fraction_elimination(kept + [row])[1] > len(kept):
+                kept.append(row)
+            continue
+        x = [a % p for a in row]
+        for col, e in echelon:
+            f = x[col]
+            x = [(a - f * b) % p for a, b in zip(x, e)]
+        lead = next((c for c in range(n) if x[c]), None)
+        if lead is not None:
+            inv = pow(x[lead], p - 2, p)
+            echelon.append((lead, [a * inv % p for a in x]))
+            kept.append(row)
+    return kept
+
+
 def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[list[int]]:
     """Free-column basis of the full MIS difference system's nullspace.
 

@@ -152,6 +152,35 @@ def test_mis_cap_list_mode_errors(capsys):
     assert code == 4 and "resource cap" in err
 
 
+def test_mis_cap_below_one_is_usage_error(capsys):
+    for argv in (("mis", "k3", "--mis-cap", "-1"), ("mis", "k3", "--mis-cap", "0"),
+                 ("wcdim", "k3", "--mis-cap", "-5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "usage error: argument --mis-cap: must be at least 1: " \
+            f"{argv[-1]}\n"
+    code, out, _ = run_cli(capsys, "mis", "k3", "--mis-cap", "3")
+    assert code == 0 and out.startswith("graph k3: mis_count=3\n")
+
+
+def test_negative_random_count_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "default", "--random-count", "-1")
+    assert code == 1 and out == ""
+    assert err == "usage error: argument --random-count: must be at least 0: -1\n"
+    code, _, err = run_cli(capsys, "verify", "default", "--random-count", "x")
+    assert code == 1
+    assert err == "usage error: argument --random-count: invalid int value: 'x'\n"
+
+
+def test_repeated_field_tokens_give_one_report_per_field(capsys):
+    code, out, _ = run_cli(capsys, "wcdim", "k3", "--field", "q", "--field", "Q",
+                           "--field", "gf:3", "--field", "q", "--json")
+    assert code == 0
+    fields = [r["field"] for r in json.loads(out)["reports"]]
+    assert fields == [{"kind": "rationals"}, {"kind": "prime_field", "p": 3}]
+
+
 def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

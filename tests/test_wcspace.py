@@ -12,13 +12,15 @@ from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, rref, \
     integerize, nullspace_basis, span_equal
+from wellcovered import wcspace
 from wellcovered.mis import enumerate_mis
 from wellcovered.wcspace import (Weighting, constraint_matrix,
                                  indicator_weighting, is_well_covered,
                                  verify_weighting, wcdim, well_covered_space,
                                  wcspace_report)
 
-from oracles import nullspace_basis_elimination, wcdim_fraction_elimination
+from oracles import greedy_spanning_rows, nullspace_basis_elimination, \
+    wcdim_fraction_elimination
 
 
 def test_constraint_matrix_single_mis():
@@ -319,6 +321,75 @@ def test_basis_matches_oracle_elimination(g):
         space = well_covered_space(g, field, mis=mis)
         got = [[int(x) for x in vec] for vec in space.basis_vectors()]
         assert got == nullspace_basis_elimination(g.n, g.edges, p)
+
+
+# a 4-cycle sharing vertex 3 with a triangle: over GF(2), GF(3) and GF(5)
+# some MIS has a packed sum unlike MIS 0's although every digit of the
+# difference is a multiple of p, so its row is already spanned
+RESIDUES_AGREE = Graph(6, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (3, 5),
+                           (4, 5)])
+
+# over Q a kernel vector's L1 norm outgrows the first slot width (2 -> 4);
+# with width 2 kept, misread digits select the wrong rows
+WIDTH_GROWS = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 6),
+                        (2, 3), (2, 6), (3, 6), (4, 6)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+@example(RESIDUES_AGREE)
+@example(WIDTH_GROWS)
+@example(cycle(8))
+def test_spanning_rows_match_greedy_oracle(g):
+    tuples = enumerate_mis(g).sets
+    for p in (None, 2, 3, 5):
+        got = wcspace._spanning_rows(tuples, g.n, p)
+        assert got == greedy_spanning_rows(tuples, g.n, p), p
+
+
+def _record_digits(monkeypatch) -> list:
+    """Record (width, digits) for every packed-sum difference decoded."""
+    calls = []
+    decode = wcspace._slot_digits
+
+    def spy(diff, width):
+        digits = list(decode(diff, width))
+        calls.append((width, digits))
+        return iter(digits)
+
+    monkeypatch.setattr(wcspace, "_slot_digits", spy)
+    return calls
+
+
+def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
+    calls = _record_digits(monkeypatch)
+    tuples = enumerate_mis(RESIDUES_AGREE).sets
+    for p in (2, 3, 5):
+        calls.clear()
+        rows = wcspace._spanning_rows(tuples, RESIDUES_AGREE.n, p)
+        assert any(d and all(x % p == 0 for _, x in d) for _, d in calls), p
+        assert rows == greedy_spanning_rows(tuples, RESIDUES_AGREE.n, p), p
+
+
+def test_slot_width_grows_with_rational_vectors(monkeypatch):
+    calls = _record_digits(monkeypatch)
+    tuples = enumerate_mis(WIDTH_GROWS).sets
+    rows = wcspace._spanning_rows(tuples, WIDTH_GROWS.n, None)
+    assert [w for w, _ in calls] == [2, 4, 4, 4]
+    assert rows == greedy_spanning_rows(tuples, WIDTH_GROWS.n)
+
+
+def test_pass_stops_when_the_kernel_empties():
+    g = cycle(8)  # well-covered dimension 0
+    tuples = enumerate_mis(g).sets
+    for p in (None, 2, 3):
+        full = next(k for k in range(len(tuples))
+                    if len(greedy_spanning_rows(tuples[:k + 1], g.n, p)) == g.n)
+        assert full < len(tuples) - 1
+        unread = iter(tuples)
+        rows = wcspace._spanning_rows(unread, g.n, p)
+        assert len(rows) == g.n, p
+        assert next(unread) == tuples[full + 1], p
 
 
 # sha256 of json.dumps(report, sort_keys=True) for sierpinski order 4: the
