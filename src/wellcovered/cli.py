@@ -3,7 +3,8 @@
 Subcommands: gen (write corpus/family graphs), wcdim, classify, mis,
 compose, verify.  Exit codes: 0 success (for verify: no asserting check
 failed), 1 usage or failed verification, 2 file parse error, 3 validation
-error, 4 resource cap exceeded or out of memory.
+error or a file that cannot be read or written, 4 resource cap exceeded or
+out of memory.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 from importlib import resources
+from itertools import islice
 
 from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        corpus_graph, corpus_names, complete, cycle,
@@ -81,11 +83,22 @@ def _load_graph_arg(spec: str, corpus_dir: str | None) -> tuple[Graph, str]:
     raise GraphError(f"no such file or corpus graph: {spec}")
 
 
+# encoder chunks joined per write: a large basis encodes to millions of
+# chunks, too many for one write call each, while one string for the whole
+# document holds all of it in memory at once
+_JSON_CHUNKS_PER_WRITE = 1 << 16
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
+    """Write text, or with --json the payload as indented, key-sorted JSON,
+    streamed in blocks of encoder chunks."""
+    if not args.json:
         sys.stdout.write(text)
+        return
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(islice(chunks, _JSON_CHUNKS_PER_WRITE)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
 
 
 def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:
@@ -341,10 +354,7 @@ def _cmd_verify(args) -> int:
     report = run_suite(suite=args.suite, seed=args.seed, fields=fields,
                        cap=args.mis_cap, random_count=args.random_count,
                        threads=args.threads)
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(summary_table(report))
+    _emit(args, report, summary_table(report))
     return EXIT_OK if suite_passed(report) else EXIT_USAGE
 
 
@@ -373,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         sys.stderr.write("resource cap: out of memory\n")
         return EXIT_RESOURCE
-    except (ScsValidationError, NotSccgError, GraphError, ValueError) as exc:
+    except (ScsValidationError, NotSccgError, GraphError, ValueError,
+            OSError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
 

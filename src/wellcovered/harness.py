@@ -246,21 +246,16 @@ def check_neighbor_swap(g: Graph, graph_id: str,
 
 # --- clique-sum checks ---------------------------------------------------------
 
-def _composite_parts(spec: ScsSpec):
-    comp = scs_compose(spec)
-    back1 = {c: i for i, c in enumerate(comp.g1_to_composite)}
-    back2 = {c: i for i, c in enumerate(comp.g2_to_composite)}
-    return comp, back1, back2
-
-
 def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                             cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Composite MISs are exactly the unions of part MISs meeting in one
     shared vertex; both directions checked exhaustively."""
     try:
-        comp, back1, back2 = _composite_parts(spec)
+        comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_mis_structure", [spec_id], f"invalid clique sum: {exc}")
+    back1 = {c: i for i, c in enumerate(comp.g1_to_composite)}
+    back2 = {c: i for i, c in enumerate(comp.g2_to_composite)}
     g1, g2, gc = spec.g1, spec.g2, comp.graph
     v1 = set(comp.g1_to_composite)
     v2 = set(comp.g2_to_composite)
@@ -303,7 +298,7 @@ def check_scs_count(spec: ScsSpec, spec_id: str,
     """Composite MIS count equals the sum over shared vertices of the product
     of per-part MIS counts through that vertex."""
     try:
-        comp, _, _ = _composite_parts(spec)
+        comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_count", [spec_id], f"invalid clique sum: {exc}")
     from .mis import scs_mis_count
@@ -321,7 +316,7 @@ def check_scs_dimension(spec: ScsSpec, spec_id: str,
     """wcdim of the composite is wcdim(g1) + wcdim(g2) - 1 over every field;
     when one part is an SCCG and the other chordal, it also equals sc."""
     try:
-        comp, _, _ = _composite_parts(spec)
+        comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_dimension", [spec_id], f"invalid clique sum: {exc}")
     gc = comp.graph

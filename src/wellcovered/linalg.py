@@ -1,10 +1,14 @@
 """Exact field arithmetic and row reduction: rationals and prime fields.
 
-Scalars are plain values: fractions.Fraction over the rationals, ints in
-0..p-1 over GF(p).  A FieldSpec carries the arithmetic; matrices and vectors
-never round and never overflow.  Row reduction does not go through the
-FieldSpec: it eliminates on int rows for both kinds of field (fraction-free
-over the rationals) and returns Fraction scalars over the rationals.
+Scalars are plain values: over the rationals an int or a fractions.Fraction
+(ints are exact rationals and are kept as they are), over GF(p) an int in
+0..p-1.  A FieldSpec carries the arithmetic; matrices and vectors never
+round and never overflow.  Row reduction does not go through the
+FieldSpec: rref, rank_of_rows and nullspace_basis all run one elimination
+on int rows for both kinds of field (fraction-free over the rationals),
+and each builds Fractions only where its result promises them: rref's
+reduced matrix, and the nullspace vectors, which over the rationals are
+coprime integers with the first nonzero entry positive.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Scalar = object  # Fraction over the rationals, int residue over GF(p)
+Scalar = object  # int or Fraction over the rationals, int residue over GF(p)
 
 _MAX_PRIME = 2**61
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -112,46 +116,11 @@ class FieldSpec:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.is_rationals else (a + b) % self.p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.is_rationals else (a - b) % self.p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b if self.is_rationals else (a * b) % self.p
 
-    def neg(self, a: Scalar) -> Scalar:
-        return -a if self.is_rationals else (-a) % self.p
-
-    def inv(self, a: Scalar) -> Scalar:
-        """Multiplicative inverse; extended Euclid over GF(p)."""
-        if self.is_rationals:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        r0, r1 = self.p, a
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
-
-    def scalar_to_json(self, a: Scalar):
-        if self.is_rationals:
-            f = Fraction(a)
-            return f"{f.numerator}/{f.denominator}"
-        return int(a)
-
-    def scalar_from_json(self, obj) -> Scalar:
-        if self.is_rationals:
-            num, den = str(obj).split("/")
-            return Fraction(int(num), int(den))
-        return int(obj) % self.p
 
 
 QQ = FieldSpec.rationals()
@@ -162,7 +131,12 @@ DEFAULT_FIELDS = (QQ, GF2, GF3)
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major matrix over a FieldSpec.  rows == 0 is allowed."""
+    """Dense row-major matrix over a FieldSpec.  rows == 0 is allowed.
+
+    Over the rationals the entries are ints or Fractions; from_rows keeps
+    ints as they are, since they are exact rationals.  Over GF(p) from_rows
+    stores int entries as residues in 0..p-1.
+    """
 
     rows: int
     cols: int
@@ -182,8 +156,11 @@ class Matrix:
         if not rows and cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         width = cols if cols is not None else len(rows[0])
-        ent = tuple(tuple(field.from_int(x) if isinstance(x, int) else x for x in r)
-                    for r in rows)
+        if field.is_rationals:
+            ent = tuple(map(tuple, rows))
+        else:
+            ent = tuple(tuple(field.from_int(x) if isinstance(x, int) else x
+                              for x in r) for r in rows)
         return cls(len(ent), width, ent, field)
 
     def mat_vec(self, vec: Sequence[Scalar]) -> list[Scalar]:
@@ -196,15 +173,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def to_json(self) -> dict:
-        f = self.field
-        return {
-            "field": f.to_json(),
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[f.scalar_to_json(x) for x in row] for row in self.entries],
-        }
-
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """A rational row scaled by the lcm of its denominators to integers."""
@@ -212,26 +180,29 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form with exact arithmetic.
-
-    Returns (reduced matrix, rank, pivot column indices).  Pivots are leading
-    ones with zeros above and below.  Elimination runs on int rows for both
-    kinds of field.  Over GF(p) the rows are residues, the pivot is the first
-    nonzero entry in its column and the pivot row is scaled to a leading one.
-    Over the rationals each row is scaled to integers, the pivot is the
-    nonzero entry of least absolute value, every other row becomes
-    a * row - b * pivot_row divided by its content, and Fractions are built
-    only for the result.  The reduced echelon form depends only on the row
-    space, so the pivot choice never changes the result.
-    """
-    f = m.field
-    p = f.p
-    nrows, ncols = m.rows, m.cols
+def _int_rows(m: Matrix) -> list[list[int]]:
+    """The matrix's rows as int rows: residues over GF(p), each row scaled to
+    integers over the rationals."""
+    p = m.field.p
     if p:
-        work = [[x % p for x in row] for row in m.entries]
-    else:
-        work = [_integer_row(row) for row in m.entries]
+        return [[x % p for x in row] for row in m.entries]
+    return [_integer_row(row) for row in m.entries]
+
+
+def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
+    """Gauss-Jordan elimination of int rows in place; returns the pivot
+    columns.  Afterwards row i holds the i-th pivot, every pivot column is
+    zero outside its pivot row, and the rows past the rank are zero.
+
+    Over GF(p) (p not None) the rows are residues, the pivot is the first
+    nonzero entry in its column and the pivot row is scaled to a leading one.
+    Over the rationals (p None) elimination is fraction-free: the pivot is
+    the nonzero entry of least absolute value, every other row becomes
+    a * row - b * pivot_row divided by its content, and each row keeps its
+    own nonzero pivot entry.  The reduced echelon form depends only on the
+    row space, so the pivot choice never changes what the rows span.
+    """
+    nrows = len(work)
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -260,30 +231,58 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
                 work[i] = [x // content for x in row] if content > 1 else row
         pivot_cols.append(c)
         r += 1
+    return pivot_cols
+
+
+def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
+    """Reduced row echelon form with exact arithmetic.
+
+    Returns (reduced matrix, rank, pivot column indices).  Pivots are leading
+    ones with zeros above and below.  Elimination runs on int rows for both
+    kinds of field (see _eliminate); over the rationals Fractions are built
+    only for the result, each row divided by its pivot entry.
+    """
+    p = m.field.p
+    work = _int_rows(m)
+    pivot_cols = _eliminate(work, m.cols, p)
     if not p:
         work = ([[Fraction(x, row[c]) for x in row]
                  for row, c in zip(work, pivot_cols)]
-                + [[Fraction(0)] * ncols for _ in range(r, nrows)])
-    reduced = Matrix(nrows, ncols, tuple(tuple(row) for row in work), f)
+                + [[Fraction(0)] * m.cols for _ in work[len(pivot_cols):]])
+    reduced = Matrix(m.rows, m.cols, tuple(map(tuple, work)), m.field)
     return reduced, len(pivot_cols), pivot_cols
 
 
 def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
     """Deterministic basis of {x : Mx = 0} via free-column parameterization.
 
-    Free columns are taken in increasing order; basis vector k has a one in
-    the k-th free column.  Basis size is cols - rank.
+    Free columns are taken in increasing order, one basis vector each, and
+    vector k is zero on every free column but the k-th; basis size is
+    cols - rank.  Over GF(p) the vector has a one in its free column.  Over
+    the rationals it is scaled to coprime integers with its first nonzero
+    entry positive, returned as Fractions with denominator 1.  The vectors
+    are read from the eliminated int rows; no reduced matrix is built.
     """
-    f = m.field
-    reduced, rank, pivot_cols = rref(m)
+    p = m.field.p
+    work = _int_rows(m)
+    pivot_cols = _eliminate(work, m.cols, p)
+    pivots = list(zip(work, pivot_cols))
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for free in free_cols:
-        vec = [f.zero()] * m.cols
-        vec[free] = f.one()
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = f.neg(reduced.entries[i][free])
+    for free in (c for c in range(m.cols) if c not in pivot_set):
+        vec = [0] * m.cols
+        if p:
+            vec[free] = 1
+            for row, pc in pivots:
+                vec[pc] = -row[free] % p
+        else:
+            # the least s > 0 making every -row[free] * s / row[pc] integral
+            s = lcm(*(row[pc] // gcd(row[pc], row[free]) for row, pc in pivots))
+            vec[free] = s
+            for row, pc in pivots:
+                vec[pc] = -row[free] * s // row[pc]
+            sign = -1 if next(x for x in vec if x) < 0 else 1
+            vec = [Fraction(sign * x) for x in vec]
         basis.append(vec)
     return basis
 
@@ -292,8 +291,8 @@ def rank_of_rows(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
                  length: int) -> int:
     if not vectors:
         return 0
-    _, rank, _ = rref(Matrix.from_rows(vectors, field, cols=length))
-    return rank
+    m = Matrix.from_rows(vectors, field, cols=length)
+    return len(_eliminate(_int_rows(m), length, field.p))
 
 
 def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],
@@ -316,8 +315,8 @@ def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],
 def integerize(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers, first nonzero positive.
 
-    The zero vector maps to all zeros.  Used only for presentation; scaling
-    never changes membership in a linear space.
+    The zero vector maps to all zeros.  Scaling never changes membership in
+    a linear space.
     """
     ints = _integer_row(vec)
     content = gcd(*ints)
@@ -326,10 +325,3 @@ def integerize(vec: Sequence[Fraction]) -> list[int]:
     if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return ints
-
-
-def vector_to_json(vec: Sequence[Scalar], field: FieldSpec) -> dict:
-    return {
-        "field": field.to_json(),
-        "entries": [field.scalar_to_json(x) for x in vec],
-    }

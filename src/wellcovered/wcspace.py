@@ -33,14 +33,13 @@ selected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import neg, sub
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .linalg import (FieldSpec, Matrix, QQ, integerize, nullspace_basis)
+from .linalg import FieldSpec, Matrix, QQ, nullspace_basis
 from .mis import DEFAULT_MIS_CAP, MisList, enumerate_mis
 
 
@@ -56,9 +55,6 @@ class Weighting:
         if len(self.values) != self.graph.n:
             raise ValueError(
                 f"weighting length {len(self.values)} != vertex count {self.graph.n}")
-
-    def to_json(self) -> list:
-        return [self.field.scalar_to_json(x) for x in self.values]
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ class WcSpace:
     """Basis and dimension of the well-covered space over one field.
 
     Every basis entry is integral: a residue in 0..p-1 over GF(p), and over
-    the rationals a Fraction with denominator 1, each vector's entries
-    coprime with its first nonzero entry positive.  well_covered_space is the
-    only constructor and establishes this.
+    the rationals a rational scalar with denominator 1, each vector's entries
+    coprime with its first nonzero entry positive, as nullspace_basis returns
+    them.  well_covered_space is the only constructor.
     """
 
     graph: Graph
@@ -227,8 +223,8 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
     """Exact basis of the well-covered space and its dimension.
 
     Deterministic: basis vectors come from free-column parameterization of
-    the reduced echelon form, and rational vectors are rescaled to coprime
-    integers with positive leading entry.
+    the reduced echelon form; rational vectors are coprime integers with
+    positive leading entry (see nullspace_basis).
     """
     if mis is None:
         mis = enumerate_mis(g, cap)
@@ -236,13 +232,9 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         raise ValueError("MIS list belongs to a different graph")
     n = g.n
     rows = _spanning_rows(mis.sets, n, None if field.is_rationals else field.p)
-    basis_vectors = nullspace_basis(Matrix.from_rows(rows, field, cols=n))
-    if field.is_rationals:
-        basis_vectors = [[Fraction(x) for x in integerize(vec)]
-                         for vec in basis_vectors]
     basis = tuple(
         Weighting(graph=g, field=field, values=tuple(vec))
-        for vec in basis_vectors)
+        for vec in nullspace_basis(Matrix.from_rows(rows, field, cols=n)))
     return WcSpace(graph=g, field=field, basis=basis,
                    dimension=len(basis), mis_count=len(mis))
 

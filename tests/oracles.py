@@ -178,13 +178,9 @@ def greedy_spanning_rows(tuples, n: int, p: int | None = None) -> list[list[int]
 
 
 def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[list[int]]:
-    """Free-column basis of the full MIS difference system's nullspace.
-
-    Gauss-Jordan over Fraction when p is None, over GF(p) otherwise; basis
-    vector k has a one in the k-th free column, in increasing column order.
-    Rational vectors are scaled to coprime integers whose first nonzero entry
-    is positive.
-    """
+    """Free-column basis (see free_column_basis) of the full MIS difference
+    system's nullspace, by Gauss-Jordan over Fraction when p is None, over
+    GF(p) otherwise."""
     mis = all_mis_powerset(n, edges)
     rows = []
     for m in mis[1:]:
@@ -195,6 +191,14 @@ def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[lis
             row[v] -= 1
         rows.append(row)
     rows, _, pivot_cols = rref_fraction_elimination(rows, p)
+    return free_column_basis(rows, pivot_cols, n, p)
+
+
+def free_column_basis(rows, pivot_cols, n: int, p: int | None = None) -> list[list[int]]:
+    """Nullspace basis read from reduced rows with the given pivot columns:
+    vector k has a one in the k-th free column, in increasing column order,
+    and rational vectors are scaled to coprime integers whose first nonzero
+    entry is positive."""
     basis = []
     for free in (c for c in range(n) if c not in pivot_cols):
         vec = [0] * n

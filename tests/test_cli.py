@@ -112,6 +112,28 @@ def test_wcdim_missing_graph(capsys):
     assert code == 3
 
 
+def test_file_errors_exit_three_without_traceback(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "wcdim", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and str(tmp_path) in err
+    missing = tmp_path / "no_such_dir" / "x.g"
+    code, out, err = run_cli(capsys, "gen", "complete", "3", "-o", str(missing))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_json_is_streamed_in_blocks_with_the_same_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_JSON_CHUNKS_PER_WRITE", 100)
+    payload = {"b": list(range(1000)), "a": [{"y": [1, 2], "x": "s"}] * 50}
+
+    class Args:
+        json = True
+
+    cli._emit(Args, payload, "unused")
+    out = capsys.readouterr().out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_classify_outputs(capsys):
     code, out, _ = run_cli(capsys, "classify", "sierpinski_3")
     assert code == 0
