@@ -25,8 +25,10 @@ from .graph import (EdgeListParseError, Graph, GraphError, format_edge_list,
 from .harness import run_suite, suite_passed, summary_table
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, NotSccgError,
-                  enumerate_mis, sccg_mis_count_formula)
-from .wcspace import well_covered_space, wcspace_report
+                  count_mis, enumerate_mis, sccg_mis_count_formula)
+from .wcspace import is_well_covered, well_covered_spaces, wcspace_report
+# bench/spans.py traces well_covered_space under this module's name
+from .wcspace import well_covered_space  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,22 +224,22 @@ def _cmd_gen(args) -> int:
 def _cmd_wcdim(args) -> int:
     g, graph_id = _load_graph_arg(args.graph, args.corpus)
     fields = _field_list(args.field)
-    mis = enumerate_mis(g, args.mis_cap)
+    spaces = well_covered_spaces(g, fields, cap=args.mis_cap)
+    mis_count = spaces[0].mis_count
     rep = simplicial_report(g)
-    spaces = [well_covered_space(g, f, mis=mis) for f in fields]
     dims = {s.field.label(): s.dimension for s in spaces}
     agree = len(set(dims.values())) == 1
     payload = {
         "graph": graph_id,
         "sc": rep.sc,
-        "mis_count": len(mis),
+        "mis_count": mis_count,
         "fields_agree": agree,
         "reports": [wcspace_report(s, graph_id) for s in spaces],
     }
     dims_text = ", ".join(f"{k}={v}" for k, v in dims.items())
     text = (f"graph {graph_id}: wcdim {dims_text} "
             f"(fields {'agree' if agree else 'DISAGREE'}), sc={rep.sc}, "
-            f"mis_count={len(mis)}\n")
+            f"mis_count={mis_count}\n")
     _emit(args, payload, text)
     return EXIT_OK
 
@@ -245,8 +247,7 @@ def _cmd_wcdim(args) -> int:
 def _cmd_classify(args) -> int:
     g, graph_id = _load_graph_arg(args.graph, args.corpus)
     rep = simplicial_report(g)
-    mis = enumerate_mis(g, args.mis_cap)
-    well_covered = len({len(s) for s in mis.sets}) == 1
+    well_covered = is_well_covered(g, args.mis_cap)
     split = scs_split(g)
     payload = {
         "graph": graph_id,
@@ -272,15 +273,16 @@ def _cmd_classify(args) -> int:
 def _cmd_mis(args) -> int:
     g, graph_id = _load_graph_arg(args.graph, args.corpus)
     capped = False
-    try:
+    mis = None
+    if args.mode == "list":
         mis = enumerate_mis(g, args.mis_cap)
         count: int | str = len(mis)
-    except MisCapExceededError:
-        if args.mode == "list":
-            raise
-        capped = True
-        mis = None
-        count = f">{args.mis_cap}"
+    else:
+        try:
+            count = count_mis(g, args.mis_cap)
+        except MisCapExceededError:
+            capped = True
+            count = f">{args.mis_cap}"
     payload: dict = {"graph": graph_id, "count": count}
     lines = [f"graph {graph_id}: mis_count={count}"]
     if not capped and is_sccg(g):
@@ -288,11 +290,11 @@ def _cmd_mis(args) -> int:
         simplicial = sccg_mis_count_formula(g, "simplicial")
         payload["formula_residual"] = residual.total
         payload["formula_simplicial"] = simplicial.total
-        payload["formula_matches_enumeration"] = residual.total == len(mis)
-        flag = "" if residual.total == len(mis) else "  [differs from enumeration]"
+        payload["formula_matches_enumeration"] = residual.total == count
+        flag = "" if residual.total == count else "  [differs from enumeration]"
         lines.append(f"sccg formula: residual={residual.total} "
                      f"simplicial_only={simplicial.total}{flag}")
-    if args.mode == "list" and mis is not None:
+    if mis is not None:
         payload["sets"] = mis.to_json()
         lines.extend(" ".join(map(str, s)) for s in mis.sets)
     _emit(args, payload, "\n".join(lines) + "\n")
@@ -316,14 +318,11 @@ def _cmd_compose(args) -> int:
     spec = ScsSpec(g1, g2, _parse_glue(args.glue))
     comp = scs_compose(spec)
     fields = _field_list(args.field)
-    mis1 = enumerate_mis(g1, args.mis_cap)
-    mis2 = enumerate_mis(g2, args.mis_cap)
-    misc = enumerate_mis(comp.graph, args.mis_cap)
+    spaces = [well_covered_spaces(g, fields, cap=args.mis_cap)
+              for g in (g1, g2, comp.graph)]
     dims = {}
-    for f in fields:
-        d1 = well_covered_space(g1, f, mis=mis1).dimension
-        d2 = well_covered_space(g2, f, mis=mis2).dimension
-        dc = well_covered_space(comp.graph, f, mis=misc).dimension
+    for i, f in enumerate(fields):
+        d1, d2, dc = (per_graph[i].dimension for per_graph in spaces)
         dims[f.label()] = {"g1": d1, "g2": d2, "composite": dc,
                            "additive": dc == d1 + d2 - 1}
     sc = simplicial_report(comp.graph).sc

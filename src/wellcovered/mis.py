@@ -3,15 +3,19 @@ and the closed-form counting formula for simplicial-clique-covered graphs.
 
 Enumeration runs Bron-Kerbosch with pivoting over the complement graph,
 using Python ints as vertex bitsets and an explicit stack instead of
-recursion.  A MIS of G is exactly a maximal clique of the complement.  Each
-MIS is stored once, as its ascending tuple of members.
+recursion.  A MIS of G is exactly a maximal clique of the complement.  The
+search is a generator (iter_mis) that yields each MIS once, as its member
+tuple, in search order; counting (count_mis) and single-pass consumers read
+that stream and hold no list.  enumerate_mis sorts it into a MisList, each
+MIS stored once as its ascending tuple of members, in canonical order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Mapping
 
 from .graph import Graph, SimplicialReport, simplicial_report, is_sccg
 
@@ -43,15 +47,6 @@ def adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def is_independent(g: Graph, vs: Iterable[int]) -> bool:
     s = g._check_subset(vs)
     return all(v not in g.adjacency[u] for u in s for v in s if v > u)
@@ -69,7 +64,10 @@ def is_mis(g: Graph, vs: Iterable[int]) -> bool:
 class MisList:
     """All maximal independent sets of a graph, each stored once as its
     ascending member tuple, in canonical (lexicographic) order.  Iterating
-    yields each set as a frozenset, built on the fly."""
+    yields each set as a frozenset, built on the fly.
+
+    enumerate_mis builds it for callers that publish or re-read the sets in
+    canonical order; a single pass in any order needs no list (iter_mis)."""
 
     graph: Graph
     sets: tuple[tuple[int, ...], ...]
@@ -87,10 +85,11 @@ class MisList:
         return [list(t) for t in self.sets]
 
 
-def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
-    """Enumerate every maximal independent set exactly once.
+def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
+    """Yield every maximal independent set exactly once, in search order,
+    each as the tuple of its members in the order the search added them.
 
-    Raises MisCapExceededError as soon as the count passes the cap; output is
+    Raises MisCapExceededError in place of yielding set cap + 1; output is
     never silently truncated.
     """
     n = g.n
@@ -98,34 +97,59 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
     adj = adjacency_masks(g)
     # complement adjacency: everything except self and true neighbors
     cadj = [(full ^ adj[v]) & ~(1 << v) for v in range(n)]
-    found: list[int] = []
-    stack = [(0, full, 0)]
+    found = 0
+    # a child is tested when it is pushed: a leaf (P and X empty) is yielded
+    # and a dead end (P empty, X not) dropped, so only nodes with P nonempty
+    # reach the stack
+    stack = [((), full, 0)]
     while stack:
         r, p, x = stack.pop()
-        if not p and not x:
-            found.append(r)
-            if len(found) > cap:
-                raise MisCapExceededError(cap)
-            continue
+        # the pivot is the first vertex of P | X with the most complement
+        # neighbors in P; the scan stops early at one that reaches a bound
+        # no vertex can pass: |P|, or |P| - 1 when X is empty
         pivot = -1
         best = -1
+        bound = p.bit_count() - (not x)
         m = p | x
         while m:
             u = (m & -m).bit_length() - 1
             c = (p & cadj[u]).bit_count()
             if c > best:
                 best, pivot = c, u
+                if c == bound:
+                    break
             m &= m - 1
         cand = p & ~cadj[pivot]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            stack.append((r | low, p & cadj[v], x & cadj[v]))
+            keep = cadj[v]
+            if p & keep:
+                stack.append((r + (v,), p & keep, x & keep))
+            elif not x & keep:
+                found += 1
+                if found > cap:
+                    raise MisCapExceededError(cap)
+                yield r + (v,)
             p ^= low
             x |= low
             cand ^= low
 
-    return MisList(graph=g, sets=tuple(sorted(tuple(_bits(m)) for m in found)))
+
+def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
+    """Number of maximal independent sets, counted from the search without
+    holding them; raises MisCapExceededError past the cap."""
+    return sum(1 for _ in iter_mis(g, cap))
+
+
+def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
+    """Every maximal independent set exactly once, sorted into a MisList.
+
+    Raises MisCapExceededError as soon as the count passes the cap; output is
+    never silently truncated.
+    """
+    return MisList(graph=g, sets=tuple(sorted(
+        tuple(sorted(t)) for t in iter_mis(g, cap))))
 
 
 def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:
@@ -288,14 +312,15 @@ def scs_mis_count(g1: Graph, g2: Graph, glue: Mapping[int, int],
         raise ValueError("glue domain is not a clique in the second graph")
     if not g1.is_clique(img):
         raise ValueError("glue image is not a clique in the first graph")
-    mis1 = enumerate_mis(g1, cap)
-    mis2 = enumerate_mis(g2, cap)
+    # MISs through each vertex, from one pass over each graph's search
+    through1 = Counter(chain.from_iterable(iter_mis(g1, cap)))
+    through2 = Counter(chain.from_iterable(iter_mis(g2, cap)))
     rows = []
     total = 0
     for v2 in sorted(dom):
         v1 = glue[v2]
-        l_count = sum(1 for m in mis1 if v1 in m)
-        m_count = sum(1 for m in mis2 if v2 in m)
+        l_count = through1[v1]
+        m_count = through2[v2]
         rows.append((v1, l_count, m_count))
         total += l_count * m_count
     return SharedCliqueMisCount(total=total, per_vertex=tuple(rows))

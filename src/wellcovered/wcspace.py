@@ -7,40 +7,47 @@ pairwise differences against the first MIS gives a homogeneous system whose
 nullspace is exactly the well-covered space; its dimension is the
 well-covered dimension.
 
-For large MIS lists the constraint matrix is never materialized.  One
-forward pass over the MISs selects a spanning subset of difference rows
-instead: row k is selected exactly when it is outside the span of the rows
-selected before it.  The pass keeps vectors spanning the kernel of the rows
-selected so far, starting from the identity: coprime integers over the
+The well-covered space is computed without materializing the constraint
+matrix.  One forward pass over the MISs, in whatever order they come,
+selects a spanning subset of difference rows instead, taking differences
+against the first MIS read (the first the stream yields, when the search is
+streamed): a row is selected exactly when it is outside the span of the
+rows selected before it.  A given MIS list is
+read by one row filter per field; without one, the search is streamed into
+the pass, one row filter per field in lockstep, a block of MISs at a time,
+so no MIS list is held.  A filter keeps vectors spanning the kernel of the
+rows selected so far, starting from the identity: coprime integers over the
 rationals, residues over GF(p).  A MIS's difference row already lies in the
 selected row space exactly when every kernel vector has the same sum on
-that MIS as on MIS 0, compared modulo p over GF(p); this holds over every
-field, since a subspace is the annihilator of its annihilator.  The kernel
-vectors are packed side by side into one integer per vertex, in slots wide
-enough that each vector's difference on a MIS is one exact digit, so a
-single integer sum per MIS tests every vector at once.  Over GF(p) the
-digits of an unequal sum are re-tested modulo p, because a difference that
-is a nonzero multiple of p is zero in the field.  A MIS that fails has its
-row selected, and one failing kernel vector is used to eliminate the new
-row from the others, then dropped.  The row space only grows, so the final
-kernel satisfies every MIS: the selection is exact over every field and
-needs no verification pass.  The exact reduced echelon computation then
-runs once, on the selected rows.  Reduced echelon form depends only on the
-row space, so the basis does not depend on which spanning rows were
-selected.
+that MIS as on the first, compared modulo p over GF(p); this holds over
+every field, since a subspace is the annihilator of its annihilator.  The
+kernel vectors are packed side by side into one integer per vertex, in
+slots wide enough that each vector's difference on a MIS is one exact
+digit, so a single integer sum per MIS tests every vector at once.  Over
+GF(p) the digits of an unequal sum are re-tested modulo p, because a
+difference that is a nonzero multiple of p is zero in the field.  A MIS that
+fails has its row selected, and one failing kernel vector is used to
+eliminate the new row from the others, then dropped.  The row space only
+grows, so the final kernel satisfies every MIS: the selection is exact over
+every field and needs no verification pass.  The exact reduced echelon
+computation then runs once, on the selected rows.  Reduced echelon form
+depends only on the row space, so the basis depends neither on which
+spanning rows were selected nor on the order of the MISs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import gcd
 from operator import neg, sub
 from typing import Iterable, Sequence
 
 from .graph import Graph
 from .linalg import FieldSpec, Matrix, QQ, nullspace_basis
-from .mis import DEFAULT_MIS_CAP, MisList, enumerate_mis
+from .mis import DEFAULT_MIS_CAP, MisList, iter_mis
+# bench/spans.py traces enumerate_mis under this module's name
+from .mis import enumerate_mis  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -146,76 +153,142 @@ def _slot_digits(diff: int, width: int):
         yield shift // width, d
 
 
+# MISs taken from the stream at a time.  Each row filter reads a block in
+# one tight loop; a block this size makes the per-block calls negligible and
+# bounds the MISs held at once.
+_BLOCK = 1024
+
+
+class _RowFilter:
+    """One field's row selection over MISs read in order: the difference
+    row of a MIS against the first MIS is selected exactly when it is not
+    in the span of the rows selected before it, over GF(p), or over the
+    rationals when p is None.
+
+    kernel maps a slot i to a vector w_i; the live vectors span the kernel
+    of the rows selected so far, starting from the identity.  They are
+    packed into one int per vertex, packed[v] = sum of w_i[v] << (i * width),
+    so a MIS's packed sum minus the first MIS's is the integer whose
+    balanced base 2**width digits are the differences w_i . row.  A digit
+    is exact while 2**(width-1) exceeds its absolute value: over GF(p) every
+    entry is a residue, so n * (p - 1) bounds it; over the rationals a row
+    has entries in {-1, 0, 1}, so the vector's L1 norm bounds it, and width
+    at least doubles (every vector is re-packed) whenever a vector outgrows
+    it.  Equal packed sums mean every vector is constant on the MIS.  Over
+    GF(p) unequal sums can still agree modulo p, so only digits not
+    divisible by p fail.  A MIS with a failing digit has its row selected:
+    the vector with the lowest failing slot is the pivot, it eliminates the
+    new row from the other failing vectors (their digits are their inner
+    products with the row), and it is dropped; packed changes only in the
+    slots that changed.
+    """
+
+    __slots__ = ("first", "n", "p", "kernel", "width", "packed", "base",
+                 "rows")
+
+    def __init__(self, first: tuple[int, ...], n: int, p: int | None) -> None:
+        self.first, self.n, self.p = first, n, p
+        self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)}
+        self.width = (n * (p - 1)).bit_length() + 1 if p else 2
+        self.packed = [1 << (v * self.width) for v in range(n)]
+        self.base = sum(map(self.packed.__getitem__, first))
+        self.rows: list[list[int]] = []
+
+    def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
+        """Read MISs in order, selecting each row not yet spanned.  True as
+        soon as the kernel is empty: every later row is spanned, so no
+        further MIS is read, and the filter is finished.  False when the
+        MISs run out first."""
+        p, n, first, kernel, rows = self.p, self.n, self.first, self.kernel, \
+            self.rows
+        packed, width, base = self.packed, self.width, self.base
+        get = packed.__getitem__
+        for members in mis:
+            diff = sum(map(get, members)) - base
+            if not diff:
+                continue
+            failing = [(i, d) for i, d in _slot_digits(diff, width)
+                       if not p or d % p]
+            if not failing:
+                continue
+            rows.append(_difference_row(members, first, n))
+            (j, gw), *others = failing
+            w = kernel.pop(j)
+            if not kernel:
+                return True
+            deltas = {j: list(map(neg, w))}
+            for i, gu in others:
+                u = kernel[i]
+                if p:
+                    c = gu * pow(gw, -1, p) % p
+                    new = [(a - c * b) % p for a, b in zip(u, w)]
+                else:
+                    new = [gw * a - gu * b for a, b in zip(u, w)]
+                    content = gcd(*new)
+                    new = [x // content for x in new]
+                kernel[i] = new
+                deltas[i] = list(map(sub, new, u))
+            l1 = 0 if p else max((sum(map(abs, kernel[i])) for i, _ in others),
+                                 default=0)
+            if l1 >> (width - 1):
+                width = max(2 * width, l1.bit_length() + 1)
+                packed[:] = [0] * n
+                deltas = kernel  # re-pack every live vector at the new width
+            for i, delta in deltas.items():
+                shift = i * width
+                for v in compress(range(n), delta):
+                    packed[v] += delta[v] << shift
+            base = sum(map(get, first))
+        self.width, self.base = width, base
+        return False
+
+
 def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
                    p: int | None) -> list[list[int]]:
     """Difference rows that span the whole constraint row space, over GF(p),
-    or over the rationals when p is None: row k is selected exactly when it
-    is not in the span of the rows selected before it.
+    or over the rationals when p is None, selected by one _RowFilter.
 
-    One forward pass: the MISs are read once, in order, the first being
-    MIS 0, and none is read after the kernel empties.  kernel maps a slot i
-    to a vector w_i; the live vectors span the kernel of the rows selected
-    so far, starting from the identity.  They are packed into one int per
-    vertex, packed[v] = sum of w_i[v] << (i * width), so a MIS's packed sum
-    minus MIS 0's is the integer whose balanced base 2**width digits are
-    the differences w_i . row_k.  A digit is exact while 2**(width-1)
-    exceeds its absolute value: over GF(p) every entry is a residue, so
-    n * (p - 1) bounds it; over the rationals row_k has entries in
-    {-1, 0, 1}, so the vector's L1 norm bounds it, and width at least
-    doubles (every vector is re-packed) whenever a vector outgrows it.
-    Equal packed sums mean every vector is constant on the MIS.  Over GF(p)
-    unequal sums can still agree modulo p, so only digits not divisible by
-    p fail.  A MIS with a failing digit has its row selected: the vector
-    with the lowest failing slot is the pivot, it eliminates the new row
-    from the other failing vectors (their digits are their inner products
-    with the row), and it is dropped; packed changes only in the slots that
-    changed.
+    One forward pass: the MISs are read once, in order, the first being the
+    base of every difference row, and none is read after the kernel empties.
     """
-    kernel = {i: [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)}
-    width = (n * (p - 1)).bit_length() + 1 if p else 2
-    packed = [1 << (v * width) for v in range(n)]
-    get = packed.__getitem__
     mis = iter(mis)
-    first = next(mis)
-    base = sum(map(get, first))
-    rows: list[list[int]] = []
-    for members in mis:
-        diff = sum(map(get, members)) - base
-        if not diff:
-            continue
-        failing = [(i, d) for i, d in _slot_digits(diff, width)
-                   if not p or d % p]
-        if not failing:
-            continue
-        rows.append(_difference_row(members, first, n))
-        (j, gw), *others = failing
-        w = kernel.pop(j)
-        if not kernel:
-            break
-        deltas = {j: list(map(neg, w))}
-        for i, gu in others:
-            u = kernel[i]
-            if p:
-                c = gu * pow(gw, -1, p) % p
-                new = [(a - c * b) % p for a, b in zip(u, w)]
-            else:
-                new = [gw * a - gu * b for a, b in zip(u, w)]
-                content = gcd(*new)
-                new = [x // content for x in new]
-            kernel[i] = new
-            deltas[i] = list(map(sub, new, u))
-        l1 = 0 if p else max((sum(map(abs, kernel[i])) for i, _ in others),
-                             default=0)
-        if l1 >> (width - 1):
-            width = max(2 * width, l1.bit_length() + 1)
-            packed[:] = [0] * n
-            deltas = kernel  # re-pack every live vector at the new width
-        for i, delta in deltas.items():
-            shift = i * width
-            for v in compress(range(n), delta):
-                packed[v] += delta[v] << shift
-        base = sum(map(get, first))
-    return rows
+    filt = _RowFilter(next(mis), n, p)
+    filt.read(mis)
+    return filt.rows
+
+
+def _space_from_rows(g: Graph, field: FieldSpec, rows: list[list[int]],
+                     mis_count: int) -> WcSpace:
+    basis = tuple(
+        Weighting(graph=g, field=field, values=tuple(vec))
+        for vec in nullspace_basis(Matrix.from_rows(rows, field, cols=g.n)))
+    return WcSpace(graph=g, field=field, basis=basis,
+                   dimension=len(basis), mis_count=mis_count)
+
+
+def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
+                        cap: int = DEFAULT_MIS_CAP) -> tuple[WcSpace, ...]:
+    """Exact well-covered space over each field, in the order given, from
+    one streamed search.
+
+    The search's MISs are taken in blocks, and one row filter per field
+    reads each block in turn, so the fields advance in lockstep and at most
+    one block of MISs is held.  The MISs are counted to the end, so
+    mis_count is exact and the cap still raises, but a filter reads no MIS
+    after its kernel empties.  The basis depends only on the row space, so
+    not on the MIS order: each space equals well_covered_space's.
+    """
+    stream = iter_mis(g, cap)
+    first = next(stream)
+    filters = [_RowFilter(first, g.n, None if f.is_rationals else f.p)
+               for f in fields]
+    live = filters
+    count = 1
+    while block := list(islice(stream, _BLOCK)):
+        count += len(block)
+        live = [filt for filt in live if not filt.read(block)]
+    return tuple(_space_from_rows(g, f, filt.rows, count)
+                 for f, filt in zip(fields, filters))
 
 
 def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
@@ -224,19 +297,17 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
 
     Deterministic: basis vectors come from free-column parameterization of
     the reduced echelon form; rational vectors are coprime integers with
-    positive leading entry (see nullspace_basis).
+    positive leading entry (see nullspace_basis).  A given MIS list is read
+    by one row filter; without one, the search is streamed as in
+    well_covered_spaces.
     """
     if mis is None:
-        mis = enumerate_mis(g, cap)
-    elif mis.graph != g:
+        return well_covered_spaces(g, (field,), cap=cap)[0]
+    if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    n = g.n
-    rows = _spanning_rows(mis.sets, n, None if field.is_rationals else field.p)
-    basis = tuple(
-        Weighting(graph=g, field=field, values=tuple(vec))
-        for vec in nullspace_basis(Matrix.from_rows(rows, field, cols=n)))
-    return WcSpace(graph=g, field=field, basis=basis,
-                   dimension=len(basis), mis_count=len(mis))
+    rows = _spanning_rows(mis.sets, g.n,
+                          None if field.is_rationals else field.p)
+    return _space_from_rows(g, field, rows, len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,
@@ -263,8 +334,7 @@ def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
 
 def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
     """True iff every maximal independent set has the same cardinality."""
-    mis = enumerate_mis(g, cap)
-    return len({len(s) for s in mis.sets}) == 1
+    return len({len(s) for s in iter_mis(g, cap)}) == 1
 
 
 def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:

@@ -1,6 +1,6 @@
 import json
 
-from wellcovered import cli
+from wellcovered import cli, mis, wcspace
 from wellcovered.cli import main
 from wellcovered.families import corpus_file_text, corpus_names, star
 from wellcovered.graph import format_edge_list, parse_edge_list
@@ -169,6 +169,42 @@ def test_mis_cap_exit_code_in_count_mode(capsys):
     assert json.loads(out)["count"] == ">5"
 
 
+def test_count_mode_and_single_pass_commands_build_no_mis_list(capsys,
+                                                              monkeypatch):
+    def no_list(*args, **kwargs):
+        raise AssertionError("enumerate_mis called")
+    monkeypatch.setattr(cli, "enumerate_mis", no_list)
+    monkeypatch.setattr(mis, "enumerate_mis", no_list)
+    monkeypatch.setattr(wcspace, "enumerate_mis", no_list)
+    code, out, _ = run_cli(capsys, "mis", "figure1", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == 24
+    assert payload["formula_residual"] == 36
+    assert not payload["formula_matches_enumeration"]
+    code, out, _ = run_cli(capsys, "mis", "c12", "--mis-cap", "5")
+    assert code == 4 and out == "graph c12: mis_count=>5\n"
+    code, out, _ = run_cli(capsys, "wcdim", "figure1", "--json")
+    assert code == 0 and json.loads(out)["mis_count"] == 24
+    code, out, _ = run_cli(capsys, "classify", "c4", "--json")
+    assert code == 0 and json.loads(out)["well_covered"]
+    code, out, _ = run_cli(capsys, "compose", "triangle_pendant_g1",
+                           "triangle_pendant_g2", "--glue", "0:0",
+                           "--glue", "1:1", "--glue", "2:2", "--json")
+    assert code == 0 and json.loads(out)["wcdim"]["Q"]["additive"]
+
+
+def test_single_pass_commands_keep_the_cap_exit(capsys):
+    # the search is consumed to the end even once the answer is known
+    for argv in (("classify", "p9", "--mis-cap", "5"),
+                 ("wcdim", "c12", "--mis-cap", "28"),
+                 ("compose", "triangle_pendant_g1", "triangle_pendant_g2",
+                  "--glue", "0:0", "--glue", "1:1", "--glue", "2:2",
+                  "--mis-cap", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("resource cap: more than"), argv
+
+
 def test_mis_cap_list_mode_errors(capsys):
     code, _, err = run_cli(capsys, "mis", "c12", "--mis-cap", "5", "--mode", "list")
     assert code == 4 and "resource cap" in err
@@ -206,7 +242,7 @@ def test_repeated_field_tokens_give_one_report_per_field(capsys):
 def test_out_of_memory_is_resource_exit(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr(cli, "enumerate_mis", exhausted)
+    monkeypatch.setattr(cli, "well_covered_spaces", exhausted)
     code, out, err = run_cli(capsys, "wcdim", "figure1")
     assert code == 4
     assert out == ""

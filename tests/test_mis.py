@@ -1,18 +1,23 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
 
 from wellcovered.graph import DisconnectedGraphError, Graph, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   figure6_composite, named_corpus, path, star,
                                   sccg_mod_base, vertex_bowtie)
 from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
-                             NotSccgError, enumerate_mis, greedy_extend,
+                             NotSccgError, count_mis, enumerate_mis,
+                             greedy_extend,
                              independent_subsets_of_connection_set,
-                             is_independent, is_mis, sccg_mis_count_formula,
-                             scs_mis_count, split_cliques_by_neighborhood)
+                             is_independent, is_mis, iter_mis,
+                             sccg_mis_count_formula, scs_mis_count,
+                             split_cliques_by_neighborhood)
 
 from oracles import all_mis_powerset
+from strategies import connected_graphs
 
 
 def test_is_independent_and_is_mis_basics():
@@ -86,6 +91,39 @@ def test_enumerate_does_not_recurse_per_vertex():
     # a search depth of one level per leaf would pass the recursion limit
     mis = enumerate_mis(star(2000))
     assert mis.sets == ((0,), tuple(range(1, 2001)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_n=10))
+@example(complete(1))
+@example(cycle(10))
+def test_search_yields_each_mis_exactly_once(g):
+    # compared as multisets: a set yielded twice, or not at all, fails
+    yielded = [tuple(sorted(t)) for t in iter_mis(g)]
+    assert sorted(yielded) == all_mis_powerset(g.n, g.edges)
+
+
+def test_count_matches_enumeration_and_both_raise_past_the_cap():
+    for name, g in named_corpus().items():
+        if g.n > 20:
+            continue
+        k = len(enumerate_mis(g))
+        assert count_mis(g) == k, name
+        assert count_mis(g, cap=k) == k, name
+        assert len(enumerate_mis(g, cap=k)) == k, name
+        if k == 1:
+            continue
+        for run in (count_mis, enumerate_mis):
+            with pytest.raises(MisCapExceededError) as err:
+                run(g, cap=k - 1)
+            assert err.value.cap == k - 1, name
+
+
+def test_search_raises_in_place_of_the_set_past_the_cap():
+    stream = iter_mis(cycle(12), cap=10)
+    assert len(list(islice(stream, 10))) == 10
+    with pytest.raises(MisCapExceededError):
+        next(stream)
 
 
 def test_enumerate_cap_is_a_named_error():

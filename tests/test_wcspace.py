@@ -1,10 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
     is_chordal, simplicial_report
@@ -13,14 +14,16 @@ from wellcovered.families import (complete, cycle, figure1, named_corpus,
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, rref, \
     integerize, nullspace_basis, span_equal
 from wellcovered import wcspace
-from wellcovered.mis import enumerate_mis
+from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
+    enumerate_mis
 from wellcovered.wcspace import (Weighting, constraint_matrix,
                                  indicator_weighting, is_well_covered,
                                  verify_weighting, wcdim, well_covered_space,
-                                 wcspace_report)
+                                 well_covered_spaces, wcspace_report)
 
 from oracles import greedy_spanning_rows, nullspace_basis_elimination, \
     wcdim_fraction_elimination
+from strategies import connected_graphs
 
 
 def test_constraint_matrix_single_mis():
@@ -293,16 +296,6 @@ def test_basis_vectors_equal_full_matrix_basis():
             assert space.basis_vectors() == _full_matrix_basis(g, mis, field), g
 
 
-@st.composite
-def connected_graphs(draw, max_n=9):
-    n = draw(st.integers(1, max_n))
-    label = draw(st.permutations(range(n)))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs))) if pairs else []
-    return Graph(n, [(label[u], label[v]) for u, v in tree + extra])
-
-
 # rows that span the system over Q but lose rank mod 2: each field needs
 # its own row selection
 GF2_RANK_DROP = Graph(9, [(0, 1), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3),
@@ -409,3 +402,90 @@ def test_sierpinski_4_reports_are_byte_stable():
                                 "sierpinski_4")
         digest = sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == S4_REPORT_SHA256[field.label()], field.label()
+
+
+def test_sierpinski_4_streamed_reports_are_byte_stable():
+    g = sierpinski(4).graph
+    for space in well_covered_spaces(g, DEFAULT_FIELDS):
+        report = wcspace_report(space, "sierpinski_4")
+        digest = sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == S4_REPORT_SHA256[space.field.label()], space.field
+        assert space.mis_count == 80840
+
+
+def test_streamed_spaces_equal_listed_spaces():
+    # one streamed pass in search order gives, field for field, the space
+    # computed from the canonical MIS list: same basis, dimension, count
+    # sierpinski_4: test_sierpinski_4_streamed_reports_are_byte_stable
+    graphs = [g for name, g in named_corpus().items()
+              if name != "sierpinski_4"]
+    graphs += _seeded_random_graphs(41, 40)
+    rng = random.Random(41)
+    larger = []
+    while len(larger) < 10:
+        n = rng.randint(10, 16)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.3]
+        try:
+            larger.append(Graph(n, edges))
+        except DisconnectedGraphError:
+            continue
+    for g in graphs + larger:
+        mis = enumerate_mis(g)
+        streamed = well_covered_spaces(g, DEFAULT_FIELDS)
+        assert [s.field for s in streamed] == list(DEFAULT_FIELDS)
+        for field, space in zip(DEFAULT_FIELDS, streamed):
+            listed = well_covered_space(g, field, mis=mis)
+            assert space == listed, (g, field)
+            assert space.mis_count == len(mis)
+
+
+def test_basis_does_not_depend_on_mis_order():
+    rng = random.Random(5)
+    graphs = [g for g in named_corpus().values() if g.n <= 20]
+    for g in graphs + _seeded_random_graphs(6, 30):
+        mis = enumerate_mis(g)
+        canonical = [well_covered_space(g, f, mis=mis) for f in DEFAULT_FIELDS]
+        for _ in range(3):
+            sets = list(mis.sets)
+            rng.shuffle(sets)
+            shuffled = MisList(graph=g, sets=tuple(sets))
+            for field, space in zip(DEFAULT_FIELDS, canonical):
+                assert well_covered_space(g, field, mis=shuffled) == space, g
+
+
+@pytest.mark.parametrize("block", [1, 3, wcspace._BLOCK])
+def test_streamed_filters_stop_reading_while_counting_goes_on(monkeypatch,
+                                                             block):
+    monkeypatch.setattr(wcspace, "_BLOCK", block)
+    fed = Counter()
+    read = wcspace._RowFilter.read
+
+    def spy(self, mis):
+        def counted():
+            for members in mis:
+                fed[id(self)] += 1
+                yield members
+        return read(self, counted())
+
+    monkeypatch.setattr(wcspace._RowFilter, "read", spy)
+    g = cycle(8)  # well-covered dimension 0
+    spaces = well_covered_spaces(g, DEFAULT_FIELDS)
+    assert [s.dimension for s in spaces] == [0, 0, 0]
+    assert [s.mis_count for s in spaces] == [count_mis(g)] * 3 == [10] * 3
+    # each filter reads fewer than the nine MISs after the first
+    assert len(fed) == 3 and all(k < 9 for k in fed.values()), fed
+
+
+@pytest.mark.parametrize("block", [2, wcspace._BLOCK])
+def test_streamed_spaces_raise_past_the_cap(monkeypatch, block):
+    monkeypatch.setattr(wcspace, "_BLOCK", block)
+    g = cycle(12)  # the filters finish long before the search does
+    k = count_mis(g)
+    assert well_covered_spaces(g, DEFAULT_FIELDS, cap=k)[0].mis_count == k
+    with pytest.raises(MisCapExceededError):
+        well_covered_spaces(g, DEFAULT_FIELDS, cap=k - 1)
+    with pytest.raises(MisCapExceededError):
+        well_covered_space(g, QQ, cap=k - 1)
+    with pytest.raises(MisCapExceededError):
+        is_well_covered(path(12), cap=count_mis(path(12)) - 1)
