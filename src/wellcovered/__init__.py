@@ -12,11 +12,13 @@ from .linalg import (FieldSpec, Matrix, QQ, GF2, GF3, DEFAULT_FIELDS,
 from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   NotSccgError, DEFAULT_MIS_CAP, is_independent, is_mis,
                   enumerate_mis, iter_mis, count_mis, greedy_extend,
+                  random_greedy_mis,
                   independent_subsets_of_connection_set,
                   split_cliques_by_neighborhood, CliqueSplit,
                   SccgCountBreakdown, sccg_mis_count_formula,
                   scs_mis_count, SharedCliqueMisCount)
-from .wcspace import (Weighting, WeightingCheck, WcSpace, constraint_matrix,
+from .wcspace import (Weighting, WeightingCheck, WcSpace,
+                      constraint_matrix, certified_space,
                       well_covered_space, well_covered_spaces, wcdim,
                       verify_weighting, is_well_covered, indicator_weighting,
                       wcspace_report)

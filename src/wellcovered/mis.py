@@ -1,5 +1,6 @@
 """Maximal independent set machinery: exact enumeration, greedy extension,
-and the closed-form counting formula for simplicial-clique-covered graphs.
+random greedy sampling, and the closed-form counting formula for
+simplicial-clique-covered graphs.
 
 Enumeration runs Bron-Kerbosch with pivoting over the complement graph,
 using Python ints as vertex bitsets and an explicit stack instead of
@@ -15,7 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping
+from random import Random
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import Graph, SimplicialReport, simplicial_report, is_sccg
 
@@ -173,6 +175,24 @@ def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:
         result.add(v)
         surviving &= ~(adj[v] | (1 << v))
     return frozenset(result)
+
+
+def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
+    """A maximal independent set grown greedily in a random vertex order.
+
+    adj holds the neighbor bitmasks of adjacency_masks.  Every vertex, in an
+    order shuffled by rng, joins the set unless a member is adjacent to it;
+    the members come back in the order they joined.
+    """
+    order = list(range(len(adj)))
+    rng.shuffle(order)
+    free = (1 << len(adj)) - 1
+    members = []
+    for v in order:
+        if free >> v & 1:
+            members.append(v)
+            free &= ~adj[v]
+    return tuple(members)
 
 
 def independent_subsets_of_connection_set(

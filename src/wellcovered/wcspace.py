@@ -8,18 +8,15 @@ nullspace is exactly the well-covered space; its dimension is the
 well-covered dimension.
 
 The well-covered space is computed without materializing the constraint
-matrix.  One forward pass over the MISs, in whatever order they come,
-selects a spanning subset of difference rows instead, taking differences
-against the first MIS read (the first the stream yields, when the search is
-streamed): a row is selected exactly when it is outside the span of the
-rows selected before it.  A given MIS list is
-read by one row filter per field; without one, the search is streamed into
-the pass, one row filter per field in lockstep, a block of MISs at a time,
-so no MIS list is held.  A filter keeps vectors spanning the kernel of the
-rows selected so far, starting from the identity: coprime integers over the
+matrix.  One forward pass over the MISs selects a spanning subset of
+difference rows instead, taking differences against a base MIS: a row is
+selected exactly when it is outside the span of the rows selected before
+it.  A given MIS list is read by one row filter per field, with its first
+MIS as the base.  A filter keeps vectors spanning the kernel of the rows
+selected so far, starting from the identity: coprime integers over the
 rationals, residues over GF(p).  A MIS's difference row already lies in the
 selected row space exactly when every kernel vector has the same sum on
-that MIS as on the first, compared modulo p over GF(p); this holds over
+that MIS as on the base, compared modulo p over GF(p); this holds over
 every field, since a subspace is the annihilator of its annihilator.  The
 kernel vectors are packed side by side into one integer per vertex, in
 slots wide enough that each vector's difference on a MIS is one exact
@@ -29,10 +26,28 @@ difference that is a nonzero multiple of p is zero in the field.  A MIS that
 fails has its row selected, and one failing kernel vector is used to
 eliminate the new row from the others, then dropped.  The row space only
 grows, so the final kernel satisfies every MIS: the selection is exact over
-every field and needs no verification pass.  The exact reduced echelon
-computation then runs once, on the selected rows.  Reduced echelon form
-depends only on the row space, so the basis depends neither on which
-spanning rows were selected nor on the order of the MISs.
+every field and needs no verification pass.
+
+Without a MIS list, the filters get a floor: the simplicial clique number
+sc, a lower bound on the dimension over every field.  Every MIS meets each
+simplicial clique N[v] in exactly one vertex, since it must dominate v, and
+each clique has a simplicial vertex in no other, so the clique indicators
+are sc independent well-covered weightings.  The kernel always contains the
+well-covered space, so once it is down to sc vectors it is that space, and
+the filter is finished.  A sampling phase first feeds every filter the same
+seeded random greedy MISs, each checked to be independent and dominating
+before it is read; the first sample is the base.  It stops when every
+filter is finished, or after a fixed run of samples that select no row.
+Then the search is streamed, a block of MISs at a time, so no MIS list is
+held: it is counted to the end, and the filters not yet finished read it
+until they are.  Where the dimension exceeds sc, that is the whole search.
+certified_space stops after the sampling phase, and returns the space only
+when every kernel reached its floor.
+
+The exact reduced echelon computation then runs once, on the selected rows.
+Reduced echelon form depends only on the row space, so the basis depends
+neither on which spanning rows were selected, nor on the base, nor on the
+order of the MISs.
 """
 
 from __future__ import annotations
@@ -41,11 +56,13 @@ from dataclasses import dataclass
 from itertools import compress, islice
 from math import gcd
 from operator import neg, sub
+from random import Random
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, simplicial_report
 from .linalg import FieldSpec, Matrix, QQ, nullspace_basis
-from .mis import DEFAULT_MIS_CAP, MisList, iter_mis
+from .mis import (DEFAULT_MIS_CAP, MisList, adjacency_masks, iter_mis,
+                  random_greedy_mis)
 # bench/spans.py traces enumerate_mis under this module's name
 from .mis import enumerate_mis  # noqa: F401
 
@@ -161,14 +178,15 @@ _BLOCK = 1024
 
 class _RowFilter:
     """One field's row selection over MISs read in order: the difference
-    row of a MIS against the first MIS is selected exactly when it is not
-    in the span of the rows selected before it, over GF(p), or over the
-    rationals when p is None.
+    row of a MIS against the base MIS first is selected exactly when it is
+    not in the span of the rows selected before it, over GF(p), or over the
+    rationals when p is None.  The filter is finished when the kernel is
+    down to floor vectors (see read).
 
     kernel maps a slot i to a vector w_i; the live vectors span the kernel
     of the rows selected so far, starting from the identity.  They are
     packed into one int per vertex, packed[v] = sum of w_i[v] << (i * width),
-    so a MIS's packed sum minus the first MIS's is the integer whose
+    so a MIS's packed sum minus the base MIS's is the integer whose
     balanced base 2**width digits are the differences w_i . row.  A digit
     is exact while 2**(width-1) exceeds its absolute value: over GF(p) every
     entry is a residue, so n * (p - 1) bounds it; over the rationals a row
@@ -183,11 +201,12 @@ class _RowFilter:
     slots that changed.
     """
 
-    __slots__ = ("first", "n", "p", "kernel", "width", "packed", "base",
-                 "rows")
+    __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
+                 "base", "rows")
 
-    def __init__(self, first: tuple[int, ...], n: int, p: int | None) -> None:
-        self.first, self.n, self.p = first, n, p
+    def __init__(self, first: tuple[int, ...], n: int, p: int | None,
+                 floor: int = 0) -> None:
+        self.first, self.n, self.p, self.floor = first, n, p, floor
         self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)}
         self.width = (n * (p - 1)).bit_length() + 1 if p else 2
         self.packed = [1 << (v * self.width) for v in range(n)]
@@ -195,12 +214,19 @@ class _RowFilter:
         self.rows: list[list[int]] = []
 
     def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
-        """Read MISs in order, selecting each row not yet spanned.  True as
-        soon as the kernel is empty: every later row is spanned, so no
-        further MIS is read, and the filter is finished.  False when the
-        MISs run out first."""
+        """Read MISs in order, selecting each row not yet spanned.  True once
+        the kernel is down to floor vectors: the filter is finished, and no
+        further MIS is read.  False when the MISs run out while the kernel
+        is still above its floor.
+
+        The floor must be a lower bound on the dimension of the well-covered
+        space over this field.  The kernel always contains that space, so a
+        kernel of floor vectors is the space itself, and every later row is
+        spanned.  With floor 0 the filter finishes when the kernel empties.
+        """
         p, n, first, kernel, rows = self.p, self.n, self.first, self.kernel, \
             self.rows
+        floor = self.floor
         packed, width, base = self.packed, self.width, self.base
         get = packed.__getitem__
         for members in mis:
@@ -214,7 +240,7 @@ class _RowFilter:
             rows.append(_difference_row(members, first, n))
             (j, gw), *others = failing
             w = kernel.pop(j)
-            if not kernel:
+            if len(kernel) == floor:
                 return True
             deltas = {j: list(map(neg, w))}
             for i, gu in others:
@@ -240,7 +266,7 @@ class _RowFilter:
                     packed[v] += delta[v] << shift
             base = sum(map(get, first))
         self.width, self.base = width, base
-        return False
+        return len(kernel) == floor
 
 
 def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
@@ -257,13 +283,75 @@ def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
     return filt.rows
 
 
-def _space_from_rows(g: Graph, field: FieldSpec, rows: list[list[int]],
-                     mis_count: int) -> WcSpace:
-    basis = tuple(
+def _basis(g: Graph, field: FieldSpec,
+           rows: list[list[int]]) -> tuple[Weighting, ...]:
+    return tuple(
         Weighting(graph=g, field=field, values=tuple(vec))
         for vec in nullspace_basis(Matrix.from_rows(rows, field, cols=g.n)))
+
+
+def _space_from_rows(g: Graph, field: FieldSpec, rows: list[list[int]],
+                     mis_count: int) -> WcSpace:
+    basis = _basis(g, field, rows)
     return WcSpace(graph=g, field=field, basis=basis,
                    dimension=len(basis), mis_count=mis_count)
+
+
+def _modulus(field: FieldSpec) -> int | None:
+    return None if field.is_rationals else field.p
+
+
+# The sampler's seed: a fixed seed keeps the samples, and so the work, the
+# same from run to run.  No result depends on it.
+_SAMPLE_SEED = 0
+
+# Sampling stops after this many samples in a row that select no row in any
+# live filter.  Where the kernels can still reach their floors, a random
+# greedy MIS rarely fails to shrink one; where they cannot (the dimension
+# exceeds sc), the run bounds the samples wasted before the search.
+_STALL = 32
+
+
+def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
+    """Sampling phase: one row filter per field, each with the given floor,
+    fed seeded random greedy MISs until every filter is finished or _STALL
+    samples in a row select no row in any live filter.
+
+    Every sample is checked to be independent and dominating before it is
+    read; a sampler that breaks this raises RuntimeError.  The first sample
+    is the base of every difference row.  Returns the samples, the filters,
+    and the filters not yet finished.
+    """
+    adj = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    rng = Random(_SAMPLE_SEED)
+
+    def draw() -> tuple[int, ...]:
+        members = random_greedy_mis(adj, rng)
+        chosen = dominated = 0
+        for v in members:
+            chosen |= 1 << v
+            dominated |= adj[v]
+        if (chosen.bit_count() != len(members) or chosen & dominated
+                or chosen | dominated != full):
+            raise RuntimeError(
+                f"sampled set {sorted(members)} is not a maximal independent "
+                "set")
+        return members
+
+    samples = [draw()]
+    filters = [_RowFilter(samples[0], g.n, _modulus(f), floor)
+               for f in fields]
+    live = filters
+    selected = stall = 0
+    while live and stall < _STALL:
+        members = draw()
+        samples.append(members)
+        live = [filt for filt in live if not filt.read((members,))]
+        total = sum(len(filt.rows) for filt in filters)
+        stall = 0 if total > selected else stall + 1
+        selected = total
+    return samples, filters, live
 
 
 def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
@@ -271,24 +359,50 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     """Exact well-covered space over each field, in the order given, from
     one streamed search.
 
-    The search's MISs are taken in blocks, and one row filter per field
-    reads each block in turn, so the fields advance in lockstep and at most
+    One row filter per field takes the simplicial clique number sc as its
+    floor, and the sampling phase feeds all of them the same seeded random
+    greedy MISs first; the first sample is the base of every difference
+    row.  The search is then streamed: its MISs are taken in blocks, and
+    each filter still above its floor reads each block in turn, so at most
     one block of MISs is held.  The MISs are counted to the end, so
     mis_count is exact and the cap still raises, but a filter reads no MIS
-    after its kernel empties.  The basis depends only on the row space, so
-    not on the MIS order: each space equals well_covered_space's.
+    once it is finished, and where sampling finished every filter the
+    search is only counted.  The basis depends only on the row space, so
+    not on the samples or the MIS order: each space equals
+    well_covered_space's for the enumerated MIS list.
     """
+    _, filters, live = _sampled_filters(g, fields, simplicial_report(g).sc)
     stream = iter_mis(g, cap)
-    first = next(stream)
-    filters = [_RowFilter(first, g.n, None if f.is_rationals else f.p)
-               for f in fields]
-    live = filters
-    count = 1
-    while block := list(islice(stream, _BLOCK)):
+    count = 0
+    while live and (block := list(islice(stream, _BLOCK))):
         count += len(block)
         live = [filt for filt in live if not filt.read(block)]
+    count += sum(1 for _ in stream)
     return tuple(_space_from_rows(g, f, filt.rows, count)
                  for f, filt in zip(fields, filters))
+
+
+def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
+    """The well-covered space over the field with its certificate, from the
+    sampling phase of well_covered_spaces alone: (basis, samples, cliques),
+    or None when the sampled rows leave the kernel above the simplicial
+    clique number sc.  None is not a verdict: the dimension exceeds sc, or
+    sampling stalled first.
+
+    The difference rows of the samples (each checked to be maximal and
+    independent), taken against the first, have rank n - sc, so the space
+    has dimension at most sc; every MIS meets each simplicial clique in
+    exactly one vertex, and each clique has a private simplicial vertex, so
+    the clique indicators give dimension at least sc.  basis holds the
+    Weightings of well_covered_space's reduced echelon basis; samples holds
+    the MISs in the order drawn, each as its members in the order they
+    joined; cliques holds the simplicial cliques.
+    """
+    rep = simplicial_report(g)
+    samples, (filt,), live = _sampled_filters(g, (field,), rep.sc)
+    if live:
+        return None
+    return _basis(g, field, filt.rows), tuple(samples), rep.cliques
 
 
 def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
@@ -305,8 +419,7 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         return well_covered_spaces(g, (field,), cap=cap)[0]
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    rows = _spanning_rows(mis.sets, g.n,
-                          None if field.is_rationals else field.p)
+    rows = _spanning_rows(mis.sets, g.n, _modulus(field))
     return _space_from_rows(g, field, rows, len(mis))
 
 
@@ -322,7 +435,7 @@ def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
         raise ValueError("weighting belongs to a different graph")
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    p = None if f.field.is_rationals else f.field.p
+    p = _modulus(f.field)
     sets = mis.sets
     k = _first_unequal_sum(sets, f.values, p)
     if k == len(sets):

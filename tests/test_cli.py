@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import wellcovered
 from wellcovered import cli, mis, wcspace
 from wellcovered.cli import main
 from wellcovered.families import corpus_file_text, corpus_names, star
@@ -301,3 +305,12 @@ def test_verify_text_mode_contains_same_numbers(capsys):
     report = json.loads(raw)
     s = report["summary"]
     assert f"holds={s['holds']} fails={s['fails']}" in text
+
+
+def test_package_runs_as_a_module_without_installing():
+    src = os.path.dirname(os.path.dirname(wellcovered.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "wellcovered", "wcdim", "k3",
+                           "--json"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["mis_count"] == 3

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 
 from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
-    is_chordal, simplicial_report
+    is_chordal, relabel, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, rref, \
     integerize, nullspace_basis, span_equal
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
-    enumerate_mis
-from wellcovered.wcspace import (Weighting, constraint_matrix,
+    enumerate_mis, is_mis, random_greedy_mis
+from wellcovered.wcspace import (Weighting, certified_space,
+                                 constraint_matrix,
                                  indicator_weighting, is_well_covered,
                                  verify_weighting, wcdim, well_covered_space,
                                  well_covered_spaces, wcspace_report)
@@ -454,27 +455,82 @@ def test_basis_does_not_depend_on_mis_order():
                 assert well_covered_space(g, field, mis=shuffled) == space, g
 
 
-@pytest.mark.parametrize("block", [1, 3, wcspace._BLOCK])
-def test_streamed_filters_stop_reading_while_counting_goes_on(monkeypatch,
-                                                             block):
-    monkeypatch.setattr(wcspace, "_BLOCK", block)
+def _count_streamed_reads(monkeypatch) -> Counter:
+    """Count the MISs each row filter reads from the search's stream, keyed
+    by the filter's modulus (None over Q); sampled MISs are not counted."""
+    class Streamed(tuple):
+        pass
+
+    search = wcspace.iter_mis
+    monkeypatch.setattr(wcspace, "iter_mis",
+                        lambda g, cap: map(Streamed, search(g, cap)))
     fed = Counter()
     read = wcspace._RowFilter.read
 
     def spy(self, mis):
         def counted():
             for members in mis:
-                fed[id(self)] += 1
+                if type(members) is Streamed:
+                    fed[self.p] += 1
                 yield members
         return read(self, counted())
 
     monkeypatch.setattr(wcspace._RowFilter, "read", spy)
+    return fed
+
+
+@pytest.mark.parametrize("block", [1, 3, wcspace._BLOCK])
+def test_streamed_filters_stop_reading_while_counting_goes_on(monkeypatch,
+                                                             block):
+    monkeypatch.setattr(wcspace, "_BLOCK", block)
+    monkeypatch.setattr(wcspace, "_STALL", 0)  # the base sample only
+    fed = _count_streamed_reads(monkeypatch)
     g = cycle(8)  # well-covered dimension 0
     spaces = well_covered_spaces(g, DEFAULT_FIELDS)
     assert [s.dimension for s in spaces] == [0, 0, 0]
     assert [s.mis_count for s in spaces] == [count_mis(g)] * 3 == [10] * 3
-    # each filter reads fewer than the nine MISs after the first
-    assert len(fed) == 3 and all(k < 9 for k in fed.values()), fed
+    # each filter reads some of the ten streamed MISs, but not all of them
+    assert len(fed) == 3 and all(0 < k < 10 for k in fed.values()), fed
+
+
+def _relabelled_s4():
+    sg = sierpinski(4)
+    perm = list(range(sg.graph.n))
+    random.Random(3).shuffle(perm)
+    return relabel(sg.graph, perm)
+
+
+def test_sampling_settles_relabelled_s4_before_the_stream(monkeypatch):
+    fed = _count_streamed_reads(monkeypatch)
+    spaces = well_covered_spaces(_relabelled_s4(), DEFAULT_FIELDS)
+    assert not fed, fed
+    assert [s.dimension for s in spaces] == [3, 3, 3]
+    assert [s.mis_count for s in spaces] == [80840] * 3
+
+
+# dimension 2, sc 1: the sampled rows alone leave a kernel of dimension 3
+# over every field, so the streamed search must finish the job
+SAMPLES_FALL_SHORT = Graph(11, [(0, 1), (0, 6), (0, 10), (1, 2), (1, 9),
+                                (2, 4), (3, 8), (3, 9), (4, 5), (4, 10),
+                                (5, 7), (5, 8), (6, 9)])
+
+
+def test_filters_read_the_stream_where_dim_exceeds_sc(monkeypatch):
+    graphs = [cycle(4), cycle(5), SAMPLES_FALL_SHORT]
+    graphs += [g for g in _seeded_random_graphs(17, 40)
+               if wcdim(g) > simplicial_report(g).sc][:10]
+    assert len(graphs) == 13
+    for g in graphs:
+        mis = enumerate_mis(g)
+        sc = simplicial_report(g).sc
+        fed = _count_streamed_reads(monkeypatch)
+        streamed = well_covered_spaces(g, DEFAULT_FIELDS)
+        for field, space in zip(DEFAULT_FIELDS, streamed):
+            assert space == well_covered_space(g, field, mis=mis), (g, field)
+            if space.dimension > sc:
+                # a filter above its floor reads the whole stream
+                assert fed[wcspace._modulus(field)] == len(mis), (g, field)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("block", [2, wcspace._BLOCK])
@@ -489,3 +545,72 @@ def test_streamed_spaces_raise_past_the_cap(monkeypatch, block):
         well_covered_space(g, QQ, cap=k - 1)
     with pytest.raises(MisCapExceededError):
         is_well_covered(path(12), cap=count_mis(path(12)) - 1)
+
+
+def _drop_last_member(adj, rng):
+    return random_greedy_mis(adj, rng)[:-1]
+
+
+def _add_a_neighbour(adj, rng):
+    members = random_greedy_mis(adj, rng)
+    nbr = adj[members[0]]
+    return members + ((nbr & -nbr).bit_length() - 1,)
+
+
+@pytest.mark.parametrize("sampler", [_drop_last_member, _add_a_neighbour])
+def test_a_sample_that_is_not_a_mis_raises(monkeypatch, sampler):
+    monkeypatch.setattr(wcspace, "random_greedy_mis", sampler)
+    for g in (path(5), cycle(4), sierpinski(3).graph):
+        with pytest.raises(RuntimeError, match="not a maximal independent"):
+            well_covered_spaces(g, DEFAULT_FIELDS)
+        with pytest.raises(RuntimeError, match="not a maximal independent"):
+            certified_space(g, QQ)
+
+
+def test_spaces_do_not_depend_on_the_sample_seed(monkeypatch):
+    graphs = [g for g in named_corpus().values() if g.n <= 20]
+    graphs += _seeded_random_graphs(23, 20) + [_relabelled_s4()]
+
+    def reports():
+        return [[json.dumps(wcspace_report(s, "g"), sort_keys=True)
+                 for s in well_covered_spaces(g, DEFAULT_FIELDS)]
+                for g in graphs]
+
+    expected = reports()
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(wcspace, "_SAMPLE_SEED", seed)
+        assert reports() == expected, seed
+
+
+def test_certified_space_closes_on_sierpinski_5():
+    sg = sierpinski(5)
+    assert sg.graph.n == 123
+    cliques = simplicial_report(sg.graph).cliques
+    assert set(cliques) == set(sg.corner_cliques)
+    for field in DEFAULT_FIELDS:
+        basis, samples, cert_cliques = certified_space(sg.graph, field)
+        assert len(basis) == 3 and cert_cliques == cliques, field
+        assert all(is_mis(sg.graph, m) for m in samples)
+        for w in basis:
+            for v in sg.graph.vertices:
+                if not any(v in c for c in cliques):
+                    assert w.values[v] == 0, field
+            for c in cliques:
+                assert len({w.values[v] for v in c}) == 1, field
+
+
+def test_certified_space_equals_the_enumerated_space():
+    graphs = list(named_corpus().values()) + _seeded_random_graphs(31, 40)
+    closed = 0
+    for g in graphs:
+        sc = simplicial_report(g).sc
+        for space in well_covered_spaces(g, DEFAULT_FIELDS):
+            cert = certified_space(g, space.field)
+            if space.dimension > sc:
+                assert cert is None, (g, space.field)
+            elif cert is not None:
+                closed += 1
+                assert cert[0] == space.basis, (g, space.field)
+                assert space.dimension == sc
+    assert closed >= 100, closed
+    assert certified_space(cycle(4), QQ) is None
