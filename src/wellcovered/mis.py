@@ -6,9 +6,19 @@ Enumeration runs Bron-Kerbosch with pivoting over the complement graph,
 using Python ints as vertex bitsets and an explicit stack instead of
 recursion.  A MIS of G is exactly a maximal clique of the complement.  The
 search is a generator (iter_mis) that yields each MIS once, as its member
-tuple, in search order; counting (count_mis) and single-pass consumers read
-that stream and hold no list.  enumerate_mis sorts it into a MisList, each
-MIS stored once as its ascending tuple of members, in canonical order.
+tuple, in search order; single-pass consumers read that stream and hold no
+list.  enumerate_mis sorts it into a MisList, each MIS stored once as its
+ascending tuple of members, in canonical order.
+
+Counting (count_mis) builds no set at all.  It branches on bitmask states
+(U, D): U the undecided vertices, D the excluded vertices still waiting for
+a chosen neighbor.  Each branch chooses one vertex of a set that every
+extension must meet: the undecided neighbors of the vertex of D with the
+fewest, or the closed undecided neighborhood of an undecided vertex of
+least degree once D is empty.  A state's count depends on (U, D) alone, so
+a memo, cleared whenever it reaches a fixed number of entries, counts a
+repeated state once; on a gasket or a cycle most states repeat.  The cap
+raises as soon as any state's count passes it.
 """
 
 from __future__ import annotations
@@ -138,10 +148,98 @@ def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
             cand ^= low
 
 
+# Entries the count memo holds before it is cleared.  The states that recur
+# on a gasket or a cycle fit many times over; on graphs where few recur it
+# bounds the memory the memo takes.
+_COUNT_MEMO = 1 << 16
+
+
 def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
-    """Number of maximal independent sets, counted from the search without
-    holding them; raises MisCapExceededError past the cap."""
-    return sum(1 for _ in iter_mis(g, cap))
+    """Number of maximal independent sets, counted without building one.
+
+    A search state (U, D) holds U, the undecided vertices (not chosen, no
+    chosen neighbor), and D, the excluded vertices that still need a chosen
+    neighbor.  Its count is the number of independent S within U that
+    dominate U - S and D; with U empty that is 1 if D is empty, else 0.
+    Every such S meets a set B of U: the U-neighbors of the vertex of D
+    with the fewest, or N[u] & U for a u of least degree in U when D is
+    empty.  Branch i chooses the i-th vertex v of B, which takes N[v] out
+    of U and N(v) out of D, and excludes the vertices of B before it, which
+    move from U to D; the branches split the count exactly.  A state's
+    count depends on (U, D) alone, so a memo keyed on both counts a repeated
+    state once; it is cleared when it reaches _COUNT_MEMO entries, which
+    bounds its memory.  The search runs on an explicit stack.
+
+    A state's count is a count of distinct MISs, never more than the total,
+    so MisCapExceededError is raised as soon as any count passes the cap,
+    and exactly when the total does.
+    """
+    n = g.n
+    adj = adjacency_masks(g)
+    outside = [~(a | 1 << v) for v, a in enumerate(adj)]  # ~N[v]
+    apart = [~a for a in adj]                              # ~N(v)
+    memo: dict[int, int] = {}  # U << n | D -> count
+    counts: list[int] = []     # counts of finished states, for their parents
+    # a state is (U, D); a state waiting on k pushed children is
+    # (key, k, the count of the children already known)
+    stack: list[tuple] = [((1 << n) - 1, 0)]
+    while stack:
+        top = stack.pop()
+        if len(top) == 2:
+            u, d = top
+            key = u << n | d
+            total = memo.get(key)
+            if total is not None:
+                counts.append(total)
+                continue
+            # branch on the U-neighbors of the vertex of D with the fewest,
+            # or, with D empty, on N[w] & U for a w of least degree in U;
+            # the scan stops at a count no vertex can beat
+            scan, stop, best = d or u, 2 if d else 1, n
+            while scan:
+                low = scan & -scan
+                nbrs = adj[low.bit_length() - 1] & u
+                k = nbrs.bit_count()
+                if k < best:
+                    best, branch, pick = k, nbrs, low
+                    if k < stop:
+                        break
+                scan ^= low
+            if not d:
+                branch |= pick
+            total = 0
+            pending = []
+            while branch:
+                low = branch & -branch
+                v = low.bit_length() - 1
+                cu = u & outside[v]
+                cd = d & apart[v]
+                if not cu:
+                    total += not cd
+                else:
+                    known = memo.get(cu << n | cd)
+                    if known is None:
+                        pending.append((cu, cd))
+                    else:
+                        total += known
+                u ^= low  # excluded from the later branches
+                d |= low
+                branch ^= low
+            if pending:
+                stack.append((key, len(pending), total))
+                stack += pending
+                continue
+        else:
+            key, k, total = top
+            total += sum(counts[-k:])
+            del counts[-k:]
+        if total > cap:
+            raise MisCapExceededError(cap)
+        if len(memo) >= _COUNT_MEMO:
+            memo.clear()
+        memo[key] = total
+        counts.append(total)
+    return counts[0]
 
 
 def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:

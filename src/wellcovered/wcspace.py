@@ -38,9 +38,11 @@ the filter is finished.  A sampling phase first feeds every filter the same
 seeded random greedy MISs, each checked to be independent and dominating
 before it is read; the first sample is the base.  It stops when every
 filter is finished, or after a fixed run of samples that select no row.
-Then the search is streamed, a block of MISs at a time, so no MIS list is
-held: it is counted to the end, and the filters not yet finished read it
-until they are.  Where the dimension exceeds sc, that is the whole search.
+The filters not yet finished then read the search, streamed a block of
+MISs at a time so that no MIS list is held, until they are.  Where the
+dimension exceeds sc they read it to the end, and its length is the MIS
+count.  Otherwise the count comes from count_mis, which lists no set, and
+where sampling finished every filter the search is never run.
 certified_space stops after the sampling phase, and returns the space only
 when every kernel reached its floor.
 
@@ -61,8 +63,8 @@ from typing import Iterable, Sequence
 
 from .graph import Graph, simplicial_report
 from .linalg import FieldSpec, Matrix, QQ, nullspace_basis
-from .mis import (DEFAULT_MIS_CAP, MisList, adjacency_masks, iter_mis,
-                  random_greedy_mis)
+from .mis import (DEFAULT_MIS_CAP, MisList, adjacency_masks, count_mis,
+                  iter_mis, random_greedy_mis)
 # bench/spans.py traces enumerate_mis under this module's name
 from .mis import enumerate_mis  # noqa: F401
 
@@ -362,13 +364,14 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     One row filter per field takes the simplicial clique number sc as its
     floor, and the sampling phase feeds all of them the same seeded random
     greedy MISs first; the first sample is the base of every difference
-    row.  The search is then streamed: its MISs are taken in blocks, and
-    each filter still above its floor reads each block in turn, so at most
-    one block of MISs is held.  The MISs are counted to the end, so
-    mis_count is exact and the cap still raises, but a filter reads no MIS
-    once it is finished, and where sampling finished every filter the
-    search is only counted.  The basis depends only on the row space, so
-    not on the samples or the MIS order: each space equals
+    row.  While a filter is above its floor the search is streamed: its
+    MISs are taken in blocks, and each filter still above its floor reads
+    each block in turn, so at most one block of MISs is held.  A filter
+    reads no MIS once it is finished.  mis_count is the stream's length
+    when the filters read it to the end, and count_mis's otherwise, so it
+    is exact either way and the cap still raises; where sampling finished
+    every filter, the search is never run.  The basis depends only on the
+    row space, so not on the samples or the MIS order: each space equals
     well_covered_space's for the enumerated MIS list.
     """
     _, filters, live = _sampled_filters(g, fields, simplicial_report(g).sc)
@@ -377,7 +380,8 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     while live and (block := list(islice(stream, _BLOCK))):
         count += len(block)
         live = [filt for filt in live if not filt.read(block)]
-    count += sum(1 for _ in stream)
+    if not live:
+        count = count_mis(g, cap)
     return tuple(_space_from_rows(g, f, filt.rows, count)
                  for f, filt in zip(fields, filters))
 

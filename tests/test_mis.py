@@ -4,10 +4,13 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings
 
-from wellcovered.graph import DisconnectedGraphError, Graph, simplicial_report
+from wellcovered import mis as mis_module
+from wellcovered.graph import (DisconnectedGraphError, Graph, relabel,
+                               simplicial_report)
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
-                                  figure6_composite, named_corpus, path, star,
-                                  sccg_mod_base, vertex_bowtie)
+                                  figure6_composite, named_corpus, path,
+                                  sierpinski, star, sccg_mod_base,
+                                  vertex_bowtie)
 from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              NotSccgError, count_mis, enumerate_mis,
                              greedy_extend,
@@ -117,6 +120,70 @@ def test_count_matches_enumeration_and_both_raise_past_the_cap():
             with pytest.raises(MisCapExceededError) as err:
                 run(g, cap=k - 1)
             assert err.value.cap == k - 1, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_n=10))
+@example(complete(1))
+@example(cycle(10))
+def test_count_matches_powerset_oracle(g):
+    assert count_mis(g) == len(all_mis_powerset(g.n, g.edges))
+
+
+def test_count_matches_the_search():
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 40:
+        n = rng.randint(20, 40)
+        p = rng.uniform(0.15, 0.4)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        try:
+            graphs.append(Graph(n, edges))
+        except DisconnectedGraphError:
+            continue
+    for g in list(named_corpus().values()) + graphs:
+        assert count_mis(g) == sum(1 for _ in iter_mis(g)), g
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_count_on_relabelled_cycles_is_perrin():
+    perrin = [3, 0, 2]
+    while len(perrin) <= 40:
+        perrin.append(perrin[-2] + perrin[-3])
+    assert (perrin[38], perrin[40]) == (43721, 76725)
+    for n in (38, 40):
+        assert count_mis(_relabelled(cycle(n), n)) == perrin[n], n
+
+
+def test_count_on_relabelled_sierpinski_4():
+    assert count_mis(_relabelled(sierpinski(4).graph, 3)) == 80840
+
+
+def test_count_does_not_recurse_per_vertex():
+    # a recursive count would pass the recursion limit on the 1999 leaves
+    # left undecided once a leaf is chosen
+    assert count_mis(star(2000)) == 2
+
+
+def test_count_raises_past_the_cap_without_listing():
+    # far more than 10**6 MISs; listing them first would take seconds
+    with pytest.raises(MisCapExceededError) as err:
+        count_mis(sierpinski(5).graph, cap=10**6)
+    assert err.value.cap == 10**6
+
+
+def test_count_is_unchanged_when_the_memo_is_cleared_at_every_entry(
+        monkeypatch):
+    expected = {name: count_mis(g) for name, g in named_corpus().items()}
+    monkeypatch.setattr(mis_module, "_COUNT_MEMO", 1)
+    for name, g in named_corpus().items():
+        assert count_mis(g) == expected[name], name
 
 
 def test_search_raises_in_place_of_the_set_past_the_cap():

@@ -508,6 +508,21 @@ def test_sampling_settles_relabelled_s4_before_the_stream(monkeypatch):
     assert [s.mis_count for s in spaces] == [80840] * 3
 
 
+def test_settled_filters_leave_the_stream_unread(monkeypatch):
+    yielded = []
+    search = wcspace.iter_mis
+
+    def spy(g, cap):
+        for members in search(g, cap):
+            yielded.append(members)
+            yield members
+
+    monkeypatch.setattr(wcspace, "iter_mis", spy)
+    spaces = well_covered_spaces(_relabelled_s4(), DEFAULT_FIELDS)
+    assert yielded == []
+    assert [s.mis_count for s in spaces] == [80840] * 3
+
+
 # dimension 2, sc 1: the sampled rows alone leave a kernel of dimension 3
 # over every field, so the streamed search must finish the job
 SAMPLES_FALL_SHORT = Graph(11, [(0, 1), (0, 6), (0, 10), (1, 2), (1, 9),
