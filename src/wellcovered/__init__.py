@@ -8,7 +8,8 @@ from .graph import (Graph, GraphError, VertexRangeError, SelfLoopError,
                     contains_simplicial_vertex, is_chordal, is_sccg,
                     parse_edge_list, format_edge_list, load_graph, save_graph)
 from .linalg import (FieldSpec, Matrix, QQ, GF2, GF3, DEFAULT_FIELDS,
-                     rref, nullspace_basis, span_equal, integerize)
+                     rref, nullspace_basis, span_basis, span_equal,
+                     integerize)
 from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   NotSccgError, DEFAULT_MIS_CAP, is_independent, is_mis,
                   enumerate_mis, iter_mis, count_mis, greedy_extend,

@@ -42,9 +42,13 @@ class Graph:
 
     Equality and hashing are label-sensitive: two graphs are equal iff they
     have the same vertex count and the same edge set.
+
+    The graph memoises its simplicial_report in the _simplicial slot, set on
+    first use: the memo lives exactly as long as the graph object, and it
+    takes no part in equality or hashing.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_hash")
+    __slots__ = ("n", "edges", "adjacency", "_hash", "_simplicial")
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -73,6 +77,7 @@ class Graph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in neighbors))
         object.__setattr__(self, "_hash", hash((n, edges)))
+        object.__setattr__(self, "_simplicial", None)
         if not self._is_connected():
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
 
@@ -201,10 +206,10 @@ def simplicial_vertices(g: Graph) -> frozenset:
     """Vertices v whose closed neighborhood N[v] is a clique.
 
     Such an N[v] is automatically a maximal clique: any common neighbor of
-    all of N[v] would itself lie in N[v].
+    all of N[v] would itself lie in N[v].  Read from the memoised
+    simplicial_report.
     """
-    return frozenset(v for v in g.vertices
-                     if g.is_clique(g.closed_neighborhood([v])))
+    return simplicial_report(g).simplicial_vertices
 
 
 def contains_simplicial_vertex(g: Graph, vs: Iterable[int]) -> bool:
@@ -212,30 +217,41 @@ def contains_simplicial_vertex(g: Graph, vs: Iterable[int]) -> bool:
     s = g._check_subset(vs)
     if not g.is_clique(s):
         return False
-    simp = simplicial_vertices(g)
-    return any(v in simp for v in s)
+    return not s.isdisjoint(simplicial_vertices(g))
 
 
 def simplicial_report(g: Graph) -> SimplicialReport:
-    """Distinct simplicial cliques, their count, and the connection set."""
-    simp = simplicial_vertices(g)
-    cliques: list[frozenset] = []
-    for v in sorted(simp):
-        c = g.closed_neighborhood([v])
-        if c not in cliques:
-            cliques.append(c)
-    cliques.sort(key=min)
-    membership: dict[int, int] = {}
+    """Distinct simplicial cliques, their count, and the connection set.
+
+    Computed once per graph object and memoised on it (see Graph)."""
+    rep = g._simplicial
+    if rep is None:
+        rep = _simplicial_report(g)
+        object.__setattr__(g, "_simplicial", rep)
+    return rep
+
+
+def _simplicial_report(g: Graph) -> SimplicialReport:
+    closed = [sum(1 << u for u in nbrs) | 1 << v
+              for v, nbrs in enumerate(g.adjacency)]
+    # N[v] is a clique iff every neighbour u of v is adjacent to all of it,
+    # that is iff N[v] is a subset of N[u]
+    simp = [v for v in g.vertices
+            if all(closed[v] & ~closed[u] == 0 for u in g.adjacency[v])]
+    # distinct cliques in order of their first simplicial vertex, then
+    # stably sorted by their smallest vertex
+    cliques = sorted(dict.fromkeys(g.adjacency[v] | {v} for v in simp),
+                     key=min)
+    seen: frozenset = frozenset()
+    connection: frozenset = frozenset()
     for c in cliques:
-        for v in c:
-            membership[v] = membership.get(v, 0) + 1
-    connection = frozenset(v for v, k in membership.items() if k >= 2)
-    per_clique_w = tuple(c & connection for c in cliques)
+        connection |= seen & c
+        seen |= c
     return SimplicialReport(
-        simplicial_vertices=simp,
+        simplicial_vertices=frozenset(simp),
         cliques=tuple(cliques),
         connection_set=connection,
-        per_clique_w=per_clique_w,
+        per_clique_w=tuple(c & connection for c in cliques),
     )
 
 

@@ -4,11 +4,13 @@ Scalars are plain values: over the rationals an int or a fractions.Fraction
 (ints are exact rationals and are kept as they are), over GF(p) an int in
 0..p-1.  A FieldSpec carries the arithmetic; matrices and vectors never
 round and never overflow.  Row reduction does not go through the
-FieldSpec: rref, rank_of_rows and nullspace_basis all run one elimination
-on int rows for both kinds of field (fraction-free over the rationals),
-and each builds Fractions only where its result promises them: rref's
-reduced matrix, and the nullspace vectors, which over the rationals are
-coprime integers with the first nonzero entry positive.
+FieldSpec: rref, rank_of_rows, nullspace_basis and span_basis all run one
+elimination on int rows for both kinds of field (fraction-free over the
+rationals), and each builds Fractions only where its result promises them:
+rref's reduced matrix, and the basis vectors, which over the rationals are
+coprime integers with the first nonzero entry positive.  nullspace_basis
+reads the basis of a matrix's nullspace off the matrix; span_basis reads
+the same basis off any vectors spanning that nullspace.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ class Matrix:
 
 
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """A rational row scaled by the lcm of its denominators to integers."""
+    """A rational row scaled by the lcm of its denominators to integers; a
+    row of ints is copied as it is."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
@@ -284,6 +289,40 @@ def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
             sign = -1 if next(x for x in vec if x) < 0 else 1
             vec = [Fraction(sign * x) for x in vec]
         basis.append(vec)
+    return basis
+
+
+def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
+               length: int) -> list[list[Scalar]]:
+    """The free-column basis of the space the vectors span: nullspace_basis(m)
+    for every matrix m whose nullspace is that space, vector for vector.
+
+    Eliminating with the columns reversed takes the pivots greedily from
+    the right, and those are m's free columns: the complement of the greedy
+    basis from the left of m's column matroid is the greedy basis from the
+    right of its dual, the column matroid of the nullspace.  Each reduced
+    row, reversed back, is then zero on every other free column, and is
+    scaled as nullspace_basis scales its vectors.
+    """
+    if any(len(v) != length for v in vectors):
+        raise ValueError(f"vectors must have length {length}")
+    p = field.p
+    if p:
+        work = [[x % p for x in reversed(v)] for v in vectors]
+    else:
+        work = [_integer_row(v)[::-1] for v in vectors]
+    rank = len(_eliminate(work, length, p))
+    basis = []
+    for row in reversed(work[:rank]):
+        row.reverse()
+        if not p:
+            content = gcd(*row)
+            if next(x for x in row if x) < 0:
+                content = -content
+            if content != 1:
+                row = [x // content for x in row]
+            row = list(map(Fraction, row))
+        basis.append(row)
     return basis
 
 

@@ -46,10 +46,12 @@ where sampling finished every filter the search is never run.
 certified_space stops after the sampling phase, and returns the space only
 when every kernel reached its floor.
 
-The exact reduced echelon computation then runs once, on the selected rows.
-Reduced echelon form depends only on the row space, so the basis depends
-neither on which spanning rows were selected, nor on the base, nor on the
-order of the MISs.
+The basis is then read off each filter's final kernel, which is the
+well-covered space: span_basis returns the free-column basis of the reduced
+echelon form of the constraint rows, from vectors spanning their nullspace,
+so the selected rows are never eliminated a second time.  That basis depends
+only on the space, so neither on which spanning rows were selected, nor on
+the base, nor on the order of the MISs.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .graph import Graph, simplicial_report
-from .linalg import FieldSpec, Matrix, QQ, nullspace_basis
+from .linalg import FieldSpec, Matrix, QQ, span_basis
+# bench/spans.py traces nullspace_basis under this module's name
+from .linalg import nullspace_basis  # noqa: F401
 from .mis import (DEFAULT_MIS_CAP, MisList, adjacency_masks, count_mis,
                   iter_mis, random_greedy_mis)
 # bench/spans.py traces enumerate_mis under this module's name
@@ -200,7 +204,10 @@ class _RowFilter:
     the vector with the lowest failing slot is the pivot, it eliminates the
     new row from the other failing vectors (their digits are their inner
     products with the row), and it is dropped; packed changes only in the
-    slots that changed.
+    slots that changed.  The pivot eliminates the row from every other
+    failing vector before the filter stops at its floor, so the live
+    vectors always span the kernel of the selected rows exactly, and the
+    basis is read off them (see _basis).
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
@@ -242,8 +249,6 @@ class _RowFilter:
             rows.append(_difference_row(members, first, n))
             (j, gw), *others = failing
             w = kernel.pop(j)
-            if len(kernel) == floor:
-                return True
             deltas = {j: list(map(neg, w))}
             for i, gu in others:
                 u = kernel[i]
@@ -253,7 +258,8 @@ class _RowFilter:
                 else:
                     new = [gw * a - gu * b for a, b in zip(u, w)]
                     content = gcd(*new)
-                    new = [x // content for x in new]
+                    if content > 1:
+                        new = [x // content for x in new]
                 kernel[i] = new
                 deltas[i] = list(map(sub, new, u))
             l1 = 0 if p else max((sum(map(abs, kernel[i])) for i, _ in others),
@@ -267,14 +273,17 @@ class _RowFilter:
                 for v in compress(range(n), delta):
                     packed[v] += delta[v] << shift
             base = sum(map(get, first))
+            if len(kernel) == floor:
+                break
         self.width, self.base = width, base
         return len(kernel) == floor
 
 
-def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
-                   p: int | None) -> list[list[int]]:
-    """Difference rows that span the whole constraint row space, over GF(p),
-    or over the rationals when p is None, selected by one _RowFilter.
+def _list_filter(mis: Iterable[tuple[int, ...]], n: int,
+                 p: int | None) -> _RowFilter:
+    """One _RowFilter, over GF(p) or over the rationals when p is None,
+    that has read the MISs: its rows span the whole constraint row space,
+    and its kernel is the well-covered space.
 
     One forward pass: the MISs are read once, in order, the first being the
     base of every difference row, and none is read after the kernel empties.
@@ -282,19 +291,21 @@ def _spanning_rows(mis: Iterable[tuple[int, ...]], n: int,
     mis = iter(mis)
     filt = _RowFilter(next(mis), n, p)
     filt.read(mis)
-    return filt.rows
+    return filt
 
 
 def _basis(g: Graph, field: FieldSpec,
-           rows: list[list[int]]) -> tuple[Weighting, ...]:
+           filt: _RowFilter) -> tuple[Weighting, ...]:
+    """The reduced echelon basis of the space the filter's live kernel
+    vectors span, read off those vectors by span_basis."""
     return tuple(
         Weighting(graph=g, field=field, values=tuple(vec))
-        for vec in nullspace_basis(Matrix.from_rows(rows, field, cols=g.n)))
+        for vec in span_basis(list(filt.kernel.values()), field, g.n))
 
 
-def _space_from_rows(g: Graph, field: FieldSpec, rows: list[list[int]],
-                     mis_count: int) -> WcSpace:
-    basis = _basis(g, field, rows)
+def _space(g: Graph, field: FieldSpec, filt: _RowFilter,
+           mis_count: int) -> WcSpace:
+    basis = _basis(g, field, filt)
     return WcSpace(graph=g, field=field, basis=basis,
                    dimension=len(basis), mis_count=mis_count)
 
@@ -382,7 +393,7 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
         live = [filt for filt in live if not filt.read(block)]
     if not live:
         count = count_mis(g, cap)
-    return tuple(_space_from_rows(g, f, filt.rows, count)
+    return tuple(_space(g, f, filt, count)
                  for f, filt in zip(fields, filters))
 
 
@@ -398,7 +409,8 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     has dimension at most sc; every MIS meets each simplicial clique in
     exactly one vertex, and each clique has a private simplicial vertex, so
     the clique indicators give dimension at least sc.  basis holds the
-    Weightings of well_covered_space's reduced echelon basis; samples holds
+    Weightings of well_covered_space's reduced echelon basis, read off the
+    filter's final kernel of sc vectors; samples holds
     the MISs in the order drawn, each as its members in the order they
     joined; cliques holds the simplicial cliques.
     """
@@ -406,7 +418,7 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     samples, (filt,), live = _sampled_filters(g, (field,), rep.sc)
     if live:
         return None
-    return _basis(g, field, filt.rows), tuple(samples), rep.cliques
+    return _basis(g, field, filt), tuple(samples), rep.cliques
 
 
 def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
@@ -423,8 +435,8 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         return well_covered_spaces(g, (field,), cap=cap)[0]
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    rows = _spanning_rows(mis.sets, g.n, _modulus(field))
-    return _space_from_rows(g, field, rows, len(mis))
+    filt = _list_filter(mis.sets, g.n, _modulus(field))
+    return _space(g, field, filt, len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
                                Graph, SelfLoopError, VertexRangeError,
@@ -12,6 +13,7 @@ from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
 
 from oracles import has_long_induced_cycle, simplicial_vertices_naive
+from strategies import connected_graphs
 
 
 def test_build_k3():
@@ -116,6 +118,69 @@ def test_simplicial_vertices_match_clique_predicate():
         simp = simplicial_vertices(g)
         for v in g.vertices:
             assert (v in simp) == g.is_clique(g.closed_neighborhood([v]))
+
+
+def _report_from_oracle(g):
+    """The simplicial report built literally from the oracle's simplicial
+    vertices: distinct closed neighbourhoods by first simplicial vertex,
+    stably sorted by their smallest member."""
+    cliques = []
+    for v in simplicial_vertices_naive(g.n, g.edges):
+        c = frozenset(g.adjacency[v] | {v})
+        if c not in cliques:
+            cliques.append(c)
+    cliques.sort(key=min)
+    connection = frozenset(v for v in g.vertices
+                           if sum(v in c for c in cliques) >= 2)
+    return ([sorted(c) for c in cliques], sorted(connection),
+            [sorted(c & connection) for c in cliques])
+
+
+def _assert_simplicial_matches_oracle(g):
+    simp = simplicial_vertices(g)
+    assert simp == set(simplicial_vertices_naive(g.n, g.edges))
+    rep = simplicial_report(g)
+    assert rep.simplicial_vertices == simp
+    assert ([sorted(c) for c in rep.cliques], sorted(rep.connection_set),
+            [sorted(w) for w in rep.per_clique_w]) == _report_from_oracle(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_n=10))
+def test_simplicial_structure_matches_oracle(g):
+    _assert_simplicial_matches_oracle(g)
+
+
+def test_simplicial_structure_matches_oracle_on_corpus():
+    for name, g in named_corpus().items():
+        _assert_simplicial_matches_oracle(g)
+
+
+def test_simplicial_report_is_memoised_per_graph():
+    for name, g in named_corpus().items():
+        fresh = Graph(g.n, g.edges)
+        before = (hash(fresh), fresh == g, g == fresh)
+        rep = simplicial_report(g)
+        assert simplicial_report(g) is rep, name
+        # a distinct but equal graph computes its own, equal report
+        assert simplicial_report(fresh) == rep, name
+        assert simplicial_report(fresh) is not rep, name
+        # the memo takes no part in equality or hashing
+        assert (hash(fresh), fresh == g, g == fresh) == before, name
+        assert hash(g) == hash(fresh) == hash((g.n, g.edges)), name
+        assert len({g, fresh}) == 1, name
+    with pytest.raises(AttributeError):
+        g._simplicial = None
+
+
+def test_contains_simplicial_vertex_reads_the_memoised_report():
+    g = figure1()
+    assert g._simplicial is None
+    assert contains_simplicial_vertex(g, [6, 7, 8, 9])
+    rep = g._simplicial
+    assert rep is not None and simplicial_report(g) is rep
+    assert not contains_simplicial_vertex(g, [2])
+    assert g._simplicial is rep
 
 
 def test_simplicial_report_figure1():

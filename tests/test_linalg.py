@@ -8,7 +8,7 @@ from oracles import (free_column_basis, is_prime_trial_division,
                      rref_fraction_elimination)
 from wellcovered.linalg import (FieldSpec, GF2, GF3, Matrix, QQ, _is_prime,
                                 integerize, nullspace_basis, rank_of_rows,
-                                rref, span_equal)
+                                rref, span_basis, span_equal)
 
 
 def test_is_prime_matches_trial_division():
@@ -111,6 +111,59 @@ def test_nullspace_properties_random(field):
         for vec in basis:
             assert all(field.is_zero(x) for x in m.mat_vec(vec))
         assert rank_of_rows(basis, field, cols) == len(basis)
+
+
+def _mixed_spanning_set(basis, field, rng):
+    """Vectors spanning the same space as basis: the basis mixed by a random
+    invertible combination and shuffled, with a zero vector and a sum of two
+    of them thrown in at random."""
+    k, p = len(basis), field.p
+    while True:
+        mix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if rank_of_rows(mix, field, k) == k:
+            break
+    out = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)]
+           for coeffs in mix]
+    if p:
+        out = [[x % p for x in v] for v in out]
+    if out and rng.random() < 0.5:
+        out.append([a + b for a, b in zip(out[0], out[-1])])
+    if basis and rng.random() < 0.5:
+        out.append([0] * len(basis[0]))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, FieldSpec.gf(5)])
+def test_span_basis_equals_nullspace_basis(field):
+    # span_basis reads nullspace_basis(m) off any spanning set of m's
+    # nullspace, vector for vector and entry type for entry type
+    rng = random.Random(41 + (field.p or 0))
+    cols_of = [rng.randint(1, 8) for _ in range(60)]
+    matrices = [[[rng.randint(-3, 3) for _ in range(cols)]
+                 for _ in range(rng.randint(1, 7))] for cols in cols_of]
+    matrices += [[[0] * 4], [[0] * 4] * 3,                 # zero matrices
+                 [[1, 0, 0], [0, 1, 0], [0, 0, 1]],        # identity
+                 [[1, 2, 3], [0, 1, 4], [0, 0, 1], [1, 1, 1]]]
+    scalar = Fraction if field.is_rationals else int
+    for rows in matrices:
+        m = Matrix.from_rows(rows, field)
+        want = nullspace_basis(m)
+        for _ in range(3):
+            got = span_basis(_mixed_spanning_set(want, field, rng), field,
+                             m.cols)
+            assert got == want, rows
+            assert all(type(x) is scalar for v in got for x in v)
+    assert span_basis([], field, 3) == []
+
+
+def test_span_basis_takes_rational_entries():
+    vecs = [[Fraction(1, 2), Fraction(-1, 3), Fraction(0)],
+            [Fraction(1), Fraction(0), Fraction(-4, 5)]]
+    m = Matrix.from_rows([[4, 6, 5]], QQ)
+    assert span_basis(vecs, QQ, 3) == nullspace_basis(m) \
+        == [[Fraction(3), Fraction(-2), Fraction(0)],
+            [Fraction(5), Fraction(0), Fraction(-4)]]
 
 
 def test_span_equal():

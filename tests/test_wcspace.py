@@ -11,8 +11,8 @@ from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
     is_chordal, relabel, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
-from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, rref, \
-    integerize, nullspace_basis, span_equal
+from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, FieldSpec, rref, \
+    integerize, nullspace_basis, rank_of_rows, span_equal
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
     enumerate_mis, is_mis, random_greedy_mis
@@ -337,7 +337,7 @@ WIDTH_GROWS = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 6),
 def test_spanning_rows_match_greedy_oracle(g):
     tuples = enumerate_mis(g).sets
     for p in (None, 2, 3, 5):
-        got = wcspace._spanning_rows(tuples, g.n, p)
+        got = wcspace._list_filter(tuples, g.n, p).rows
         assert got == greedy_spanning_rows(tuples, g.n, p), p
 
 
@@ -360,7 +360,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
     tuples = enumerate_mis(RESIDUES_AGREE).sets
     for p in (2, 3, 5):
         calls.clear()
-        rows = wcspace._spanning_rows(tuples, RESIDUES_AGREE.n, p)
+        rows = wcspace._list_filter(tuples, RESIDUES_AGREE.n, p).rows
         assert any(d and all(x % p == 0 for _, x in d) for _, d in calls), p
         assert rows == greedy_spanning_rows(tuples, RESIDUES_AGREE.n, p), p
 
@@ -368,7 +368,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
 def test_slot_width_grows_with_rational_vectors(monkeypatch):
     calls = _record_digits(monkeypatch)
     tuples = enumerate_mis(WIDTH_GROWS).sets
-    rows = wcspace._spanning_rows(tuples, WIDTH_GROWS.n, None)
+    rows = wcspace._list_filter(tuples, WIDTH_GROWS.n, None).rows
     assert [w for w, _ in calls] == [2, 4, 4, 4]
     assert rows == greedy_spanning_rows(tuples, WIDTH_GROWS.n)
 
@@ -381,9 +381,73 @@ def test_pass_stops_when_the_kernel_empties():
                     if len(greedy_spanning_rows(tuples[:k + 1], g.n, p)) == g.n)
         assert full < len(tuples) - 1
         unread = iter(tuples)
-        rows = wcspace._spanning_rows(unread, g.n, p)
+        rows = wcspace._list_filter(unread, g.n, p).rows
         assert len(rows) == g.n, p
         assert next(unread) == tuples[full + 1], p
+
+
+FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec.gf(5),)
+
+
+def test_kernel_read_basis_matches_oracle_on_list_and_stream():
+    # the basis is read off the filter's final kernel on both paths; it must
+    # be the free-column basis of the full difference system's nullspace
+    graphs = [g for g in named_corpus().values() if g.n <= 16]
+    for g in graphs + _seeded_random_graphs(23, 30):
+        mis = enumerate_mis(g)
+        streamed = well_covered_spaces(g, FOUR_FIELDS)
+        for field, space in zip(FOUR_FIELDS, streamed):
+            want = nullspace_basis_elimination(g.n, g.edges, field.p)
+            listed = well_covered_space(g, field, mis=mis)
+            for got in (listed, space):
+                assert [[int(x) for x in v] for v in got.basis_vectors()] \
+                    == want, (g, field)
+                scalar = Fraction if field.is_rationals else int
+                assert all(type(x) is scalar
+                           for v in got.basis_vectors() for x in v)
+
+
+def _assert_live_kernel_is_exact(filt, field):
+    # every live vector is orthogonal to every selected row (mod p over
+    # GF(p)), and the live vectors are independent
+    p = filt.p
+    live = list(filt.kernel.values())
+    for w in live:
+        for row in filt.rows:
+            dot = sum(a * b for a, b in zip(w, row))
+            assert (dot % p if p else dot) == 0
+    assert rank_of_rows(live, field, filt.n) == len(live)
+
+
+def test_kernel_is_exact_when_read_stops_at_the_floor():
+    graphs = [g for g in named_corpus().values() if g.n <= 16]
+    graphs += _seeded_random_graphs(31, 40)
+    stopped = 0
+    for g in graphs:
+        sc = simplicial_report(g).sc
+        mis = enumerate_mis(g)
+        for field in FOUR_FIELDS:
+            if wcdim(g, field, mis=mis) != sc:
+                continue
+            filt = wcspace._RowFilter(mis.sets[0], g.n, field.p, sc)
+            rest = iter(mis.sets[1:])
+            assert filt.read(rest), (g, field)
+            stopped += next(rest, None) is not None
+            assert len(filt.kernel) == sc
+            _assert_live_kernel_is_exact(filt, field)
+    # most filters reach the floor before the last MIS
+    assert stopped > 50, stopped
+
+
+def test_sampled_kernels_are_exact_at_the_floor():
+    graphs = [g for g in named_corpus().values() if g.n <= 16]
+    graphs += [_relabelled_s4()] + _seeded_random_graphs(37, 40)
+    for g in graphs:
+        _, filters, live = wcspace._sampled_filters(
+            g, FOUR_FIELDS, simplicial_report(g).sc)
+        for field, filt in zip(FOUR_FIELDS, filters):
+            if filt not in live:
+                _assert_live_kernel_is_exact(filt, field)
 
 
 # sha256 of json.dumps(report, sort_keys=True) for sierpinski order 4: the
