@@ -302,13 +302,16 @@ def _cmd_mis(args) -> int:
 
 
 def _parse_glue(tokens: list[str]) -> dict[int, int]:
+    """The --glue map; a g2 vertex named twice is a usage error."""
     glue: dict[int, int] = {}
     for tok in tokens:
         try:
-            u2, u1 = tok.split(":")
-            glue[int(u2)] = int(u1)
+            u2, u1 = map(int, tok.split(":"))
         except ValueError:
             raise _UsageError(f"bad --glue token {tok!r}, expected U2:U1") from None
+        if u2 in glue:
+            raise _UsageError(f"--glue token {tok!r} maps g2 vertex {u2} again")
+        glue[u2] = u1
     return glue
 
 

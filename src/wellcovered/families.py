@@ -222,7 +222,8 @@ def diamond() -> Graph:
 class ScsSpec:
     """Recipe for a clique sum: glue maps each shared g2 vertex to its g1
     counterpart.  The glued set must be a simplicial clique of both parts and
-    of the composite."""
+    of the composite.  A pair sequence that names a g2 vertex twice raises
+    ValueError."""
 
     g1: Graph
     g2: Graph
@@ -234,6 +235,9 @@ class ScsSpec:
         object.__setattr__(self, "g2", g2)
         pairs = tuple(sorted(glue.items())) if isinstance(glue, Mapping) \
             else tuple(sorted(tuple(p) for p in glue))
+        for (u, _), (w, _) in zip(pairs, pairs[1:]):
+            if u == w:
+                raise ValueError(f"glue names g2 vertex {u} twice")
         object.__setattr__(self, "glue", pairs)
 
     def glue_map(self) -> dict[int, int]:

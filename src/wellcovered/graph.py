@@ -95,6 +95,10 @@ class Graph:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the graph through __init__, without the memo
+        return Graph, (self.n, self.edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
@@ -72,18 +72,46 @@ def _na(check: str, ids: Sequence[str], reason: str,
                    status="not_applicable", details=d)
 
 
-@lru_cache(maxsize=None)
+# The MIS lists and spaces of the open run, keyed by (graph, cap) and
+# (graph, field, cap).  The outermost run_suite or check call opens it and
+# drops it when it returns, so within one call each graph is enumerated at
+# most once, and nothing outlives the call.
+_cache: dict | None = None
+
+
+def _opens_cache(fn: Callable) -> Callable:
+    """fn opens the run cache if no enclosing call has, and drops it on
+    return."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        global _cache
+        if _cache is not None:
+            return fn(*args, **kwargs)
+        _cache = {}
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _cache = None
+    return call
+
+
 def _mis(g: Graph, cap: int):
-    return enumerate_mis(g, cap)
+    key = (g, cap)
+    if key not in _cache:
+        _cache[key] = enumerate_mis(g, cap)
+    return _cache[key]
 
 
-@lru_cache(maxsize=None)
 def _space(g: Graph, fld: FieldSpec, cap: int):
-    return well_covered_space(g, fld, mis=_mis(g, cap), cap=cap)
+    key = (g, fld, cap)
+    if key not in _cache:
+        _cache[key] = well_covered_space(g, fld, mis=_mis(g, cap), cap=cap)
+    return _cache[key]
 
 
 # --- per-graph checks ---------------------------------------------------------
 
+@_opens_cache
 def check_lower_bound(g: Graph, graph_id: str,
                       cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """wcdim over the rationals is at least the simplicial clique number."""
@@ -94,6 +122,7 @@ def check_lower_bound(g: Graph, graph_id: str,
                   witness={"wcdim_q": dim, "sc": rep.sc})
 
 
+@_opens_cache
 def check_sccg_dimension(g: Graph, graph_id: str,
                          fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                          cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -127,6 +156,7 @@ def _classify_mis(g: Graph, rep, clique_index: dict, m: frozenset) -> str:
     return "neither"
 
 
+@_opens_cache
 def check_mis_structure(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Report-only: every MIS of an SCCG should be either one simplicial
@@ -150,6 +180,7 @@ def check_mis_structure(g: Graph, graph_id: str,
                   witness={"unclassifiable": unclassifiable})
 
 
+@_opens_cache
 def check_mis_count(g: Graph, graph_id: str,
                     cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Report-only: the closed-form MIS count against true enumeration,
@@ -178,6 +209,7 @@ def _constant_on(values: Sequence, vertices: Iterable[int]) -> bool:
     return len(vals) <= 1
 
 
+@_opens_cache
 def check_weighting_lemmas(g: Graph, graph_id: str,
                            cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Every basis weighting of an SCCG is constant on each clique residual,
@@ -219,6 +251,7 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
                   {"basis_size": space.dimension, "sc": rep.sc})
 
 
+@_opens_cache
 def check_neighbor_swap(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Whenever two MISs differ in a single vertex, every basis weighting
@@ -246,6 +279,7 @@ def check_neighbor_swap(g: Graph, graph_id: str,
 
 # --- clique-sum checks ---------------------------------------------------------
 
+@_opens_cache
 def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                             cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Composite MISs are exactly the unions of part MISs meeting in one
@@ -293,6 +327,7 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                   witness={"composite_mis": len(mis_c), "composed_pairs": composed})
 
 
+@_opens_cache
 def check_scs_count(spec: ScsSpec, spec_id: str,
                     cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Composite MIS count equals the sum over shared vertices of the product
@@ -310,6 +345,7 @@ def check_scs_count(spec: ScsSpec, spec_id: str,
                   details, witness=details)
 
 
+@_opens_cache
 def check_scs_dimension(spec: ScsSpec, spec_id: str,
                         fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -341,6 +377,7 @@ def check_scs_dimension(spec: ScsSpec, spec_id: str,
 
 # --- family checks --------------------------------------------------------------
 
+@_opens_cache
 def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                      cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Sierpinski gasket graphs have wcdim 1 at order 1 and 3 afterwards;
@@ -384,6 +421,7 @@ def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
     return _holds("sierpinski", ids, True, details)
 
 
+@_opens_cache
 def check_path_cycle_citations(n: int,
                                fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                                cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -514,6 +552,7 @@ def _run_task(task: Task) -> Verdict:
                        witness={"error": repr(exc)})
 
 
+@_opens_cache
 def run_suite(suite: str = "default", seed: int = 0,
               fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
               cap: int = DEFAULT_MIS_CAP, random_count: int = 120,
@@ -526,11 +565,7 @@ def run_suite(suite: str = "default", seed: int = 0,
     spaces cached during the run are released when it returns.
     """
     tasks = _suite_tasks(suite, seed, tuple(fields), cap, random_count)
-    try:
-        verdicts = [_run_task(t) for t in tasks]
-    finally:
-        _mis.cache_clear()
-        _space.cache_clear()
+    verdicts = [_run_task(t) for t in tasks]
     verdicts.sort(key=lambda v: (v.check_id, v.graph_ids))
     counts = {"holds": 0, "fails": 0, "not_applicable": 0}
     asserting_failures = []

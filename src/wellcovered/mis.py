@@ -2,23 +2,20 @@
 random greedy sampling, and the closed-form counting formula for
 simplicial-clique-covered graphs.
 
-Enumeration runs Bron-Kerbosch with pivoting over the complement graph,
-using Python ints as vertex bitsets and an explicit stack instead of
-recursion.  A MIS of G is exactly a maximal clique of the complement.  The
-search is a generator (iter_mis) that yields each MIS once, as its member
-tuple, in search order; single-pass consumers read that stream and hold no
-list.  enumerate_mis sorts it into a MisList, each MIS stored once as its
-ascending tuple of members, in canonical order.
+Counting and listing share one branching rule over bitmask states (U, D),
+Python ints as vertex sets: U holds the undecided vertices, D the excluded
+vertices still waiting for a chosen neighbor.  Each state branches on a set
+that every extension must meet (_branch_set): the undecided neighbors of
+the vertex of D with the fewest, or the closed undecided neighborhood of an
+undecided vertex of least degree once D is empty.
 
-Counting (count_mis) builds no set at all.  It branches on bitmask states
-(U, D): U the undecided vertices, D the excluded vertices still waiting for
-a chosen neighbor.  Each branch chooses one vertex of a set that every
-extension must meet: the undecided neighbors of the vertex of D with the
-fewest, or the closed undecided neighborhood of an undecided vertex of
-least degree once D is empty.  A state's count depends on (U, D) alone, so
-a memo, cleared whenever it reaches a fixed number of entries, counts a
-repeated state once; on a gasket or a cycle most states repeat.  The cap
-raises as soon as any state's count passes it.
+count_mis builds no set.  A state's count depends on (U, D) alone, so a
+memo, cleared whenever it reaches a fixed number of entries, counts a
+repeated state once; on a gasket or a cycle most states repeat.  iter_mis
+runs the same search without the memo and yields each MIS once, as its
+member tuple, in search order; single-pass consumers hold no list.
+enumerate_mis sorts the stream into a MisList, each MIS stored once as its
+ascending tuple of members, in canonical order.
 """
 
 from __future__ import annotations
@@ -97,55 +94,68 @@ class MisList:
         return [list(t) for t in self.sets]
 
 
+def _branch_set(adj: Sequence[int], u: int, d: int) -> int:
+    """A set of undecided vertices that every completion of the state (U, D)
+    meets: the U-neighbors of the vertex of D with the fewest, or, with D
+    empty, N[w] & U for a w of least degree in U (U is then non-empty).
+    The scan stops at the first candidate set of at most one vertex, as no
+    set gives fewer branches.  An empty set means the state has no
+    completion: a vertex of D has no undecided neighbor left.
+    """
+    scan, stop, best = d or u, 2 if d else 1, len(adj)
+    while scan:
+        low = scan & -scan
+        nbrs = adj[low.bit_length() - 1] & u
+        k = nbrs.bit_count()
+        if k < best:
+            best, branch, pick = k, nbrs, low
+            if k < stop:
+                break
+        scan ^= low
+    return branch if d else branch | pick
+
+
+def _state_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Neighbor masks N(v), and the complements ~N[v] and ~N(v) that
+    choosing v applies to U and to D."""
+    adj = adjacency_masks(g)
+    return adj, [~(a | 1 << v) for v, a in enumerate(adj)], [~a for a in adj]
+
+
 def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every maximal independent set exactly once, in search order,
     each as the tuple of its members in the order the search added them.
 
+    The search is count_mis's, by the same branching rule and without the
+    memo: a state also carries the members chosen so far, and a leaf with U
+    and D both empty yields them, so each MIS is reached by one path.
+
     Raises MisCapExceededError in place of yielding set cap + 1; output is
     never silently truncated.
     """
-    n = g.n
-    full = (1 << n) - 1
-    adj = adjacency_masks(g)
-    # complement adjacency: everything except self and true neighbors
-    cadj = [(full ^ adj[v]) & ~(1 << v) for v in range(n)]
+    adj, outside, apart = _state_masks(g)
     found = 0
-    # a child is tested when it is pushed: a leaf (P and X empty) is yielded
-    # and a dead end (P empty, X not) dropped, so only nodes with P nonempty
-    # reach the stack
-    stack = [((), full, 0)]
+    # a child is tested when it is pushed: a leaf is yielded and a dead end
+    # (U empty, D not) dropped, so only states with U non-empty are stacked
+    stack = [((), (1 << g.n) - 1, 0)]
     while stack:
-        r, p, x = stack.pop()
-        # the pivot is the first vertex of P | X with the most complement
-        # neighbors in P; the scan stops early at one that reaches a bound
-        # no vertex can pass: |P|, or |P| - 1 when X is empty
-        pivot = -1
-        best = -1
-        bound = p.bit_count() - (not x)
-        m = p | x
-        while m:
-            u = (m & -m).bit_length() - 1
-            c = (p & cadj[u]).bit_count()
-            if c > best:
-                best, pivot = c, u
-                if c == bound:
-                    break
-            m &= m - 1
-        cand = p & ~cadj[pivot]
-        while cand:
-            low = cand & -cand
+        r, u, d = stack.pop()
+        branch = _branch_set(adj, u, d)
+        while branch:
+            low = branch & -branch
             v = low.bit_length() - 1
-            keep = cadj[v]
-            if p & keep:
-                stack.append((r + (v,), p & keep, x & keep))
-            elif not x & keep:
+            cu = u & outside[v]
+            cd = d & apart[v]
+            if cu:
+                stack.append((r + (v,), cu, cd))
+            elif not cd:
                 found += 1
                 if found > cap:
                     raise MisCapExceededError(cap)
                 yield r + (v,)
-            p ^= low
-            x |= low
-            cand ^= low
+            u ^= low  # excluded from the later branches
+            d |= low
+            branch ^= low
 
 
 # Entries the count memo holds before it is cleared.  The states that recur
@@ -161,23 +171,21 @@ def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
     chosen neighbor), and D, the excluded vertices that still need a chosen
     neighbor.  Its count is the number of independent S within U that
     dominate U - S and D; with U empty that is 1 if D is empty, else 0.
-    Every such S meets a set B of U: the U-neighbors of the vertex of D
-    with the fewest, or N[u] & U for a u of least degree in U when D is
-    empty.  Branch i chooses the i-th vertex v of B, which takes N[v] out
-    of U and N(v) out of D, and excludes the vertices of B before it, which
-    move from U to D; the branches split the count exactly.  A state's
-    count depends on (U, D) alone, so a memo keyed on both counts a repeated
-    state once; it is cleared when it reaches _COUNT_MEMO entries, which
-    bounds its memory.  The search runs on an explicit stack.
+    Every such S meets the set B of U that _branch_set returns.  Branch i
+    chooses the i-th vertex v of B, which takes N[v] out of U and N(v) out
+    of D, and excludes the vertices of B before it, which move from U to D;
+    the branches split the count exactly.  iter_mis branches by the same
+    rule, so this argument covers listing too.  A state's count depends on
+    (U, D) alone, so a memo keyed on both counts a repeated state once; it
+    is cleared when it reaches _COUNT_MEMO entries, which bounds its memory.
+    The search runs on an explicit stack.
 
     A state's count is a count of distinct MISs, never more than the total,
     so MisCapExceededError is raised as soon as any count passes the cap,
     and exactly when the total does.
     """
     n = g.n
-    adj = adjacency_masks(g)
-    outside = [~(a | 1 << v) for v, a in enumerate(adj)]  # ~N[v]
-    apart = [~a for a in adj]                              # ~N(v)
+    adj, outside, apart = _state_masks(g)
     memo: dict[int, int] = {}  # U << n | D -> count
     counts: list[int] = []     # counts of finished states, for their parents
     # a state is (U, D); a state waiting on k pushed children is
@@ -192,21 +200,7 @@ def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
             if total is not None:
                 counts.append(total)
                 continue
-            # branch on the U-neighbors of the vertex of D with the fewest,
-            # or, with D empty, on N[w] & U for a w of least degree in U;
-            # the scan stops at a count no vertex can beat
-            scan, stop, best = d or u, 2 if d else 1, n
-            while scan:
-                low = scan & -scan
-                nbrs = adj[low.bit_length() - 1] & u
-                k = nbrs.bit_count()
-                if k < best:
-                    best, branch, pick = k, nbrs, low
-                    if k < stop:
-                        break
-                scan ^= low
-            if not d:
-                branch |= pick
+            branch = _branch_set(adj, u, d)
             total = 0
             pending = []
             while branch:

@@ -277,6 +277,16 @@ def test_compose_bad_glue_token_is_usage_error(capsys):
     assert code == 1
 
 
+def test_compose_repeated_glue_vertex_is_usage_error(capsys):
+    for first, again in (("2:99", "2:2"), ("2:2", "2:99"), ("2:2", "2:2")):
+        code, out, err = run_cli(capsys, "compose", "triangle_pendant_g1",
+                                 "triangle_pendant_g2", "--glue", "0:0",
+                                 "--glue", "1:1", "--glue", first,
+                                 "--glue", again)
+        assert code == 1 and out == ""
+        assert f"usage error: --glue token {again!r}" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "wcdim")[0] == 1
     assert run_cli(capsys, "verify", "bogus-suite")[0] == 1

@@ -240,6 +240,16 @@ def test_scs_compose_validation_clauses():
     assert err.value.clause == "glue-not-injective"
 
 
+def test_scs_spec_rejects_a_g2_vertex_glued_twice():
+    k3 = complete(3)
+    for pairs in ([(0, 0), (1, 1), (2, 2), (2, 9)], [(0, 0), (0, 0)]):
+        with pytest.raises(ValueError, match="g2 vertex"):
+            ScsSpec(k3, k3, pairs)
+    # a map names each g2 vertex once; distinct g2 vertices may share a
+    # target, which scs_compose rejects as not injective
+    assert ScsSpec(k3, k3, {2: 0, 0: 0}).glue == ((0, 0), (2, 0))
+
+
 def test_scs_compose_degenerate_full_overlap():
     comp = scs_compose(ScsSpec(complete(3), complete(3), {0: 0, 1: 1, 2: 2}))
     assert comp.graph == complete(3)

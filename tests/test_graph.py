@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -171,6 +173,17 @@ def test_simplicial_report_is_memoised_per_graph():
         assert len({g, fresh}) == 1, name
     with pytest.raises(AttributeError):
         g._simplicial = None
+
+
+def test_graph_copies_and_pickles_to_an_equal_graph():
+    for name, g in named_corpus().items():
+        simplicial_report(g)
+        for twin in (copy.copy(g), copy.deepcopy(g),
+                     pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g), name
+            assert twin.adjacency == g.adjacency, name
+            # rebuilt through the constructor: the memo is not carried over
+            assert twin._simplicial is None, name
 
 
 def test_contains_simplicial_vertex_reads_the_memoised_report():

@@ -1,10 +1,14 @@
+import gc
 import hashlib
 import json
+import weakref
+from collections import Counter
 
+from wellcovered import harness
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
-                                  figure6_spec, path,
+                                  figure6_spec, path, sierpinski,
                                   triangle_pendant_spec, vertex_bowtie)
-from wellcovered.harness import (REPORT_ONLY_CHECKS, _mis, _space,
+from wellcovered.harness import (REPORT_ONLY_CHECKS,
                                  check_lower_bound,
                                  check_mis_count, check_mis_structure,
                                  check_neighbor_swap,
@@ -14,8 +18,8 @@ from wellcovered.harness import (REPORT_ONLY_CHECKS, _mis, _space,
                                  check_sierpinski, check_weighting_lemmas,
                                  random_connected_graphs, run_suite,
                                  suite_passed, summary_table)
-from wellcovered.mis import is_mis
-from wellcovered.wcspace import wcdim
+from wellcovered.mis import enumerate_mis, is_mis
+from wellcovered.wcspace import wcdim, well_covered_space
 
 
 def test_lower_bound_examples():
@@ -176,10 +180,46 @@ def test_run_suite_thread_count_does_not_change_output():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r4, sort_keys=True)
 
 
-def test_run_suite_releases_its_caches():
+def _track_cached_results(monkeypatch):
+    """Weak references to every MIS list and space the harness builds, and
+    the number of times it enumerates each graph."""
+    made: list[weakref.ref] = []
+    enumerated: Counter = Counter()
+
+    def mis(g, cap):
+        enumerated[g] += 1
+        out = enumerate_mis(g, cap)
+        made.append(weakref.ref(out))
+        return out
+
+    def space(g, fld, **kwargs):
+        out = well_covered_space(g, fld, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness, "enumerate_mis", mis)
+    monkeypatch.setattr(harness, "well_covered_space", space)
+    return made, enumerated
+
+
+def test_run_suite_releases_its_caches(monkeypatch):
+    made, enumerated = _track_cached_results(monkeypatch)
     run_suite("default", seed=1, random_count=5)
-    assert _mis.cache_info().currsize == 0
-    assert _space.cache_info().currsize == 0
+    gc.collect()
+    assert made and set(enumerated.values()) == {1}
+    assert all(ref() is None for ref in made)
+    assert harness._cache is None
+
+
+def test_direct_check_call_releases_its_cache(monkeypatch):
+    made, enumerated = _track_cached_results(monkeypatch)
+    g = sierpinski(3).graph
+    assert check_neighbor_swap(g, "s3").status == "holds"
+    gc.collect()
+    # the swap pairs and the space read one MIS list
+    assert enumerated == {g: 1} and len(made) == 2
+    assert all(ref() is None for ref in made)
+    assert harness._cache is None
 
 
 def test_full_suite_report_is_byte_stable():

@@ -1,4 +1,6 @@
+import json
 import random
+from hashlib import sha256
 from itertools import islice
 
 import pytest
@@ -11,6 +13,7 @@ from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   figure6_composite, named_corpus, path,
                                   sierpinski, star, sccg_mod_base,
                                   vertex_bowtie)
+from wellcovered.harness import random_connected_graphs
 from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              NotSccgError, count_mis, enumerate_mis,
                              greedy_extend,
@@ -142,6 +145,10 @@ def test_count_matches_the_search():
             graphs.append(Graph(n, edges))
         except DisconnectedGraphError:
             continue
+    # large counts: S4's 80 840, the Perrin numbers of C38 and C40, and a
+    # graph like the bench's
+    graphs += [_relabelled(sierpinski(4).graph, 5), _relabelled(cycle(38), 6),
+               _relabelled(cycle(40), 7), _gnp(60, 0.22, 60)]
     for g in list(named_corpus().values()) + graphs:
         assert count_mis(g) == sum(1 for _ in iter_mis(g)), g
 
@@ -163,6 +170,72 @@ def test_count_on_relabelled_cycles_is_perrin():
 
 def test_count_on_relabelled_sierpinski_4():
     assert count_mis(_relabelled(sierpinski(4).graph, 3)) == 80840
+
+
+# sha256 over json.dumps([name, enumerate_mis(g).sets]) for each graph in
+# turn, taken from a Bron-Kerbosch search over the complement graph: an
+# independent algorithm's lists
+_CORPUS_MIS_SHA256 = \
+    "f73b7f5740412cfd6cc6e50506b0011f7abc741bf827504e05de22aeac91ec89"
+_RANDOM_MIS_SHA256 = \
+    "f619ef22228d2131b5b9290d9da4c2fec6a202eedf969c85340870082d7f06d8"
+
+
+def _mis_lists_sha256(named_graphs) -> str:
+    h = sha256()
+    for name, g in named_graphs:
+        h.update(json.dumps([name, enumerate_mis(g).sets]).encode())
+    return h.hexdigest()
+
+
+def test_mis_lists_are_pinned():
+    corpus = named_corpus()
+    assert "sierpinski_4" in corpus
+    assert _mis_lists_sha256(sorted(corpus.items())) == _CORPUS_MIS_SHA256
+    assert _mis_lists_sha256(random_connected_graphs(200, 7)) == \
+        _RANDOM_MIS_SHA256
+
+
+def _gnp(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    while True:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        try:
+            return Graph(n, edges)
+        except DisconnectedGraphError:
+            continue
+
+
+def _branching_states(monkeypatch) -> list[int]:
+    """A one-item list counting the states the searches branch from."""
+    seen = [0]
+    branch_set = mis_module._branch_set
+
+    def counted(*args):
+        seen[0] += 1
+        return branch_set(*args)
+
+    monkeypatch.setattr(mis_module, "_branch_set", counted)
+    return seen
+
+
+# Every count and list is unchanged by a branch-set scan that stops later,
+# as the scan's stop is only a shortcut; the states the searches visit on
+# this graph are not, so these pins fix the branching rule itself.
+_STATES_GRAPH = (24, 0.2, 24)
+
+
+def test_count_branches_from_the_pinned_states(monkeypatch):
+    seen = _branching_states(monkeypatch)
+    assert count_mis(_gnp(*_STATES_GRAPH)) == 212
+    assert seen[0] == 207
+
+
+def test_search_branches_from_the_pinned_states(monkeypatch):
+    seen = _branching_states(monkeypatch)
+    assert sum(1 for _ in iter_mis(_gnp(*_STATES_GRAPH))) == 212
+    assert seen[0] == 343
 
 
 def test_count_does_not_recurse_per_vertex():
