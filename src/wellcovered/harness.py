@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .families import (ScsSpec, ScsValidationError, figure6_spec, named_corpus,
@@ -23,7 +23,8 @@ from .graph import (DisconnectedGraphError, Graph, is_chordal, is_sccg,
                     simplicial_report)
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ, span_equal
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, enumerate_mis, is_mis,
-                  sccg_mis_count_formula, split_cliques_by_neighborhood)
+                  sccg_mis_count_formula, scs_mis_count,
+                  split_cliques_by_neighborhood, swap_pairs)
 from .wcspace import indicator_weighting, well_covered_space
 from . import families
 
@@ -255,17 +256,13 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
 def check_neighbor_swap(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Whenever two MISs differ in a single vertex, every basis weighting
-    agrees on the swapped pair."""
-    buckets: dict[int, list[int]] = {}
-    for t in _mis(g, cap).sets:
-        mask = sum(1 << v for v in t)
-        for v in t:
-            buckets.setdefault(mask ^ (1 << v), []).append(v)
-    pairs: set[tuple[int, int]] = set()
-    for swaps in buckets.values():
-        pairs.update(combinations(sorted(swaps), 2))
+    agrees on the swapped pair.
+
+    The pairs come from mis.swap_pairs, which counts one search state per
+    edge and lists no MIS; the space's MIS list is the only one read."""
     space = _space(g, QQ, cap)
-    for u, v in sorted(pairs):
+    pairs = swap_pairs(g, cap)
+    for u, v in pairs:
         for b_index, w in enumerate(space.basis):
             if w.values[u] != w.values[v]:
                 return _holds(
@@ -336,7 +333,6 @@ def check_scs_count(spec: ScsSpec, spec_id: str,
         comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_count", [spec_id], f"invalid clique sum: {exc}")
-    from .mis import scs_mis_count
     predicted = scs_mis_count(spec.g1, spec.g2, spec.glue_map(), cap=cap)
     enumerated = len(_mis(comp.graph, cap))
     details = {"predicted": predicted.total, "enumerated": enumerated,

@@ -9,20 +9,23 @@ that every extension must meet (_branch_set): the undecided neighbors of
 the vertex of D with the fewest, or the closed undecided neighborhood of an
 undecided vertex of least degree once D is empty.
 
-count_mis builds no set.  A state's count depends on (U, D) alone, so a
-memo, cleared whenever it reaches a fixed number of entries, counts a
-repeated state once; on a gasket or a cycle most states repeat.  iter_mis
-runs the same search without the memo and yields each MIS once, as its
-member tuple, in search order; single-pass consumers hold no list.
+_count_completions counts a state's completions and builds no set.  A
+state's count depends on (U, D) alone, so a memo, cleared whenever it
+reaches a fixed number of entries, counts a repeated state once; on a
+gasket or a cycle most states repeat.  One count answers three questions:
+count_mis counts the root state (V, {}), scs_mis_count the MISs through v
+as the state (V - N[v], {}), and swap_pairs reads, per edge uv, whether
+two MISs differ in u and v alone from one state's count.  iter_mis runs
+the same search without the memo and yields each MIS once, as its member
+tuple, in search order; single-pass consumers hold no list.
 enumerate_mis sorts the stream into a MisList, each MIS stored once as its
 ascending tuple of members, in canonical order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -164,33 +167,36 @@ def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
 _COUNT_MEMO = 1 << 16
 
 
-def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
-    """Number of maximal independent sets, counted without building one.
+def _count_completions(masks: tuple[list[int], list[int], list[int]],
+                       memo: dict[int, int], u: int, d: int, cap: int) -> int:
+    """Number of completions of the search state (U, D), with masks from
+    _state_masks and memo, mapping U << n | D to a state's count, a dict
+    that the caller owns.
 
-    A search state (U, D) holds U, the undecided vertices (not chosen, no
-    chosen neighbor), and D, the excluded vertices that still need a chosen
-    neighbor.  Its count is the number of independent S within U that
-    dominate U - S and D; with U empty that is 1 if D is empty, else 0.
-    Every such S meets the set B of U that _branch_set returns.  Branch i
-    chooses the i-th vertex v of B, which takes N[v] out of U and N(v) out
-    of D, and excludes the vertices of B before it, which move from U to D;
-    the branches split the count exactly.  iter_mis branches by the same
-    rule, so this argument covers listing too.  A state's count depends on
-    (U, D) alone, so a memo keyed on both counts a repeated state once; it
-    is cleared when it reaches _COUNT_MEMO entries, which bounds its memory.
-    The search runs on an explicit stack.
+    A state (U, D) holds U, the undecided vertices (not chosen, no chosen
+    neighbor), and D, the excluded vertices that still need a chosen
+    neighbor.  A completion is an independent S within U that dominates
+    U - S and D; with U empty the only candidate is S empty, a completion
+    exactly when D is empty.  Every completion meets the set B of U that
+    _branch_set returns.  Branch i chooses the i-th vertex v of B, which
+    takes N[v] out of U and N(v) out of D, and excludes the vertices of B
+    before it, which move from U to D; the branches split the count
+    exactly.  iter_mis branches by the same rule, so this argument covers
+    listing too.  A state's count depends on (U, D) alone, so a memo keyed
+    on both counts a repeated state once, and one memo may be shared by
+    every query on one graph.  It is cleared when it reaches _COUNT_MEMO
+    entries, which bounds its memory.  The search runs on an explicit stack.
 
-    A state's count is a count of distinct MISs, never more than the total,
-    so MisCapExceededError is raised as soon as any count passes the cap,
-    and exactly when the total does.
+    Raises MisCapExceededError as soon as any state's count passes the cap.
     """
-    n = g.n
-    adj, outside, apart = _state_masks(g)
-    memo: dict[int, int] = {}  # U << n | D -> count
+    if not u:
+        return int(not d)
+    adj, outside, apart = masks
+    n = len(adj)
     counts: list[int] = []     # counts of finished states, for their parents
     # a state is (U, D); a state waiting on k pushed children is
     # (key, k, the count of the children already known)
-    stack: list[tuple] = [((1 << n) - 1, 0)]
+    stack: list[tuple] = [(u, d)]
     while stack:
         top = stack.pop()
         if len(top) == 2:
@@ -234,6 +240,57 @@ def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
         memo[key] = total
         counts.append(total)
     return counts[0]
+
+
+def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
+    """Number of maximal independent sets, counted without building one:
+    the completions of the root state (V, {}), over a fresh memo.
+
+    Every state's count is a count of distinct MISs, never more than the
+    total, so MisCapExceededError is raised as soon as any count passes the
+    cap, and exactly when the total does.
+    """
+    return _count_completions(_state_masks(g), {}, (1 << g.n) - 1, 0, cap)
+
+
+def _state_counter(g: Graph, cap: int):
+    """count(U, D), the completions of g's state (U & V, D) over one memo,
+    and g's state masks.
+
+    The root (V, {}) is counted first, so MisCapExceededError is raised here
+    exactly when count_mis(g, cap) raises it.  A later count is of MISs of
+    g too, so it cannot pass the cap.
+    """
+    masks, memo, full = _state_masks(g), {}, (1 << g.n) - 1
+
+    def count(u: int, d: int) -> int:
+        return _count_completions(masks, memo, u & full, d, cap)
+
+    count(full, 0)
+    return count, masks
+
+
+def swap_pairs(g: Graph, cap: int = DEFAULT_MIS_CAP) -> list[tuple[int, int]]:
+    """The pairs {u, v} such that two maximal independent sets differ in u
+    and v alone, as the edges (u, v) of g.edges in order.
+
+    Two such MISs are S + u and S + v, with u and v outside S.  S + u is
+    maximal, so v has a neighbor in S + u; S + v is independent, so that
+    neighbor is u: every pair is an edge.  For an edge uv, S + u and S + v
+    are both independent exactly when S is independent and within
+    U = V - N[u] - N[v].  S + u is maximal exactly when S dominates the
+    vertices outside S and N[u], and S + v when it dominates those outside
+    S and N[v]; together, those outside S and N[u] & N[v].  For S within U
+    they are U - S and D = N[u] ^ N[v], which is (N(u) ^ N(v)) - {u, v} as
+    u is in N(v) and v in N(u).  So the edge is a pair exactly when the
+    state (U, D) has a completion.  One memo serves every edge's state.
+
+    Raises MisCapExceededError exactly when count_mis(g, cap) does.
+    """
+    count, (_, outside, _) = _state_counter(g, cap)
+    # outside[v] is ~N[v], so the second mask is N[u] ^ N[v]
+    return [(u, v) for u, v in g.edges
+            if count(outside[u] & outside[v], outside[u] ^ outside[v])]
 
 
 def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
@@ -415,6 +472,12 @@ def scs_mis_count(g1: Graph, g2: Graph, glue: Mapping[int, int],
 
     glue maps each shared vertex's g2 label to its g1 label; its domain must
     be a clique in g2 and its image a clique in g1.
+
+    The MISs through v are v plus the completions of the state
+    (V - N[v], {}): choosing v leaves N[v] decided and N(v) dominated.  Each
+    graph's states share one memo, and its root is counted first, so
+    MisCapExceededError is raised exactly when count_mis raises it on g1 or
+    g2.
     """
     dom = g2._check_subset(glue.keys())
     img = g1._check_subset(glue.values())
@@ -424,15 +487,11 @@ def scs_mis_count(g1: Graph, g2: Graph, glue: Mapping[int, int],
         raise ValueError("glue domain is not a clique in the second graph")
     if not g1.is_clique(img):
         raise ValueError("glue image is not a clique in the first graph")
-    # MISs through each vertex, from one pass over each graph's search
-    through1 = Counter(chain.from_iterable(iter_mis(g1, cap)))
-    through2 = Counter(chain.from_iterable(iter_mis(g2, cap)))
+    count1, (_, outside1, _) = _state_counter(g1, cap)
+    count2, (_, outside2, _) = _state_counter(g2, cap)
     rows = []
-    total = 0
     for v2 in sorted(dom):
         v1 = glue[v2]
-        l_count = through1[v1]
-        m_count = through2[v2]
-        rows.append((v1, l_count, m_count))
-        total += l_count * m_count
-    return SharedCliqueMisCount(total=total, per_vertex=tuple(rows))
+        rows.append((v1, count1(outside1[v1], 0), count2(outside2[v2], 0)))
+    return SharedCliqueMisCount(total=sum(l * m for _, l, m in rows),
+                                per_vertex=tuple(rows))

@@ -216,7 +216,7 @@ def test_direct_check_call_releases_its_cache(monkeypatch):
     g = sierpinski(3).graph
     assert check_neighbor_swap(g, "s3").status == "holds"
     gc.collect()
-    # the swap pairs and the space read one MIS list
+    # the space reads one MIS list
     assert enumerated == {g: 1} and len(made) == 2
     assert all(ref() is None for ref in made)
     assert harness._cache is None

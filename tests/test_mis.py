@@ -10,8 +10,9 @@ from wellcovered import mis as mis_module
 from wellcovered.graph import (DisconnectedGraphError, Graph, relabel,
                                simplicial_report)
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
-                                  figure6_composite, named_corpus, path,
-                                  sierpinski, star, sccg_mod_base,
+                                  figure6_composite, figure6_spec,
+                                  named_corpus, path, sierpinski, star,
+                                  sccg_mod_base, triangle_pendant_spec,
                                   vertex_bowtie)
 from wellcovered.harness import random_connected_graphs
 from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
@@ -20,7 +21,7 @@ from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              independent_subsets_of_connection_set,
                              is_independent, is_mis, iter_mis,
                              sccg_mis_count_formula, scs_mis_count,
-                             split_cliques_by_neighborhood)
+                             split_cliques_by_neighborhood, swap_pairs)
 
 from oracles import all_mis_powerset
 from strategies import connected_graphs
@@ -450,3 +451,95 @@ def test_sorted_tuples_are_built_once_and_returned_as_copies():
     # a list rebuilt from the same sets is equal and hashes alike
     fresh = MisList(graph=mis.graph, sets=mis.sets)
     assert fresh == mis and hash(fresh) == hash(mis)
+
+
+def _oracle_swap_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Pairs {u, v} with two MISs differing in u and v alone, by comparing
+    every two sets of the power-set oracle."""
+    sets = [set(m) for m in all_mis_powerset(g.n, g.edges)]
+    pairs = set()
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if len(a ^ b) == 2:
+                pairs.add(tuple(sorted(a ^ b)))
+    return sorted(pairs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_n=10))
+@example(complete(1))
+@example(complete(2))
+@example(cycle(10))
+def test_swap_pairs_match_the_powerset_oracle(g):
+    assert swap_pairs(g) == _oracle_swap_pairs(g)
+
+
+def test_swap_pairs_match_the_powerset_oracle_on_the_corpus():
+    for name, g in named_corpus().items():
+        if name != "sierpinski_4":
+            assert swap_pairs(g) == _oracle_swap_pairs(g), name
+
+
+# sha256 over json.dumps of the sorted pair list that a dict bucketing every
+# MIS of S4 by the set left after removing one member produced
+_S4_SWAP_PAIRS_SHA256 = \
+    "0fbced67de3523c34c8dfce5b5cb6875e4faeec28d2dac917c50e06d5695f006"
+
+
+def test_swap_pairs_on_sierpinski_4_are_pinned():
+    pairs = swap_pairs(sierpinski(4).graph)
+    assert len(pairs) == 69
+    assert sha256(json.dumps(pairs).encode()).hexdigest() == \
+        _S4_SWAP_PAIRS_SHA256
+
+
+def _oracle_through(g: Graph, v: int) -> int:
+    return sum(1 for m in all_mis_powerset(g.n, g.edges) if v in m)
+
+
+def _self_glued(g: Graph, seed: int):
+    """g, a relabelled copy of g, and a glue map joining the copy to g
+    along one edge (along vertex 0 when g has none)."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    shared = rng.choice(g.edges) if g.edges else (0,)
+    return g, relabel(g, perm), {perm[v]: v for v in shared}
+
+
+def _assert_through_counts_match_the_oracle(g1, g2, glue):
+    out = scs_mis_count(g1, g2, glue)
+    assert out.per_vertex == tuple(
+        (v1, _oracle_through(g1, v1), _oracle_through(g2, v2))
+        for v2, v1 in sorted(glue.items()))
+    assert out.total == sum(l * m for _, l, m in out.per_vertex)
+
+
+def test_scs_through_counts_match_the_powerset_oracle():
+    for spec in (triangle_pendant_spec(), figure6_spec()):
+        _assert_through_counts_match_the_oracle(spec.g1, spec.g2,
+                                                spec.glue_map())
+    for seed, (_, g) in enumerate(random_connected_graphs(40, 11)):
+        _assert_through_counts_match_the_oracle(*_self_glued(g, seed))
+
+
+def test_scs_mis_count_lists_no_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iter_mis called")
+
+    monkeypatch.setattr(mis_module, "iter_mis", refuse)
+    spec = figure6_spec()
+    _assert_through_counts_match_the_oracle(spec.g1, spec.g2, spec.glue_map())
+
+
+def test_state_queries_raise_exactly_when_the_count_passes_the_cap():
+    for seed, (name, g) in enumerate(sorted(named_corpus().items())):
+        k = count_mis(g)
+        g1, g2, glue = _self_glued(g, seed)
+        assert swap_pairs(g, cap=k) == swap_pairs(g)
+        assert scs_mis_count(g1, g2, glue, cap=k) == \
+            scs_mis_count(g1, g2, glue)
+        with pytest.raises(MisCapExceededError):
+            swap_pairs(g, cap=k - 1)
+        with pytest.raises(MisCapExceededError):
+            scs_mis_count(g1, g2, glue, cap=k - 1)
