@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import wraps
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -240,7 +239,7 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
                 return _na("weighting_lemmas", [graph_id],
                            f"selection search above {_SELECTION_CAP}")
             target = w.values[conn]
-            found = any(sum((w.values[v] for v in pick), Fraction(0)) == target
+            found = any(sum(w.values[v] for v in pick) == target
                         for pick in product(*pools))
             if not found:
                 return _holds(

@@ -1,16 +1,16 @@
 """Exact field arithmetic and row reduction: rationals and prime fields.
 
-Scalars are plain values: over the rationals an int or a fractions.Fraction
-(ints are exact rationals and are kept as they are), over GF(p) an int in
-0..p-1.  A FieldSpec carries the arithmetic; matrices and vectors never
-round and never overflow.  Row reduction does not go through the
-FieldSpec: rref, rank_of_rows, nullspace_basis and span_basis all run one
-elimination on int rows for both kinds of field (fraction-free over the
-rationals), and each builds Fractions only where its result promises them:
-rref's reduced matrix, and the basis vectors, which over the rationals are
-coprime integers with the first nonzero entry positive.  nullspace_basis
-reads the basis of a matrix's nullspace off the matrix; span_basis reads
-the same basis off any vectors spanning that nullspace.
+Scalars are plain values: over the rationals an int, or a fractions.Fraction
+where a value can be non-integral, over GF(p) an int in 0..p-1.  An
+integral rational is always a Python int.  A FieldSpec carries the
+arithmetic; matrices and vectors never round and never overflow.  Row
+reduction does not go through the FieldSpec: rref, rank_of_rows,
+nullspace_basis and span_basis all run one elimination on int rows for both
+kinds of field (fraction-free over the rationals).  Fractions are built only
+for rref's reduced matrix; the basis vectors are ints, over the rationals
+coprime with the first nonzero entry positive.  nullspace_basis reads the
+basis of a matrix's nullspace off the matrix; span_basis reads the same
+basis off any vectors spanning that nullspace.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An exact coefficient field: the rationals, or GF(p) for a prime p."""
+    """An exact coefficient field: the rationals, or GF(p) for a prime p.
+
+    zero, one and from_int return ints over both kinds of field: the
+    integer itself over the rationals, its residue over GF(p)."""
 
     kind: str
     p: int | None = None
@@ -107,13 +110,13 @@ class FieldSpec:
     # scalar arithmetic -------------------------------------------------------
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.is_rationals else 0
+        return 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.is_rationals else 1
+        return 1
 
     def from_int(self, k: int) -> Scalar:
-        return Fraction(k) if self.is_rationals else k % self.p
+        return k if self.is_rationals else k % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.is_rationals else (a + b) % self.p
@@ -265,7 +268,7 @@ def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
     vector k is zero on every free column but the k-th; basis size is
     cols - rank.  Over GF(p) the vector has a one in its free column.  Over
     the rationals it is scaled to coprime integers with its first nonzero
-    entry positive, returned as Fractions with denominator 1.  The vectors
+    entry positive.  Entries are ints over both kinds of field.  The vectors
     are read from the eliminated int rows; no reduced matrix is built.
     """
     p = m.field.p
@@ -286,8 +289,8 @@ def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
             vec[free] = s
             for row, pc in pivots:
                 vec[pc] = -row[free] * s // row[pc]
-            sign = -1 if next(x for x in vec if x) < 0 else 1
-            vec = [Fraction(sign * x) for x in vec]
+            if next(x for x in vec if x) < 0:
+                vec = [-x for x in vec]
         basis.append(vec)
     return basis
 
@@ -302,7 +305,7 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
     basis from the left of m's column matroid is the greedy basis from the
     right of its dual, the column matroid of the nullspace.  Each reduced
     row, reversed back, is then zero on every other free column, and is
-    scaled as nullspace_basis scales its vectors.
+    scaled as nullspace_basis scales its vectors, with int entries.
     """
     if any(len(v) != length for v in vectors):
         raise ValueError(f"vectors must have length {length}")
@@ -321,7 +324,6 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
                 content = -content
             if content != 1:
                 row = [x // content for x in row]
-            row = list(map(Fraction, row))
         basis.append(row)
     return basis
 

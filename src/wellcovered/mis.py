@@ -25,7 +25,6 @@ ascending tuple of members, in canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -348,16 +347,24 @@ def independent_subsets_of_connection_set(
         g: Graph, report: SimplicialReport | None = None) -> list[frozenset]:
     """All nonempty independent subsets of the connection set, in canonical
     order.  The empty set is excluded: the counting formula accounts for it
-    through its standalone product term."""
+    through its standalone product term.
+
+    Only independent sets are grown: each is extended by the later vertices
+    of the sorted connection set outside its neighborhood, so each set
+    returned costs one scan of the connection set.  The stack pops the
+    smallest extension first, and this pre-order is the canonical order."""
     rep = report if report is not None else simplicial_report(g)
+    adj = adjacency_masks(g)
     w = sorted(rep.connection_set)
     out = []
-    for r in range(1, len(w) + 1):
-        for combo in combinations(w, r):
-            if is_independent(g, combo):
-                out.append(frozenset(combo))
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return out
+    stack = [((), 0, 0)]  # members, first index of w to grow by, N(members)
+    while stack:
+        members, start, blocked = stack.pop()
+        out.append(frozenset(members))
+        for j in reversed(range(start, len(w))):
+            if not blocked >> w[j] & 1:
+                stack.append((members + (w[j],), j + 1, blocked | adj[w[j]]))
+    return out[1:]
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,10 @@ class WeightingCheck:
 class WcSpace:
     """Basis and dimension of the well-covered space over one field.
 
-    Every basis entry is integral: a residue in 0..p-1 over GF(p), and over
-    the rationals a rational scalar with denominator 1, each vector's entries
-    coprime with its first nonzero entry positive, as nullspace_basis returns
-    them.  well_covered_space is the only constructor.
+    Every basis entry is an int: a residue in 0..p-1 over GF(p), and over
+    the rationals each vector's entries are coprime with its first nonzero
+    entry positive, as nullspace_basis returns them.  well_covered_space is
+    the only constructor.
     """
 
     graph: Graph
@@ -426,10 +426,10 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
     """Exact basis of the well-covered space and its dimension.
 
     Deterministic: basis vectors come from free-column parameterization of
-    the reduced echelon form; rational vectors are coprime integers with
-    positive leading entry (see nullspace_basis).  A given MIS list is read
-    by one row filter; without one, the search is streamed as in
-    well_covered_spaces.
+    the reduced echelon form; every entry is an int, and rational vectors
+    are coprime with positive leading entry (see nullspace_basis).  A given
+    MIS list is read by one row filter; without one, the search is streamed
+    as in well_covered_spaces.
     """
     if mis is None:
         return well_covered_spaces(g, (field,), cap=cap)[0]
@@ -467,7 +467,8 @@ def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
 
 
 def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:
-    """Weighting that is one on the given set and zero elsewhere."""
+    """Weighting that is one on the given set and zero elsewhere, with the
+    field's int scalars."""
     s = g._check_subset(vs)
     values = tuple(field.one() if v in s else field.zero() for v in g.vertices)
     return Weighting(graph=g, field=field, values=values)
@@ -475,12 +476,11 @@ def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:
 
 def wcspace_report(space: WcSpace, graph_id: str) -> dict:
     """JSON-ready report for one graph and one field."""
-    basis = [[int(x) for x in w.values] for w in space.basis]
     return {
         "graph": graph_id,
         "field": space.field.to_json(),
         "mis_count": space.mis_count,
         "dimension": space.dimension,
         "constraint_rank": space.constraint_rank,
-        "basis": basis,
+        "basis": [list(w.values) for w in space.basis],
     }

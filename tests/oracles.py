@@ -2,7 +2,10 @@
 
 Everything here works from (n, edge set) alone with definition-literal
 power-set scans and plain Fraction elimination, deliberately sharing no code
-path with the package implementations it checks.
+path with the package implementations it checks.  The one exception is
+independent_subsets_of_connection_set, the package's earlier power-set scan
+over its own independence test, kept as the reference for the search that
+replaced it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+
+from wellcovered.graph import Graph, SimplicialReport, simplicial_report
+from wellcovered import mis as wc_mis
 
 
 def is_prime_trial_division(n: int) -> bool:
@@ -220,3 +226,19 @@ def _coprime_integers(vec) -> list[int]:
         content = gcd(content, abs(x))
     sign = -1 if next(x for x in ints if x != 0) < 0 else 1
     return [sign * x // content for x in ints]
+
+
+def independent_subsets_of_connection_set(
+        g: Graph, report: SimplicialReport | None = None) -> list[frozenset]:
+    """All nonempty independent subsets of the connection set, in canonical
+    order.  The empty set is excluded: the counting formula accounts for it
+    through its standalone product term."""
+    rep = report if report is not None else simplicial_report(g)
+    w = sorted(rep.connection_set)
+    out = []
+    for r in range(1, len(w) + 1):
+        for combo in combinations(w, r):
+            if wc_mis.is_independent(g, combo):
+                out.append(frozenset(combo))
+    out.sort(key=lambda s: tuple(sorted(s)))
+    return out

@@ -84,6 +84,15 @@ def test_weighting_lemmas_verdicts():
     assert check_weighting_lemmas(cycle(8), "c8").status == "not_applicable"
 
 
+def test_weighting_lemmas_selection_cap_is_not_applicable(monkeypatch):
+    monkeypatch.setattr(harness, "_SELECTION_CAP", 0)
+    # figure1 has no connection vertex, so no selection search is run
+    assert check_weighting_lemmas(figure1(), "figure1").status == "holds"
+    v = check_weighting_lemmas(vertex_bowtie(), "vertex_bowtie")
+    assert v.status == "not_applicable"
+    assert v.details == {"reason": "selection search above 0"}
+
+
 def test_neighbor_swap_verdicts():
     v = check_neighbor_swap(cycle(4), "c4")
     assert v.status == "holds" and v.details["vacuous"]

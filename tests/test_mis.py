@@ -23,6 +23,7 @@ from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              sccg_mis_count_formula, scs_mis_count,
                              split_cliques_by_neighborhood, swap_pairs)
 
+import oracles
 from oracles import all_mis_powerset
 from strategies import connected_graphs
 
@@ -308,6 +309,41 @@ def test_independent_subsets_of_connection_set():
     assert independent_subsets_of_connection_set(vertex_bowtie()) == \
         [frozenset({2})]
     assert independent_subsets_of_connection_set(star(3)) == [frozenset({0})]
+
+
+def triangle_chain(k: int) -> Graph:
+    """Triangles {a_i, b_i, a_(i+1)} for i < k, with a_i = 2i and b_i = 2i + 1:
+    the connection set a_1..a_(k-1) is a path of k - 1 vertices."""
+    return Graph(2 * k + 1, [e for i in range(k) for e in
+                             ((2 * i, 2 * i + 1), (2 * i, 2 * i + 2),
+                              (2 * i + 1, 2 * i + 2))])
+
+
+def test_independent_subsets_match_the_power_set_oracle():
+    graphs = list(named_corpus().values()) + \
+        [g for _, g in random_connected_graphs(60, 17, max_n=12)] + \
+        [triangle_chain(k) for k in range(1, 9)]
+    for g in graphs:
+        assert independent_subsets_of_connection_set(g) == \
+            oracles.independent_subsets_of_connection_set(g), g
+
+
+def test_independent_subsets_grow_only_independent_sets(monkeypatch):
+    calls = 0
+    original = mis_module.is_independent
+
+    def spy(g, vs):
+        nonlocal calls
+        calls += 1
+        return original(g, vs)
+
+    monkeypatch.setattr(mis_module, "is_independent", spy)
+    g = triangle_chain(16)
+    seeds = independent_subsets_of_connection_set(g)
+    breakdown = sccg_mis_count_formula(g)
+    assert len(seeds) == 1596  # nonempty independent sets of a 15-vertex path
+    assert calls <= 2 * len(seeds)
+    assert breakdown.total == count_mis(g)
 
 
 def test_split_cliques_by_neighborhood():

@@ -12,7 +12,7 @@ from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, FieldSpec, rref, \
-    integerize, nullspace_basis, rank_of_rows, span_equal
+    integerize, nullspace_basis, rank_of_rows, span_basis, span_equal
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
     enumerate_mis, is_mis, random_greedy_mis
@@ -402,9 +402,29 @@ def test_kernel_read_basis_matches_oracle_on_list_and_stream():
             for got in (listed, space):
                 assert [[int(x) for x in v] for v in got.basis_vectors()] \
                     == want, (g, field)
-                scalar = Fraction if field.is_rationals else int
-                assert all(type(x) is scalar
+                assert all(type(x) is int
                            for v in got.basis_vectors() for x in v)
+
+
+def test_integral_rationals_are_ints_at_the_library_interface():
+    # over Q an integral scalar is an int; only rref's matrix holds Fractions
+    def ints(vectors):
+        return all(type(x) is int for v in vectors for x in v)
+
+    assert ints([[QQ.zero(), QQ.one(), QQ.from_int(-4)]])
+    assert ints([indicator_weighting(figure1(), {0, 3}).values])
+    m = constraint_matrix(figure1(), enumerate_mis(figure1()), QQ)
+    assert ints(nullspace_basis(m))
+    assert ints(span_basis([[2, 4, 0], [1, 0, -3]], QQ, 3))
+    for g in (figure1(), cycle(4)):
+        assert ints(well_covered_space(g, QQ, mis=enumerate_mis(g))
+                    .basis_vectors())
+        assert ints(well_covered_space(g, QQ).basis_vectors())
+        for space in well_covered_spaces(g, DEFAULT_FIELDS):
+            assert ints(space.basis_vectors())
+    basis, _, _ = certified_space(sierpinski(3).graph, QQ)
+    assert ints(w.values for w in basis)
+    assert all(type(x) is Fraction for r in rref(m)[0].entries for x in r)
 
 
 def _assert_live_kernel_is_exact(filt, field):
