@@ -6,12 +6,14 @@ in oracles.py before being frozen here.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from functools import lru_cache
 
+import wellcovered
 from wellcovered.cli import main as cli_main
 from wellcovered.families import (cycle, figure1,
                                   figure6_spec, named_corpus, path,
@@ -226,12 +228,16 @@ def test_criterion_10_report_only_discrepancy_protocol():
 
 
 def test_criterion_11_cli_determinism(capsys):
-    # fresh processes, so hash randomization and import order are exercised too
+    # fresh processes, so hash randomization and import order are exercised
+    # too; they find the package where this process imported it from
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wellcovered.__file__)))
+
     def run_process(extra=()):
         proc = subprocess.run(
             [sys.executable, "-m", "wellcovered.cli", "verify", "default",
              "--seed", "0", "--json", *extra],
-            capture_output=True)
+            capture_output=True, env=env)
         return proc.returncode, proc.stdout
 
     code1, out1 = run_process()
