@@ -21,7 +21,8 @@ from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        figure2_family, path, scs_compose, scs_split,
                        sierpinski)
 from .graph import (EdgeListParseError, Graph, GraphError, format_edge_list,
-                    is_chordal, is_sccg, parse_edge_list, simplicial_report)
+                    is_chordal, is_sccg, parse_edge_list, save_graph,
+                    simplicial_report)
 from .harness import run_suite, suite_passed, summary_table
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, NotSccgError,
@@ -205,19 +206,15 @@ def _cmd_gen(args) -> int:
         target = args.corpus or "corpus"
         os.makedirs(target, exist_ok=True)
         for name in corpus_names():
-            text = format_edge_list(corpus_graph(name), corpus_comments(name))
-            with open(os.path.join(target, name + ".g"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(text)
+            save_graph(corpus_graph(name), os.path.join(target, name + ".g"),
+                       corpus_comments(name))
         sys.stdout.write(f"wrote {len(corpus_names())} graphs to {target}\n")
         return EXIT_OK
     g, comments = _family_graph(args.family, args.param)
-    text = format_edge_list(g, comments)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_graph(g, args.out, comments)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_edge_list(g, comments))
     return EXIT_OK
 
 
@@ -340,8 +337,7 @@ def _cmd_compose(args) -> int:
                 f"shared clique (composite labels): {sorted(comp.shared)}",
                 f"g2 vertex map: {list(comp.g2_to_composite)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_edge_list(comp.graph, comments))
+        save_graph(comp.graph, args.out, comments)
     q = dims[QQ.label()] if QQ in fields else next(iter(dims.values()))
     text = (f"composite of {id1} and {id2}: n={comp.graph.n}, "
             f"shared={sorted(comp.shared)}\n"

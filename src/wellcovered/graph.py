@@ -43,12 +43,13 @@ class Graph:
     Equality and hashing are label-sensitive: two graphs are equal iff they
     have the same vertex count and the same edge set.
 
-    The graph memoises its simplicial_report in the _simplicial slot, set on
-    first use: the memo lives exactly as long as the graph object, and it
-    takes no part in equality or hashing.
+    The graph builds its neighbour bitmasks once, into the _masks slot (see
+    adjacency_masks), and memoises its simplicial_report in the _simplicial
+    slot, set on first use: both live exactly as long as the graph object,
+    and neither takes part in equality or hashing.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_hash", "_simplicial")
+    __slots__ = ("n", "edges", "adjacency", "_hash", "_masks", "_simplicial")
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -80,6 +81,11 @@ class Graph:
         object.__setattr__(self, "_simplicial", None)
         if not self._is_connected():
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def _is_connected(self) -> bool:
         seen = {0}
@@ -172,6 +178,12 @@ class Graph:
         return Graph(len(keep), sub_edges), tuple(keep)
 
 
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Per-vertex neighbor bitmasks (bit u of entry v set iff u and v are
+    adjacent), built once when the graph is."""
+    return g._masks
+
+
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated Graph; duplicate pairs in either orientation collapse."""
     return Graph(n, edge_list)
@@ -236,8 +248,7 @@ def simplicial_report(g: Graph) -> SimplicialReport:
 
 
 def _simplicial_report(g: Graph) -> SimplicialReport:
-    closed = [sum(1 << u for u in nbrs) | 1 << v
-              for v, nbrs in enumerate(g.adjacency)]
+    closed = [m | 1 << v for v, m in enumerate(adjacency_masks(g))]
     # N[v] is a clique iff every neighbour u of v is adjacent to all of it,
     # that is iff N[v] is a subset of N[u]
     simp = [v for v in g.vertices

@@ -148,7 +148,7 @@ def _classify_mis(g: Graph, rep, clique_index: dict, m: frozenset) -> str:
     rest = m - seed
     if not rest <= simp:
         return "neither"
-    split = split_cliques_by_neighborhood(g, seed, rep)
+    split = split_cliques_by_neighborhood(g, seed)
     uncovered = {i for i, c in enumerate(rep.cliques) if c in split.uncovered}
     picked = [clique_index[v] for v in rest]
     if len(set(picked)) == len(picked) and set(picked) == uncovered:
@@ -230,7 +230,7 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
                              "basis_vector": b_index, "clique": sorted(clique),
                              "values": [str(w.values[v]) for v in sorted(residual)]})
         for conn in sorted(rep.connection_set):
-            covered = split_cliques_by_neighborhood(g, [conn], rep).covered
+            covered = split_cliques_by_neighborhood(g, [conn]).covered
             pools = [sorted(c & rep.simplicial_vertices) for c in covered]
             total = 1
             for p in pools:

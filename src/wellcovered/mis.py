@@ -25,10 +25,12 @@ ascending tuple of members, in canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import Graph, SimplicialReport, simplicial_report, is_sccg
+from .graph import (Graph, SimplicialReport, adjacency_masks, is_sccg,
+                    simplicial_report)
 
 DEFAULT_MIS_CAP = 10**6
 
@@ -47,15 +49,6 @@ class NotIndependentError(ValueError):
 
 class NotSccgError(ValueError):
     """The operation needs the simplicial cliques to cover the graph."""
-
-
-def adjacency_masks(g: Graph) -> list[int]:
-    """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def is_independent(g: Graph, vs: Iterable[int]) -> bool:
@@ -117,7 +110,7 @@ def _branch_set(adj: Sequence[int], u: int, d: int) -> int:
     return branch if d else branch | pick
 
 
-def _state_masks(g: Graph) -> tuple[list[int], list[int], list[int]]:
+def _state_masks(g: Graph) -> tuple[tuple[int, ...], list[int], list[int]]:
     """Neighbor masks N(v), and the complements ~N[v] and ~N(v) that
     choosing v applies to U and to D."""
     adj = adjacency_masks(g)
@@ -166,7 +159,7 @@ def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
 _COUNT_MEMO = 1 << 16
 
 
-def _count_completions(masks: tuple[list[int], list[int], list[int]],
+def _count_completions(masks: tuple[tuple[int, ...], list[int], list[int]],
                        memo: dict[int, int], u: int, d: int, cap: int) -> int:
     """Number of completions of the search state (U, D), with masks from
     _state_masks and memo, mapping U << n | D to a state's count, a dict
@@ -313,8 +306,7 @@ def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:
     if not is_independent(g, s):
         raise NotIndependentError(f"{sorted(s)} is not independent")
     adj = adjacency_masks(g)
-    full = (1 << g.n) - 1
-    surviving = full
+    surviving = (1 << g.n) - 1
     result = set(s)
     for v in s:
         surviving &= ~(adj[v] | (1 << v))
@@ -328,9 +320,9 @@ def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:
 def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
     """A maximal independent set grown greedily in a random vertex order.
 
-    adj holds the neighbor bitmasks of adjacency_masks.  Every vertex, in an
-    order shuffled by rng, joins the set unless a member is adjacent to it;
-    the members come back in the order they joined.
+    adj holds the neighbor bitmasks of graph.adjacency_masks.  Every vertex,
+    in an order shuffled by rng, joins the set unless a member is adjacent
+    to it; the members come back in the order they joined.
     """
     order = list(range(len(adj)))
     rng.shuffle(order)
@@ -343,28 +335,32 @@ def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
     return tuple(members)
 
 
-def independent_subsets_of_connection_set(
-        g: Graph, report: SimplicialReport | None = None) -> list[frozenset]:
-    """All nonempty independent subsets of the connection set, in canonical
-    order.  The empty set is excluded: the counting formula accounts for it
-    through its standalone product term.
+def _connection_walk(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (S, N[S] as a bitmask) for every independent subset S of the
+    connection set, the empty set first, in canonical order, each S as its
+    ascending member tuple.
 
     Only independent sets are grown: each is extended by the later vertices
-    of the sorted connection set outside its neighborhood, so each set
-    returned costs one scan of the connection set.  The stack pops the
-    smallest extension first, and this pre-order is the canonical order."""
-    rep = report if report is not None else simplicial_report(g)
+    of the sorted connection set outside its closed neighborhood, so each
+    set costs one scan of the connection set.  The stack pops the smallest
+    extension first, and this pre-order is the canonical order."""
     adj = adjacency_masks(g)
-    w = sorted(rep.connection_set)
-    out = []
-    stack = [((), 0, 0)]  # members, first index of w to grow by, N(members)
+    w = sorted(simplicial_report(g).connection_set)
+    stack = [((), 0, 0)]  # members, first index of w to grow by, N[members]
     while stack:
-        members, start, blocked = stack.pop()
-        out.append(frozenset(members))
+        members, start, closed = stack.pop()
+        yield members, closed
         for j in reversed(range(start, len(w))):
-            if not blocked >> w[j] & 1:
-                stack.append((members + (w[j],), j + 1, blocked | adj[w[j]]))
-    return out[1:]
+            v = w[j]
+            if not closed >> v & 1:
+                stack.append((members + (v,), j + 1, closed | adj[v] | 1 << v))
+
+
+def independent_subsets_of_connection_set(g: Graph) -> list[frozenset]:
+    """All nonempty independent subsets of the connection set, in canonical
+    order.  The empty set is excluded: the counting formula accounts for it
+    through its standalone product term."""
+    return [frozenset(members) for members, _ in _connection_walk(g)][1:]
 
 
 @dataclass(frozen=True)
@@ -375,20 +371,14 @@ class CliqueSplit:
     uncovered: tuple[frozenset, ...]
     covered: tuple[frozenset, ...]
 
-    @property
-    def count_uncovered(self) -> int:
-        return len(self.uncovered)
 
-
-def split_cliques_by_neighborhood(
-        g: Graph, seed: Iterable[int],
-        report: SimplicialReport | None = None) -> CliqueSplit:
+def split_cliques_by_neighborhood(g: Graph, seed: Iterable[int]) -> CliqueSplit:
     """Partition the simplicial cliques by containment in N[seed].
 
     seed must be an independent subset of the connection set.  A clique lands
     in 'uncovered' iff it is not a subset of the closed neighborhood of seed.
     """
-    rep = report if report is not None else simplicial_report(g)
+    rep = simplicial_report(g)
     s = g._check_subset(seed)
     if not s <= rep.connection_set:
         raise ValueError(f"{sorted(s)} is not a subset of the connection set")
@@ -418,7 +408,7 @@ class SccgCountBreakdown:
     count_mode: str
 
 
-def _clique_residual_sizes(g: Graph, rep: SimplicialReport, mode: str) -> list[int]:
+def _clique_residual_sizes(rep: SimplicialReport, mode: str) -> list[int]:
     if mode == "residual":
         return [len(c - rep.per_clique_w[i]) for i, c in enumerate(rep.cliques)]
     if mode == "simplicial":
@@ -429,31 +419,33 @@ def _clique_residual_sizes(g: Graph, rep: SimplicialReport, mode: str) -> list[i
 def sccg_mis_count_formula(g: Graph, count_mode: str = "residual") -> SccgCountBreakdown:
     """Evaluate the closed-form MIS count exactly as written.
 
+    The seeds are the nonempty independent subsets S of the connection
+    set, each with N[S] as a bitmask; a clique is uncovered by S when its
+    mask has a bit outside N[S].
+
     No claim is made that the result matches true enumeration; the
     verification harness compares the two and reports disagreements.
     """
     if not is_sccg(g):
         raise NotSccgError("simplicial cliques do not cover the graph")
     rep = simplicial_report(g)
-    sizes = _clique_residual_sizes(g, rep, count_mode)
-    by_clique = dict(zip(rep.cliques, sizes))
-
-    product_term = 1
-    for s in sizes:
-        product_term *= s
+    sizes = _clique_residual_sizes(rep, count_mode)
+    cliques = [(sum(1 << v for v in c), size)
+               for c, size in zip(rep.cliques, sizes)]
+    product_term = prod(sizes)
 
     i_count = 0
     sum_term = 0
-    for seed in independent_subsets_of_connection_set(g, rep):
-        split = split_cliques_by_neighborhood(g, seed, rep)
-        if not split.uncovered:
+    seeds = _connection_walk(g)
+    next(seeds)  # the empty set: its term is the product term
+    for _, closed in seeds:
+        outside = ~closed
+        uncovered = [size for mask, size in cliques if mask & outside]
+        if uncovered:
+            sum_term += prod(uncovered)
+        else:
             # the seed already dominates everything: it is itself a MIS
             i_count += 1
-            continue
-        term = 1
-        for c in split.uncovered:
-            term *= by_clique[c]
-        sum_term += term
 
     return SccgCountBreakdown(
         i_count=i_count,

@@ -63,12 +63,12 @@ from operator import neg, sub
 from random import Random
 from typing import Iterable, Sequence
 
-from .graph import Graph, simplicial_report
+from .graph import Graph, adjacency_masks, simplicial_report
 from .linalg import FieldSpec, Matrix, QQ, span_basis
 # bench/spans.py traces nullspace_basis under this module's name
 from .linalg import nullspace_basis  # noqa: F401
-from .mis import (DEFAULT_MIS_CAP, MisList, adjacency_masks, count_mis,
-                  iter_mis, random_greedy_mis)
+from .mis import (DEFAULT_MIS_CAP, MisList, count_mis, iter_mis,
+                  random_greedy_mis)
 # bench/spans.py traces enumerate_mis under this module's name
 from .mis import enumerate_mis  # noqa: F401
 
@@ -310,10 +310,6 @@ def _space(g: Graph, field: FieldSpec, filt: _RowFilter,
                    dimension=len(basis), mis_count=mis_count)
 
 
-def _modulus(field: FieldSpec) -> int | None:
-    return None if field.is_rationals else field.p
-
-
 # The sampler's seed: a fixed seed keeps the samples, and so the work, the
 # same from run to run.  No result depends on it.
 _SAMPLE_SEED = 0
@@ -353,8 +349,7 @@ def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
         return members
 
     samples = [draw()]
-    filters = [_RowFilter(samples[0], g.n, _modulus(f), floor)
-               for f in fields]
+    filters = [_RowFilter(samples[0], g.n, f.p, floor) for f in fields]
     live = filters
     selected = stall = 0
     while live and stall < _STALL:
@@ -435,7 +430,7 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         return well_covered_spaces(g, (field,), cap=cap)[0]
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    filt = _list_filter(mis.sets, g.n, _modulus(field))
+    filt = _list_filter(mis.sets, g.n, field.p)
     return _space(g, field, filt, len(mis))
 
 
@@ -451,7 +446,7 @@ def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
         raise ValueError("weighting belongs to a different graph")
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    p = _modulus(f.field)
+    p = f.field.p
     sets = mis.sets
     k = _first_unequal_sum(sets, f.values, p)
     if k == len(sets):

@@ -2,10 +2,12 @@
 
 Everything here works from (n, edge set) alone with definition-literal
 power-set scans and plain Fraction elimination, deliberately sharing no code
-path with the package implementations it checks.  The one exception is
+path with the package implementations it checks.  The exceptions are
 independent_subsets_of_connection_set, the package's earlier power-set scan
 over its own independence test, kept as the reference for the search that
-replaced it.
+replaced it, and sccg_mis_count_formula, the package's earlier formula over
+that scan and the public split_cliques_by_neighborhood, kept as the
+reference for the bitmask formula that replaced it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from wellcovered.graph import Graph, SimplicialReport, simplicial_report
+from wellcovered.graph import (Graph, SimplicialReport, is_sccg,
+                               simplicial_report)
 from wellcovered import mis as wc_mis
 
 
@@ -242,3 +245,47 @@ def independent_subsets_of_connection_set(
                 out.append(frozenset(combo))
     out.sort(key=lambda s: tuple(sorted(s)))
     return out
+
+
+def sccg_mis_count_formula(
+        g: Graph, count_mode: str = "residual") -> wc_mis.SccgCountBreakdown:
+    """Evaluate the closed-form MIS count exactly as written.
+
+    No claim is made that the result matches true enumeration; the
+    verification harness compares the two and reports disagreements.
+    """
+    if not is_sccg(g):
+        raise wc_mis.NotSccgError("simplicial cliques do not cover the graph")
+    rep = simplicial_report(g)
+    if count_mode == "residual":
+        sizes = [len(c - rep.per_clique_w[i]) for i, c in enumerate(rep.cliques)]
+    elif count_mode == "simplicial":
+        sizes = [len(c & rep.simplicial_vertices) for c in rep.cliques]
+    else:
+        raise ValueError(f"unknown count mode {count_mode!r}")
+    by_clique = dict(zip(rep.cliques, sizes))
+
+    product_term = 1
+    for s in sizes:
+        product_term *= s
+
+    i_count = 0
+    sum_term = 0
+    for seed in independent_subsets_of_connection_set(g, rep):
+        split = wc_mis.split_cliques_by_neighborhood(g, seed)
+        if not split.uncovered:
+            # the seed already dominates everything: it is itself a MIS
+            i_count += 1
+            continue
+        term = 1
+        for c in split.uncovered:
+            term *= by_clique[c]
+        sum_term += term
+
+    return wc_mis.SccgCountBreakdown(
+        i_count=i_count,
+        product_term=product_term,
+        sum_term=sum_term,
+        total=i_count + product_term + sum_term,
+        count_mode=count_mode,
+    )

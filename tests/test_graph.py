@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
                                Graph, SelfLoopError, VertexRangeError,
-                               build_graph, components,
+                               adjacency_masks, build_graph, components,
                                contains_simplicial_vertex, format_edge_list,
                                is_chordal, is_sccg, parse_edge_list, relabel,
                                simplicial_report, simplicial_vertices)
@@ -184,6 +184,16 @@ def test_graph_copies_and_pickles_to_an_equal_graph():
             assert twin.adjacency == g.adjacency, name
             # rebuilt through the constructor: the memo is not carried over
             assert twin._simplicial is None, name
+
+
+def test_adjacency_masks_are_built_once_and_rebuilt_by_copies():
+    for name, g in named_corpus().items():
+        masks = adjacency_masks(g)
+        assert masks == tuple(sum(1 << u for u in g.adjacency[v])
+                              for v in g.vertices), name
+        assert adjacency_masks(g) is masks, name
+        for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert adjacency_masks(twin) == masks, name
 
 
 def test_contains_simplicial_vertex_reads_the_memoised_report():

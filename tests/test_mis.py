@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from wellcovered import mis as mis_module
-from wellcovered.graph import (DisconnectedGraphError, Graph, relabel,
-                               simplicial_report)
+from wellcovered.graph import (DisconnectedGraphError, Graph, is_sccg,
+                               relabel, simplicial_report)
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   figure6_composite, figure6_spec,
                                   named_corpus, path, sierpinski, star,
@@ -346,10 +346,43 @@ def test_independent_subsets_grow_only_independent_sets(monkeypatch):
     assert breakdown.total == count_mis(g)
 
 
+def _random_sccgs() -> list[Graph]:
+    return [g for _, g in random_connected_graphs(300, 15, max_n=12)
+            if is_sccg(g)]
+
+
+def _formula_graphs() -> list[Graph]:
+    """Every corpus SCCG, the SCCGs among 300 seeded random graphs, and the
+    triangle chains of 1 to 12 triangles."""
+    return [g for g in named_corpus().values() if is_sccg(g)] + \
+        _random_sccgs() + [triangle_chain(k) for k in range(1, 13)]
+
+
+def test_count_formula_matches_the_reference():
+    randoms = _random_sccgs()
+    assert len(randoms) == 65
+    assert sum(1 for g in randoms if simplicial_report(g).connection_set) == 51
+    for g in _formula_graphs():
+        for mode in ("residual", "simplicial"):
+            assert sccg_mis_count_formula(g, mode) == \
+                oracles.sccg_mis_count_formula(g, mode), (g, mode)
+
+
+def test_count_formula_validates_no_seed(monkeypatch):
+    graphs = _formula_graphs()
+    expected = [oracles.sccg_mis_count_formula(g) for g in graphs]
+
+    def forbidden(*args):
+        raise AssertionError("the formula re-validates a seed it built")
+
+    monkeypatch.setattr(mis_module, "split_cliques_by_neighborhood", forbidden)
+    monkeypatch.setattr(mis_module, "is_independent", forbidden)
+    assert [sccg_mis_count_formula(g) for g in graphs] == expected
+
+
 def test_split_cliques_by_neighborhood():
     g = star(3)
-    rep = simplicial_report(g)
-    split = split_cliques_by_neighborhood(g, {0}, rep)
+    split = split_cliques_by_neighborhood(g, {0})
     assert split.uncovered == ()           # the center dominates everything
     assert len(split.covered) == 3
     with pytest.raises(ValueError):
@@ -368,9 +401,8 @@ def test_uncovered_empty_iff_seed_is_mis():
     for name, g in named_corpus().items():
         if not is_sccg(g) or g.n > 20:
             continue
-        rep = simplicial_report(g)
-        for seed in independent_subsets_of_connection_set(g, rep):
-            split = split_cliques_by_neighborhood(g, seed, rep)
+        for seed in independent_subsets_of_connection_set(g):
+            split = split_cliques_by_neighborhood(g, seed)
             assert (split.uncovered == ()) == is_mis(g, seed), name
 
 
