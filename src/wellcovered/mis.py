@@ -12,7 +12,10 @@ undecided vertex of least degree once D is empty.
 _count_completions counts a state's completions and builds no set.  A
 state's count depends on (U, D) alone, so a memo, cleared whenever it
 reaches a fixed number of entries, counts a repeated state once; on a
-gasket or a cycle most states repeat.  One count answers three questions:
+gasket or a cycle most states repeat.  The count walks the states
+depth-first, one child at a time: each child is looked up in the memo once
+and a miss is opened at once, so the stack holds one saved parent per level
+of the current path.  One count answers three questions:
 count_mis counts the root state (V, {}), scs_mis_count the MISs through v
 as the state (V - N[v], {}), and swap_pairs reads, per edge uv, whether
 two MISs differ in u and v alone from one state's count.  iter_mis runs
@@ -81,9 +84,6 @@ class MisList:
 
     def __iter__(self):
         return map(frozenset, self.sets)
-
-    def as_sorted_tuples(self) -> list[tuple[int, ...]]:
-        return list(self.sets)
 
     def to_json(self) -> list[list[int]]:
         return [list(t) for t in self.sets]
@@ -177,7 +177,16 @@ def _count_completions(masks: tuple[tuple[int, ...], list[int], list[int]],
     listing too.  A state's count depends on (U, D) alone, so a memo keyed
     on both counts a repeated state once, and one memo may be shared by
     every query on one graph.  It is cleared when it reaches _COUNT_MEMO
-    entries, which bounds its memory.  The search runs on an explicit stack.
+    entries, which bounds its memory.
+
+    The walk is depth-first, one child at a time, without recursion.  The
+    open state is held in locals: its key, the U and D its next branch
+    starts from, the branches left and the count so far.  Each child is
+    looked up in the memo once; a miss is opened at once, after the
+    parent's locals are saved on the stack, so the stack holds one saved
+    parent per level of the current path.  A state with no branch left
+    closes: its count is checked against the cap, stored, and added to its
+    parent's, which is popped back into the locals.
 
     Raises MisCapExceededError as soon as any state's count passes the cap.
     """
@@ -185,53 +194,41 @@ def _count_completions(masks: tuple[tuple[int, ...], list[int], list[int]],
         return int(not d)
     adj, outside, apart = masks
     n = len(adj)
-    counts: list[int] = []     # counts of finished states, for their parents
-    # a state is (U, D); a state waiting on k pushed children is
-    # (key, k, the count of the children already known)
-    stack: list[tuple] = [(u, d)]
-    while stack:
-        top = stack.pop()
-        if len(top) == 2:
-            u, d = top
-            key = u << n | d
-            total = memo.get(key)
-            if total is not None:
-                counts.append(total)
+    key = u << n | d
+    total = memo.get(key)
+    if total is not None:
+        return total
+    branch, total = _branch_set(adj, u, d), 0
+    stack = []  # (key, u, d, branch, total) of each open ancestor
+    while True:
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            cu = u & outside[v]
+            cd = d & apart[v]
+            u ^= low  # excluded from the later branches
+            d |= low
+            branch ^= low
+            if not cu:
+                total += not cd
                 continue
-            branch = _branch_set(adj, u, d)
-            total = 0
-            pending = []
-            while branch:
-                low = branch & -branch
-                v = low.bit_length() - 1
-                cu = u & outside[v]
-                cd = d & apart[v]
-                if not cu:
-                    total += not cd
-                else:
-                    known = memo.get(cu << n | cd)
-                    if known is None:
-                        pending.append((cu, cd))
-                    else:
-                        total += known
-                u ^= low  # excluded from the later branches
-                d |= low
-                branch ^= low
-            if pending:
-                stack.append((key, len(pending), total))
-                stack += pending
-                continue
-        else:
-            key, k, total = top
-            total += sum(counts[-k:])
-            del counts[-k:]
+            child = cu << n | cd
+            known = memo.get(child)
+            if known is None:
+                stack.append((key, u, d, branch, total))
+                key, u, d = child, cu, cd
+                branch, total = _branch_set(adj, u, d), 0
+            else:
+                total += known
         if total > cap:
             raise MisCapExceededError(cap)
         if len(memo) >= _COUNT_MEMO:
             memo.clear()
         memo[key] = total
-        counts.append(total)
-    return counts[0]
+        if not stack:
+            return total
+        key, u, d, branch, saved = stack.pop()
+        total += saved
 
 
 def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:

@@ -44,12 +44,12 @@ def test_is_mis_figure1_hub_selection():
 
 
 def test_enumerate_c4():
-    assert enumerate_mis(cycle(4)).as_sorted_tuples() == [(0, 2), (1, 3)]
+    assert list(enumerate_mis(cycle(4)).sets) == [(0, 2), (1, 3)]
 
 
 def test_enumerate_complete():
     for n in (1, 2, 5):
-        assert enumerate_mis(complete(n)).as_sorted_tuples() == \
+        assert list(enumerate_mis(complete(n)).sets) == \
             [(v,) for v in range(n)]
 
 
@@ -65,7 +65,7 @@ def test_enumerate_figure1_is_one_per_clique_selection():
 def test_enumerate_matches_powerset_on_corpus():
     for name, g in named_corpus().items():
         if g.n <= 12:
-            assert enumerate_mis(g).as_sorted_tuples() == \
+            assert list(enumerate_mis(g).sets) == \
                 all_mis_powerset(g.n, g.edges), name
 
 
@@ -82,14 +82,14 @@ def test_enumerate_matches_powerset_random():
             continue
         done += 1
         mis, expected = enumerate_mis(g), all_mis_powerset(n, g.edges)
-        assert mis.as_sorted_tuples() == expected
+        assert list(mis.sets) == expected
         assert mis.sets == tuple(expected)
 
 
 def test_enumerate_members_are_mis_and_canonical():
     g = figure6_composite()
     mis = enumerate_mis(g)
-    tuples = mis.as_sorted_tuples()
+    tuples = list(mis.sets)
     assert tuples == sorted(tuples)
     for m in mis:
         assert is_mis(g, m)
@@ -259,6 +259,50 @@ def test_count_is_unchanged_when_the_memo_is_cleared_at_every_entry(
     monkeypatch.setattr(mis_module, "_COUNT_MEMO", 1)
     for name, g in named_corpus().items():
         assert count_mis(g) == expected[name], name
+
+
+# seeded G(n, 0.2) graphs with 518 to 4735 MISs; states below the root
+# close with counts up to 307, 579, 1159 and 1560
+_DEEP_GRAPHS = tuple((n, 0.2, 100 + n) for n in (30, 34, 38, 40))
+
+
+class _ClearCountingMemo(dict):
+    def __init__(self):
+        super().__init__()
+        self.clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_state_queries_are_unchanged_when_the_memo_is_cleared_mid_walk(
+        monkeypatch, size):
+    graphs = [_gnp(*spec) for spec in _DEEP_GRAPHS]
+    glued = [_self_glued(g, seed) for seed, g in enumerate(graphs)]
+    expected = [(count_mis(g), swap_pairs(g), scs_mis_count(*glue))
+                for g, glue in zip(graphs, glued)]
+    monkeypatch.setattr(mis_module, "_COUNT_MEMO", size)
+    for g, glue, (k, pairs, through) in zip(graphs, glued, expected):
+        assert (count_mis(g), swap_pairs(g), scs_mis_count(*glue)) == \
+            (k, pairs, through), g
+        # the memo is cleared while the walk is below the root, so the
+        # count rests on the parents saved on the stack alone
+        memo = _ClearCountingMemo()
+        assert mis_module._count_completions(
+            mis_module._state_masks(g), memo, (1 << g.n) - 1, 0, k) == k
+        assert memo.clears > 0
+
+
+def test_count_raises_exactly_past_the_cap_on_deep_graphs():
+    for spec in _DEEP_GRAPHS:
+        g = _gnp(*spec)
+        k = count_mis(g)
+        assert count_mis(g, cap=k) == k, spec
+        with pytest.raises(MisCapExceededError) as err:
+            count_mis(g, cap=k - 1)
+        assert err.value.cap == k - 1, spec
 
 
 def test_search_raises_in_place_of_the_set_past_the_cap():
@@ -509,13 +553,12 @@ def test_mis_meets_cliques_and_simplicial_neighborhoods():
                 assert m & g.closed_neighborhood([v]), name
 
 
-def test_sorted_tuples_are_built_once_and_returned_as_copies():
+def test_mis_list_stores_tuples_and_rebuilds_equal():
     mis = enumerate_mis(figure1())
-    first, second = mis.as_sorted_tuples(), mis.as_sorted_tuples()
-    assert first == second and first is not second
-    assert all(a is b for a, b in zip(first, second))
-    first.clear()
-    assert mis.as_sorted_tuples() == second
+    # each set is stored once, as its tuple; iteration builds frozensets
+    assert type(mis.sets) is tuple
+    assert all(type(t) is tuple for t in mis.sets)
+    assert list(mis) == [frozenset(t) for t in mis.sets]
     # a list rebuilt from the same sets is equal and hashes alike
     fresh = MisList(graph=mis.graph, sets=mis.sets)
     assert fresh == mis and hash(fresh) == hash(mis)
