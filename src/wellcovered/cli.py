@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from importlib import resources
-from itertools import islice
 
 from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        corpus_graph, corpus_names, complete, cycle,
@@ -86,22 +85,99 @@ def _load_graph_arg(spec: str, corpus_dir: str | None) -> tuple[Graph, str]:
     raise GraphError(f"no such file or corpus graph: {spec}")
 
 
-# encoder chunks joined per write: a large basis encodes to millions of
-# chunks, too many for one write call each, while one string for the whole
-# document holds all of it in memory at once
-_JSON_CHUNKS_PER_WRITE = 1 << 16
+# the stdlib encoder _write_json matches byte for byte; it encodes the
+# scalars _JSON_SCALARS does not cover: floats, subclasses of int, str and
+# float, and values with no JSON form (TypeError)
+_STOCK_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+_encode_str = json.encoder.encode_basestring_ascii
+
+# scalars of exactly these types, encoded in one call each
+_JSON_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_key(key) -> str:
+    """A dict key that is not a str as the stdlib encoder writes it: its
+    scalar's JSON text, as a JSON string."""
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(_STOCK_JSON.encode(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+# the size of a written block of JSON: one string for the whole document
+# would hold all of it in memory at once.  A block is counted as the
+# characters of its lists of scalars plus one per other chunk (a key, a
+# scalar or a bracket, each short).
+_JSON_BLOCK = 1 << 16
+
+
+def _write_json(o, write) -> None:
+    """Write o, then a newline, exactly as _STOCK_JSON encodes it: indented
+    by two spaces, keys sorted, non-ASCII escaped.  A list of scalars of
+    one type is one chunk, its items encoded and joined in C.  The chunks
+    are passed to write in blocks of about _JSON_BLOCK."""
+    out: list[str] = []
+    held = 0  # characters of the lists of scalars in out
+
+    def encode(o, pad: str) -> None:
+        nonlocal held
+        enc = _JSON_SCALARS.get(type(o))
+        if enc is not None:
+            out.append(enc(o))
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            head = "{\n" + inner
+            for key in sorted(o):
+                out.append(head + (_encode_str(key) if isinstance(key, str)
+                                   else _json_key(key)) + ": ")
+                encode(o[key], inner)
+                head = sep
+            out.append("\n" + pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            types = set(map(type, o))
+            if len(types) == 1 and (enc := _JSON_SCALARS.get(types.pop())):
+                out.append(f"[\n{inner}" + sep.join(map(enc, o))
+                           + f"\n{pad}]")
+                held += len(out[-1])
+                return
+            head = "[\n" + inner
+            for item in o:
+                out.append(head)
+                encode(item, inner)
+                head = sep
+                if held + len(out) >= _JSON_BLOCK:
+                    write("".join(out))
+                    out.clear()
+                    held = 0
+            out.append("\n" + pad + "]")
+        else:
+            out.append(_STOCK_JSON.encode(o))
+
+    encode(o, "")
+    out.append("\n")
+    write("".join(out))
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    """Write text, or with --json the payload as indented, key-sorted JSON,
-    streamed in blocks of encoder chunks."""
-    if not args.json:
+    """Write text, or with --json the payload as indented, key-sorted JSON
+    (see _write_json)."""
+    if args.json:
+        _write_json(payload, sys.stdout.write)
+    else:
         sys.stdout.write(text)
-        return
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while block := "".join(islice(chunks, _JSON_CHUNKS_PER_WRITE)):
-        sys.stdout.write(block)
-    sys.stdout.write("\n")
 
 
 def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:

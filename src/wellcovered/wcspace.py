@@ -34,20 +34,28 @@ simplicial clique N[v] in exactly one vertex, since it must dominate v, and
 each clique has a simplicial vertex in no other, so the clique indicators
 are sc independent well-covered weightings.  The kernel always contains the
 well-covered space, so once it is down to sc vectors it is that space, and
-the filter is finished.  A sampling phase first feeds every filter the same
-seeded random greedy MISs, each checked to be independent and dominating
-before it is read; the first sample is the base.  It stops when every
-filter is finished, or after a fixed run of samples that select no row.
-The filters not yet finished then read the search, streamed a block of
-MISs at a time so that no MIS list is held, until they are.  Where the
-dimension exceeds sc they read it to the end, and its length is the MIS
-count.  Otherwise the count comes from count_mis, which lists no set, and
+the filter is finished.  A sampling phase first feeds every prime-field
+filter the same seeded random greedy MISs, each checked to be independent
+and dominating before it is read; the first sample is the base.  It stops
+when every filter is finished, or after a fixed run of samples that select
+no row.  The rationals are certified from a prime: the difference rows are
+integer rows, so their rank over Q is at least their rank modulo p.  A
+GF(p) filter at its floor has rows of rank n - sc, so the dimension over Q
+is at most sc, hence exactly sc, and the space is the span of the clique
+indicators; no rational filter is built.  With no prime field asked for,
+one fixed internal prime is sampled for this alone.  Where no prime filter
+finishes, a rational filter reads the same samples and, if it is not
+finished either, joins the others.  The filters not yet finished then
+read the search, streamed a block of MISs at a time so that no MIS list is
+held, until they are.  Where the dimension exceeds sc they read it to the
+end, and its length is the MIS count.  Otherwise the count comes from count_mis, which lists no set, and
 where sampling finished every filter the search is never run.
 certified_space stops after the sampling phase, and returns the space only
 when every kernel reached its floor.
 
 The basis is then read off each filter's final kernel, which is the
-well-covered space: span_basis returns the free-column basis of the reduced
+well-covered space, or off the clique indicators where a prime certified
+the rationals: span_basis returns the free-column basis of the reduced
 echelon form of the constraint rows, from vectors spanning their nullspace,
 so the selected rows are never eliminated a second time.  That basis depends
 only on the space, so neither on which spanning rows were selected, nor on
@@ -295,15 +303,25 @@ def _list_filter(mis: Iterable[tuple[int, ...]], n: int,
 
 
 def _basis(g: Graph, field: FieldSpec,
-           filt: _RowFilter) -> tuple[Weighting, ...]:
+           filt: _RowFilter | None) -> tuple[Weighting, ...]:
     """The reduced echelon basis of the space the filter's live kernel
-    vectors span, read off those vectors by span_basis."""
-    return tuple(
-        Weighting(graph=g, field=field, values=tuple(vec))
-        for vec in span_basis(list(filt.kernel.values()), field, g.n))
+    vectors span, read off those vectors by span_basis.  No filter stands
+    for a rational space certified by a prime filter at its floor (see
+    _sampled_filters): the span of the simplicial clique indicators."""
+    if filt is None:
+        vectors = []
+        for clique in simplicial_report(g).cliques:
+            vec = [0] * g.n
+            for v in clique:
+                vec[v] = 1
+            vectors.append(vec)
+    else:
+        vectors = list(filt.kernel.values())
+    return tuple(Weighting(graph=g, field=field, values=tuple(vec))
+                 for vec in span_basis(vectors, field, g.n))
 
 
-def _space(g: Graph, field: FieldSpec, filt: _RowFilter,
+def _space(g: Graph, field: FieldSpec, filt: _RowFilter | None,
            mis_count: int) -> WcSpace:
     basis = _basis(g, field, filt)
     return WcSpace(graph=g, field=field, basis=basis,
@@ -320,16 +338,32 @@ _SAMPLE_SEED = 0
 # exceeds sc), the run bounds the samples wasted before the search.
 _STALL = 32
 
+# The prime sampled in place of the rationals when no prime field is asked
+# for with them.  Its filter certifies the rational space only when it
+# finishes, so the prime is never a source of error.  A large prime makes a
+# rank that drops modulo p unlikely, and a small one keeps the packed slots
+# narrow: on Sierpinski order 6 this one certifies Q in 11 s of CPU where
+# 2**31 - 1 takes 17 s (CPython 3.11, one x86_64 core).
+_Q_PRIME = 65521
+
 
 def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
-    """Sampling phase: one row filter per field, each with the given floor,
-    fed seeded random greedy MISs until every filter is finished or _STALL
-    samples in a row select no row in any live filter.
+    """Sampling phase: one row filter per prime field, each with the given
+    floor, fed seeded random greedy MISs until every filter is finished or
+    _STALL samples in a row select no row in any live filter.  Where the
+    rationals are asked for with no prime field, one filter over
+    GF(_Q_PRIME) is sampled in their place.
 
     Every sample is checked to be independent and dominating before it is
     read; a sampler that breaks this raises RuntimeError.  The first sample
-    is the base of every difference row.  Returns the samples, the filters,
-    and the filters not yet finished.
+    is the base of every difference row.  Returns the samples, one filter
+    per field, and the filters not yet finished.  The difference rows are
+    integer rows, so their rank over Q is at least their rank modulo p: a
+    prime filter at its floor sc leaves the rational space at most sc
+    dimensions, and the clique indicators give it at least sc.  A rational
+    field then gets None, and no rational filter is built.  Otherwise it
+    gets a rational filter that has read the samples, live unless that
+    finished it.
     """
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
@@ -349,17 +383,27 @@ def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
         return members
 
     samples = [draw()]
-    filters = [_RowFilter(samples[0], g.n, f.p, floor) for f in fields]
-    live = filters
+    primes = [f.p for f in fields if f.p]
+    rationals = len(primes) < len(fields)
+    sampled = {p: _RowFilter(samples[0], g.n, p, floor)
+               for p in primes or ([_Q_PRIME] if rationals else [])}
+    live = list(sampled.values())
     selected = stall = 0
     while live and stall < _STALL:
         members = draw()
         samples.append(members)
         live = [filt for filt in live if not filt.read((members,))]
-        total = sum(len(filt.rows) for filt in filters)
+        total = sum(len(filt.rows) for filt in sampled.values())
         stall = 0 if total > selected else stall + 1
         selected = total
-    return samples, filters, live
+    rational = None
+    if rationals and len(live) == len(sampled):  # no prime filter finished
+        rational = _RowFilter(samples[0], g.n, None, floor)
+        if not primes:
+            live = []  # GF(_Q_PRIME) was asked for by no field
+        if not rational.read(islice(samples, 1, None)):
+            live.append(rational)
+    return samples, [sampled[f.p] if f.p else rational for f in fields], live
 
 
 def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
@@ -367,10 +411,13 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     """Exact well-covered space over each field, in the order given, from
     one streamed search.
 
-    One row filter per field takes the simplicial clique number sc as its
-    floor, and the sampling phase feeds all of them the same seeded random
+    Every row filter takes the simplicial clique number sc as its floor.
+    The sampling phase feeds the prime filters the same seeded random
     greedy MISs first; the first sample is the base of every difference
-    row.  While a filter is above its floor the search is streamed: its
+    row.  A prime filter that finishes there certifies the rational space
+    as the span of the clique indicators; otherwise a rational filter
+    reads the samples and joins the others (see _sampled_filters).  While
+    a filter is above its floor the search is streamed: its
     MISs are taken in blocks, and each filter still above its floor reads
     each block in turn, so at most one block of MISs is held.  A filter
     reads no MIS once it is finished.  mis_count is the stream's length
@@ -403,11 +450,15 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     independent), taken against the first, have rank n - sc, so the space
     has dimension at most sc; every MIS meets each simplicial clique in
     exactly one vertex, and each clique has a private simplicial vertex, so
-    the clique indicators give dimension at least sc.  basis holds the
-    Weightings of well_covered_space's reduced echelon basis, read off the
-    filter's final kernel of sc vectors; samples holds
-    the MISs in the order drawn, each as its members in the order they
-    joined; cliques holds the simplicial cliques.
+    the clique indicators give dimension at least sc.  Over the rationals
+    that rank is taken modulo the prime _Q_PRIME, 65521: the rows are
+    integer rows, so their rank over Q is at least their rank modulo p.
+    Where the prime falls short, the rank is taken over Q from the same
+    samples.  basis holds the Weightings of well_covered_space's reduced
+    echelon basis, read off the filter's final kernel of sc vectors, or
+    off the clique indicators where the prime certified the rationals;
+    samples holds the MISs in the order drawn, each as its members in the
+    order they joined; cliques holds the simplicial cliques.
     """
     rep = simplicial_report(g)
     samples, (filt,), live = _sampled_filters(g, (field,), rep.sc)

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import wellcovered
 from wellcovered import cli, mis, wcspace
@@ -127,15 +130,89 @@ def test_file_errors_exit_three_without_traceback(tmp_path, capsys):
 
 
 def test_json_is_streamed_in_blocks_with_the_same_bytes(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_JSON_CHUNKS_PER_WRITE", 100)
-    payload = {"b": list(range(1000)), "a": [{"y": [1, 2], "x": "s"}] * 50}
+    monkeypatch.setattr(cli, "_JSON_BLOCK", 100)
+    payload = {"b": list(range(1000)), "a": [{"y": [1, 2], "x": "s"}] * 50,
+               "basis": [list(range(k, k + 50)) for k in range(300)]}
+    document = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     class Args:
         json = True
 
     cli._emit(Args, payload, "unused")
-    out = capsys.readouterr().out
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == document
+    written = []
+    cli._write_json(payload, written.append)
+    assert "".join(written) == document
+    assert len(written) > 5 and max(map(len, written)) < len(document) // 4
+
+
+_STOCK_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _encoded(o) -> str:
+    written = []
+    cli._write_json(o, written.append)
+    return "".join(written)
+
+
+def test_json_matches_the_stdlib_encoder_on_every_payload(capsys,
+                                                          monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def spy(args, payload, text):
+        payloads.append(payload)
+        emit(args, payload, text)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    commands = [
+        ("wcdim", "figure1"),
+        ("wcdim", "c4", "--field", "gf:5", "--field", "q"),
+        ("classify", "figure1"),
+        ("mis", "p5"),
+        ("mis", "figure1", "--mode", "list"),
+        ("mis", "c12", "--mis-cap", "3"),
+        ("compose", "triangle_pendant_g1", "triangle_pendant_g2",
+         "--glue", "0:0", "--glue", "1:1", "--glue", "2:2"),
+        ("verify", "default", "--seed", "1", "--random-count", "5"),
+    ]
+    for argv in commands:
+        _, out, _ = run_cli(capsys, *argv, "--json")
+        assert out == _STOCK_JSON.encode(payloads[-1]) + "\n", argv
+    assert len(payloads) == len(commands)
+
+
+class _Small(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+def test_json_matches_the_stdlib_encoder_on_edge_values():
+    values = [
+        {}, [], (), "", 0, -7, 10**40, True, False, None, 2.5,
+        {"empty": [[], {}, ()], "nested": [[[]], [{}]]},
+        {"caf\u00e9": "\u2603 \U0001F600 \"quoted\" \\ \n\t\x00"},
+        {"bools": [True, False], "nones": [None, None], "mixed": [1, True,
+         None, "s", 2.5, [1], {"k": 0}], "ints": list(range(-3, 40))},
+        {3: "int", -1: "key", True: "bool", 2.5: "float"},
+        {None: [None]}, {False: 0, 7: 1},
+        {"floats": [0.1, -0.0, 1e300, float("nan"), float("inf"),
+                    -float("inf")]},
+        {"subclasses": [_Small(5), _Name("n\u00e9"), (1, (2, 3))],
+         _Name("key"): _Small(-1)},
+        [{"b": 1, "a": {"d": [1, 2], "c": []}}] * 3,
+    ]
+    for value in values:
+        assert _encoded(value) == _STOCK_JSON.encode(value) + "\n", value
+    for bad in ({"k": {1, 2}}, {"k": Fraction(1, 2)}, {(1,): 0},
+                {1: 0, "a": 1}):
+        with pytest.raises(TypeError):
+            _STOCK_JSON.encode(bad)
+        with pytest.raises(TypeError):
+            _encoded(bad)
 
 
 def test_classify_outputs(capsys):

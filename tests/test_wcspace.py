@@ -11,8 +11,9 @@ from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
     is_chordal, relabel, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
-from wellcovered.linalg import DEFAULT_FIELDS, GF2, QQ, FieldSpec, rref, \
-    integerize, nullspace_basis, rank_of_rows, span_basis, span_equal
+from wellcovered.harness import random_connected_graphs
+from wellcovered.linalg import DEFAULT_FIELDS, GF2, GF3, QQ, FieldSpec, \
+    rref, integerize, nullspace_basis, rank_of_rows, span_basis, span_equal
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
     enumerate_mis, is_mis, random_greedy_mis
@@ -466,7 +467,11 @@ def test_sampled_kernels_are_exact_at_the_floor():
         _, filters, live = wcspace._sampled_filters(
             g, FOUR_FIELDS, simplicial_report(g).sc)
         for field, filt in zip(FOUR_FIELDS, filters):
-            if filt not in live:
+            if filt is None:
+                # a certified Q: some prime filter reached its floor
+                assert any(f is not None and f not in live
+                           for f in filters), g
+            elif filt not in live:
                 _assert_live_kernel_is_exact(filt, field)
 
 
@@ -630,6 +635,88 @@ def test_filters_read_the_stream_where_dim_exceeds_sc(monkeypatch):
                 # a filter above its floor reads the whole stream
                 assert fed[field.p] == len(mis), (g, field)
         monkeypatch.undo()
+
+
+def _spy_built_filters(monkeypatch) -> list:
+    """The modulus of every _RowFilter built from now on, None over Q."""
+    built = []
+    init = wcspace._RowFilter.__init__
+
+    def spy(self, first, n, p, floor=0):
+        built.append(p)
+        init(self, first, n, p, floor)
+
+    monkeypatch.setattr(wcspace._RowFilter, "__init__", spy)
+    return built
+
+
+def test_a_prime_filter_at_its_floor_certifies_the_rationals(monkeypatch):
+    g = _relabelled_s4()
+    built = _spy_built_filters(monkeypatch)
+    spaces = well_covered_spaces(g, DEFAULT_FIELDS)
+    assert built == [2, 3]  # no rational filter
+    assert [s.dimension for s in spaces] == [3, 3, 3]
+    # the rationals alone ride on the internal prime
+    built.clear()
+    assert well_covered_space(g, QQ) == spaces[0]
+    assert built == [wcspace._Q_PRIME]
+    built.clear()
+    basis, _, _ = certified_space(g, QQ)
+    assert basis == spaces[0].basis and built == [wcspace._Q_PRIME]
+
+
+def test_a_prime_filter_above_its_floor_hands_over_to_the_rationals(
+        monkeypatch):
+    built = _spy_built_filters(monkeypatch)
+    fed = _count_streamed_reads(monkeypatch)
+    space = well_covered_space(SAMPLES_FALL_SHORT, QQ)
+    assert built == [wcspace._Q_PRIME, None]
+    assert space.dimension == 2 > simplicial_report(SAMPLES_FALL_SHORT).sc
+    # only the rational filter reads the stream, and it reads all of it
+    assert fed == {None: space.mis_count}
+    assert certified_space(SAMPLES_FALL_SHORT, QQ) is None
+
+
+def _random_7_graphs() -> dict:
+    """The first 40 of random_connected_graphs(400, 7, max_n=11), by name.
+    Among them, random_7_017_n11_p0.7 has sc 0 and dimension 0 over Q and
+    GF(3), but 1 over GF(2): its GF(2) filter never reaches the floor."""
+    return dict(random_connected_graphs(40, 7, max_n=11))
+
+
+def test_rationals_close_from_the_samples_where_gf2_stays_open(monkeypatch):
+    g = _random_7_graphs()["random_7_017_n11_p0.7"]
+    assert simplicial_report(g).sc == 0
+    assert [wcdim(g, f) for f in (QQ, GF2, GF3)] == [0, 1, 0]
+    built = _spy_built_filters(monkeypatch)
+    fed = _count_streamed_reads(monkeypatch)
+    q, gf2 = well_covered_spaces(g, (QQ, GF2))
+    assert built == [2, None]
+    assert (q.dimension, gf2.dimension) == (0, 1)
+    assert set(fed) == {2}  # the rational filter closed on the samples
+    # a prime that falls short hands Q's certificate to the rational filter
+    monkeypatch.setattr(wcspace, "_Q_PRIME", 2)
+    built.clear()
+    basis, _, cliques = certified_space(g, QQ)
+    assert basis == () and cliques == ()
+    assert built == [2, None]
+
+
+FIELD_SETS = ((QQ,), (QQ, GF2), (GF2, QQ, GF3), FOUR_FIELDS)
+
+
+def test_streamed_spaces_equal_listed_spaces_over_every_field_set():
+    # the rationals are certified by a prime, read by a rational filter, or
+    # both in turn; every field set must give the listed spaces
+    graphs = [g for g in named_corpus().values() if g.n <= 20]
+    graphs += [SAMPLES_FALL_SHORT] + _seeded_random_graphs(43, 30)
+    graphs += list(_random_7_graphs().values())
+    for g in graphs:
+        mis = enumerate_mis(g)
+        listed = {f: well_covered_space(g, f, mis=mis) for f in FOUR_FIELDS}
+        for fields in FIELD_SETS:
+            streamed = well_covered_spaces(g, fields)
+            assert list(streamed) == [listed[f] for f in fields], (g, fields)
 
 
 @pytest.mark.parametrize("block", [2, wcspace._BLOCK])
