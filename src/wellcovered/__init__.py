@@ -8,8 +8,7 @@ from .graph import (Graph, GraphError, VertexRangeError, SelfLoopError,
                     contains_simplicial_vertex, is_chordal, is_sccg,
                     parse_edge_list, format_edge_list, load_graph, save_graph)
 from .linalg import (FieldSpec, Matrix, QQ, GF2, GF3, DEFAULT_FIELDS,
-                     rref, nullspace_basis, span_basis, span_equal,
-                     integerize)
+                     nullspace_basis, span_basis, span_equal)
 from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   NotSccgError, DEFAULT_MIS_CAP, is_independent, is_mis,
                   enumerate_mis, iter_mis, count_mis, greedy_extend,
@@ -18,11 +17,9 @@ from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   split_cliques_by_neighborhood, CliqueSplit,
                   SccgCountBreakdown, sccg_mis_count_formula,
                   scs_mis_count, SharedCliqueMisCount)
-from .wcspace import (Weighting, WeightingCheck, WcSpace,
-                      constraint_matrix, certified_space,
+from .wcspace import (Weighting, WcSpace, certified_space,
                       well_covered_space, well_covered_spaces, wcdim,
-                      verify_weighting, is_well_covered, indicator_weighting,
-                      wcspace_report)
+                      is_well_covered, indicator_weighting, wcspace_report)
 from .families import (SierpinskiGraph, ScsSpec, ScsComposition, ScsSplit,
                        ScsValidationError, complete, path, cycle, star,
                        sierpinski, sierpinski_vertex_count, figure1,

@@ -173,11 +173,20 @@ def _write_json(o, write) -> None:
 
 def _emit(args, payload: dict, text: str) -> None:
     """Write text, or with --json the payload as indented, key-sorted JSON
-    (see _write_json)."""
-    if args.json:
-        _write_json(payload, sys.stdout.write)
-    else:
-        sys.stdout.write(text)
+    (see _write_json).  A reader that closes the pipe early is not an error:
+    the rest of the output is dropped and the command keeps its exit code."""
+    try:
+        if args.json:
+            _write_json(payload, sys.stdout.write)
+        else:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout still holds unwritten bytes; send them to devnull so that
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:

@@ -1,22 +1,19 @@
-"""Exact field arithmetic and row reduction: rationals and prime fields.
+"""Exact row reduction over the rationals and prime fields.
 
 Scalars are plain values: over the rationals an int, or a fractions.Fraction
-where a value can be non-integral, over GF(p) an int in 0..p-1.  An
-integral rational is always a Python int.  A FieldSpec carries the
-arithmetic; matrices and vectors never round and never overflow.  Row
-reduction does not go through the FieldSpec: rref, rank_of_rows,
-nullspace_basis and span_basis all run one elimination on int rows for both
-kinds of field (fraction-free over the rationals).  Fractions are built only
-for rref's reduced matrix; the basis vectors are ints, over the rationals
-coprime with the first nonzero entry positive.  nullspace_basis reads the
-basis of a matrix's nullspace off the matrix; span_basis reads the same
-basis off any vectors spanning that nullspace.
+where an input value is non-integral, over GF(p) an int in 0..p-1.  A
+FieldSpec names the field; matrices and vectors never round and never
+overflow.  rank_of_rows, nullspace_basis and span_basis all run one
+elimination on int rows for both kinds of field (fraction-free over the
+rationals), so no Fraction is ever built.  The basis vectors are ints, over
+the rationals coprime with the first nonzero entry positive.  span_basis
+reads the basis of a nullspace off any vectors spanning it;
+nullspace_basis reads the same basis off a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -54,8 +51,9 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """An exact coefficient field: the rationals, or GF(p) for a prime p.
 
-    zero, one and from_int return ints over both kinds of field: the
-    integer itself over the rationals, its residue over GF(p)."""
+    It does no arithmetic: rank_of_rows, nullspace_basis and span_basis
+    read it to pick the reduction, modulo p over GF(p) and fraction-free
+    over the rationals."""
 
     kind: str
     p: int | None = None
@@ -107,26 +105,6 @@ class FieldSpec:
             return {"kind": "rationals"}
         return {"kind": "prime_field", "p": self.p}
 
-    # scalar arithmetic -------------------------------------------------------
-
-    def zero(self) -> Scalar:
-        return 0
-
-    def one(self) -> Scalar:
-        return 1
-
-    def from_int(self, k: int) -> Scalar:
-        return k if self.is_rationals else k % self.p
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.is_rationals else (a + b) % self.p
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.is_rationals else (a * b) % self.p
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.gf(2)
@@ -161,25 +139,16 @@ class Matrix:
         if not rows and cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         width = cols if cols is not None else len(rows[0])
-        if field.is_rationals:
-            ent = tuple(map(tuple, rows))
+        p = field.p
+        if p:
+            ent = tuple(tuple(x % p if isinstance(x, int) else x for x in r)
+                        for r in rows)
         else:
-            ent = tuple(tuple(field.from_int(x) if isinstance(x, int) else x
-                              for x in r) for r in rows)
+            ent = tuple(map(tuple, rows))
         return cls(len(ent), width, ent, field)
 
-    def mat_vec(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero()
-            for a, x in zip(row, vec):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
 
-
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def _integer_row(row: Sequence[Scalar]) -> list[int]:
     """A rational row scaled by the lcm of its denominators to integers; a
     row of ints is copied as it is."""
     if set(map(type, row)) <= {int}:
@@ -188,13 +157,13 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _int_rows(m: Matrix) -> list[list[int]]:
-    """The matrix's rows as int rows: residues over GF(p), each row scaled to
-    integers over the rationals."""
-    p = m.field.p
+def _int_rows(rows: Sequence[Sequence[Scalar]],
+              p: int | None) -> list[list[int]]:
+    """The rows as new int rows: residues over GF(p), each row scaled to
+    integers over the rationals (p None)."""
     if p:
-        return [[x % p for x in row] for row in m.entries]
-    return [_integer_row(row) for row in m.entries]
+        return [[x % p for x in row] for row in rows]
+    return [_integer_row(row) for row in rows]
 
 
 def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
@@ -242,25 +211,6 @@ def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
     return pivot_cols
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form with exact arithmetic.
-
-    Returns (reduced matrix, rank, pivot column indices).  Pivots are leading
-    ones with zeros above and below.  Elimination runs on int rows for both
-    kinds of field (see _eliminate); over the rationals Fractions are built
-    only for the result, each row divided by its pivot entry.
-    """
-    p = m.field.p
-    work = _int_rows(m)
-    pivot_cols = _eliminate(work, m.cols, p)
-    if not p:
-        work = ([[Fraction(x, row[c]) for x in row]
-                 for row, c in zip(work, pivot_cols)]
-                + [[Fraction(0)] * m.cols for _ in work[len(pivot_cols):]])
-    reduced = Matrix(m.rows, m.cols, tuple(map(tuple, work)), m.field)
-    return reduced, len(pivot_cols), pivot_cols
-
-
 def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
     """Deterministic basis of {x : Mx = 0} via free-column parameterization.
 
@@ -272,7 +222,7 @@ def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
     are read from the eliminated int rows; no reduced matrix is built.
     """
     p = m.field.p
-    work = _int_rows(m)
+    work = _int_rows(m.entries, p)
     pivot_cols = _eliminate(work, m.cols, p)
     pivots = list(zip(work, pivot_cols))
     pivot_set = set(pivot_cols)
@@ -310,10 +260,9 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
     if any(len(v) != length for v in vectors):
         raise ValueError(f"vectors must have length {length}")
     p = field.p
-    if p:
-        work = [[x % p for x in reversed(v)] for v in vectors]
-    else:
-        work = [_integer_row(v)[::-1] for v in vectors]
+    work = _int_rows(vectors, p)
+    for row in work:
+        row.reverse()
     rank = len(_eliminate(work, length, p))
     basis = []
     for row in reversed(work[:rank]):
@@ -330,10 +279,10 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
 
 def rank_of_rows(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
                  length: int) -> int:
-    if not vectors:
-        return 0
-    m = Matrix.from_rows(vectors, field, cols=length)
-    return len(_eliminate(_int_rows(m), length, field.p))
+    """Rank of the vectors over the field, each of the given length."""
+    if any(len(v) != length for v in vectors):
+        raise ValueError(f"vectors must have length {length}")
+    return len(_eliminate(_int_rows(vectors, field.p), length, field.p))
 
 
 def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],
@@ -351,18 +300,3 @@ def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],
     rb = rank_of_rows(b, field, dim)
     rab = rank_of_rows(list(a) + list(b), field, dim)
     return ra == rb == rab
-
-
-def integerize(vec: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to coprime integers, first nonzero positive.
-
-    The zero vector maps to all zeros.  Scaling never changes membership in
-    a linear space.
-    """
-    ints = _integer_row(vec)
-    content = gcd(*ints)
-    if content > 1:
-        ints = [x // content for x in ints]
-    if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return ints

@@ -1,5 +1,4 @@
-"""Well-covered spaces: the MIS constraint system, its exact nullspace, and
-weighting verification.
+"""Well-covered spaces: the exact nullspace of the MIS constraint system.
 
 A weighting f (one field scalar per vertex) is well-covered when the sum of
 f over every maximal independent set is the same.  Encoding constancy as
@@ -72,7 +71,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .graph import Graph, adjacency_masks, simplicial_report
-from .linalg import FieldSpec, Matrix, QQ, span_basis
+from .linalg import FieldSpec, QQ, span_basis
 # bench/spans.py traces nullspace_basis under this module's name
 from .linalg import nullspace_basis  # noqa: F401
 from .mis import (DEFAULT_MIS_CAP, MisList, count_mis, iter_mis,
@@ -96,25 +95,12 @@ class Weighting:
 
 
 @dataclass(frozen=True)
-class WeightingCheck:
-    """Outcome of checking a weighting for constant MIS sums.  On failure the
-    witness pair holds two maximal independent sets with different sums."""
-
-    ok: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    sums: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class WcSpace:
     """Basis and dimension of the well-covered space over one field.
 
     Every basis entry is an int: a residue in 0..p-1 over GF(p), and over
     the rationals each vector's entries are coprime with its first nonzero
-    entry positive, as nullspace_basis returns them.  well_covered_space is
+    entry positive, as span_basis returns them.  well_covered_space is
     the only constructor.
     """
 
@@ -140,35 +126,6 @@ def _difference_row(members: tuple[int, ...], first: tuple[int, ...],
     for v in first:
         row[v] -= 1
     return row
-
-
-def constraint_matrix(g: Graph, mis: MisList, field: FieldSpec) -> Matrix:
-    """Full pairwise-difference constraint system: row k is the indicator of
-    MIS k+1 minus the indicator of MIS 0.  Its nullspace is the well-covered
-    space over the given field."""
-    if len(mis) == 0:
-        raise ValueError("a valid graph always has at least one MIS")
-    rows = [_difference_row(m, mis.sets[0], g.n) for m in mis.sets[1:]]
-    return Matrix.from_rows(rows, field, cols=g.n)
-
-
-def _mis_sum(values: Sequence, members: tuple[int, ...], p: int | None):
-    """Sum of the values over one MIS, reduced modulo p unless p is None."""
-    s = sum(map(values.__getitem__, members))
-    return s % p if p else s
-
-
-def _first_unequal_sum(tuples: Sequence[tuple[int, ...]], values: Sequence,
-                       p: int | None) -> int:
-    """Index of the first MIS whose sum differs from the sum on MIS 0
-    (modulo p unless p is None), or len(tuples) if there is none."""
-    get = values.__getitem__
-    base = _mis_sum(values, tuples[0], p)
-    for k in range(1, len(tuples)):
-        s = sum(map(get, tuples[k]))
-        if (s % p if p else s) != base:
-            return k
-    return len(tuples)
 
 
 def _slot_digits(diff: int, width: int):
@@ -473,7 +430,7 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
 
     Deterministic: basis vectors come from free-column parameterization of
     the reduced echelon form; every entry is an int, and rational vectors
-    are coprime with positive leading entry (see nullspace_basis).  A given
+    are coprime with positive leading entry (see span_basis).  A given
     MIS list is read by one row filter; without one, the search is streamed
     as in well_covered_spaces.
     """
@@ -491,32 +448,16 @@ def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,
     return well_covered_space(g, field, mis=mis, cap=cap).dimension
 
 
-def verify_weighting(g: Graph, f: Weighting, mis: MisList) -> WeightingCheck:
-    """Check that the weighting sums to the same value over every MIS."""
-    if f.graph != g:
-        raise ValueError("weighting belongs to a different graph")
-    if mis.graph != g:
-        raise ValueError("MIS list belongs to a different graph")
-    p = f.field.p
-    sets = mis.sets
-    k = _first_unequal_sum(sets, f.values, p)
-    if k == len(sets):
-        return WeightingCheck(ok=True)
-    return WeightingCheck(ok=False, witness=(sets[0], sets[k]),
-                          sums=(_mis_sum(f.values, sets[0], p),
-                                _mis_sum(f.values, sets[k], p)))
-
-
 def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
     """True iff every maximal independent set has the same cardinality."""
     return len({len(s) for s in iter_mis(g, cap)}) == 1
 
 
 def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:
-    """Weighting that is one on the given set and zero elsewhere, with the
-    field's int scalars."""
+    """Weighting that is one on the given set and zero elsewhere, as int
+    scalars over every field."""
     s = g._check_subset(vs)
-    values = tuple(field.one() if v in s else field.zero() for v in g.vertices)
+    values = tuple(1 if v in s else 0 for v in g.vertices)
     return Weighting(graph=g, field=field, values=values)
 
 

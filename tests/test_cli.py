@@ -401,3 +401,17 @@ def test_package_runs_as_a_module_without_installing():
                            "--json"], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["mis_count"] == 3
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # the 80 840 listed sets overflow the pipe, so the write meets the close
+    src = os.path.dirname(os.path.dirname(wellcovered.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "wellcovered", "mis",
+                             "sierpinski_4", "--mode", "list", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

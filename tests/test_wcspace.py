@@ -13,41 +13,50 @@ from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
 from wellcovered.harness import random_connected_graphs
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, GF3, QQ, FieldSpec, \
-    rref, integerize, nullspace_basis, rank_of_rows, span_basis, span_equal
+    Matrix, nullspace_basis, rank_of_rows, span_basis, span_equal
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
     enumerate_mis, is_mis, random_greedy_mis
 from wellcovered.wcspace import (Weighting, certified_space,
-                                 constraint_matrix,
-                                 indicator_weighting, is_well_covered,
-                                 verify_weighting, wcdim, well_covered_space,
-                                 well_covered_spaces, wcspace_report)
+                                 indicator_weighting, is_well_covered, wcdim,
+                                 well_covered_space, well_covered_spaces,
+                                 wcspace_report)
 
-from oracles import greedy_spanning_rows, nullspace_basis_elimination, \
-    wcdim_fraction_elimination
+from oracles import _coprime_integers, greedy_spanning_rows, \
+    nullspace_basis_elimination, wcdim_fraction_elimination
 from strategies import connected_graphs
+
+
+def _constant_sum(w, mis):
+    """True iff the weighting has the same sum over every MIS, compared
+    modulo p over GF(p)."""
+    p = w.field.p
+    sums = {sum(w.values[v] for v in members) for members in mis.sets}
+    return len({s % p for s in sums} if p else sums) == 1
+
+
+def _constraint_rows(g, mis):
+    """The full difference system: MIS k minus MIS 0 for every k > 0."""
+    first, *rest = mis.sets
+    return [wcspace._difference_row(m, first, g.n) for m in rest]
 
 
 def test_constraint_matrix_single_mis():
     g = build_graph(1, [])
-    m = constraint_matrix(g, enumerate_mis(g), QQ)
-    assert (m.rows, m.cols) == (0, 1)
+    assert _constraint_rows(g, enumerate_mis(g)) == []
     assert wcdim(g) == 1
 
 
 def test_constraint_matrix_c4():
     g = cycle(4)
-    m = constraint_matrix(g, enumerate_mis(g), QQ)
-    assert (m.rows, m.cols) == (1, 4)
-    assert list(map(int, m.entries[0])) == [-1, 1, -1, 1]
+    assert _constraint_rows(g, enumerate_mis(g)) == [[-1, 1, -1, 1]]
 
 
 def test_constraint_matrix_figure1_rank():
     g = figure1()
-    m = constraint_matrix(g, enumerate_mis(g), QQ)
-    assert (m.rows, m.cols) == (23, 10)
-    _, rank, _ = rref(m)
-    assert rank == 7
+    rows = _constraint_rows(g, enumerate_mis(g))
+    assert len(rows) == 23
+    assert rank_of_rows(rows, QQ, g.n) == 7
 
 
 def test_wcdim_examples():
@@ -71,8 +80,7 @@ def test_wcdim_figure1_all_fields_and_basis_span():
         assert space.dimension == 3
         assert space.constraint_rank == 7
         vecs = space.basis_vectors()
-        target = [[field.from_int(x) for x in row] for row in clique_indicator_basis]
-        assert span_equal(vecs, target, field, length=10)
+        assert span_equal(vecs, clique_indicator_basis, field, length=10)
 
 
 def test_well_covered_space_matches_oracle_elimination():
@@ -87,7 +95,8 @@ def test_well_covered_space_matches_oracle_elimination():
 
 
 def test_space_agrees_with_full_matrix_path():
-    # the incremental row-selection path against plain rref of the full system
+    # the incremental row-selection path against elimination of the full
+    # system
     rng = random.Random(99)
     done = 0
     while done < 25:
@@ -101,9 +110,9 @@ def test_space_agrees_with_full_matrix_path():
         done += 1
         mis = enumerate_mis(g)
         for field in DEFAULT_FIELDS:
-            _, rank, _ = rref(constraint_matrix(g, mis, field))
             space = well_covered_space(g, field, mis=mis)
-            assert space.dimension == g.n - rank
+            assert space.dimension == \
+                len(nullspace_basis_elimination(g.n, g.edges, field.p))
 
 
 def test_basis_vectors_pass_verification_and_are_independent():
@@ -115,7 +124,7 @@ def test_basis_vectors_pass_verification_and_are_independent():
         for field in DEFAULT_FIELDS:
             space = well_covered_space(g, field, mis=mis)
             for w in space.basis:
-                assert verify_weighting(g, w, mis).ok, name
+                assert _constant_sum(w, mis), name
             assert rank_of_rows(space.basis_vectors(), field, g.n) == \
                 space.dimension, name
 
@@ -131,40 +140,7 @@ def test_random_combinations_stay_in_space():
             values = [sum((c * w.values[v] for c, w in zip(coeffs, space.basis)),
                           Fraction(0)) for v in g.vertices]
             combo = Weighting(graph=g, field=QQ, values=tuple(values))
-            assert verify_weighting(g, combo, mis).ok
-
-
-def test_verify_weighting_zero_and_ones():
-    for g in (figure1(), cycle(4), path(5)):
-        mis = enumerate_mis(g)
-        zero = Weighting(graph=g, field=QQ,
-                         values=tuple(Fraction(0) for _ in g.vertices))
-        assert verify_weighting(g, zero, mis).ok
-    c4 = cycle(4)
-    ones = Weighting(graph=c4, field=QQ,
-                     values=tuple(Fraction(1) for _ in c4.vertices))
-    assert verify_weighting(c4, ones, enumerate_mis(c4)).ok
-
-
-def test_verify_weighting_witness_on_path():
-    p5 = path(5)
-    mis = enumerate_mis(p5)
-    ones = Weighting(graph=p5, field=QQ,
-                     values=tuple(Fraction(1) for _ in p5.vertices))
-    check = verify_weighting(p5, ones, mis)
-    assert not check.ok
-    a, b = check.witness
-    sa, sb = check.sums
-    assert sa != sb
-    assert sa == Fraction(len(a)) and sb == Fraction(len(b))
-
-
-def test_verify_weighting_rejects_mismatched_graph():
-    with pytest.raises(ValueError):
-        verify_weighting(path(5),
-                         Weighting(graph=path(4), field=QQ,
-                                   values=(Fraction(0),) * 4),
-                         enumerate_mis(path(5)))
+            assert _constant_sum(combo, mis)
 
 
 def test_is_well_covered():
@@ -177,7 +153,7 @@ def test_is_well_covered():
             continue
         mis = enumerate_mis(g)
         ones = indicator_weighting(g, set(g.vertices))
-        assert is_well_covered(g) == verify_weighting(g, ones, mis).ok, name
+        assert is_well_covered(g) == _constant_sum(ones, mis), name
 
 
 def test_lower_bound_and_chordal_equality_on_corpus():
@@ -213,7 +189,7 @@ def test_clique_indicators_for_disjoint_clique_cover():
     space = well_covered_space(g, QQ, mis=mis)
     for c in rep.cliques:
         ind = indicator_weighting(g, c)
-        assert verify_weighting(g, ind, mis).ok
+        assert _constant_sum(ind, mis)
         assert span_equal(space.basis_vectors(),
                           space.basis_vectors() + [list(ind.values)],
                           QQ, length=g.n)
@@ -236,14 +212,7 @@ def test_integerized_basis_is_content_one():
     for g in (figure1(), path(9), cycle(4)):
         space = well_covered_space(g, QQ)
         for w in space.basis:
-            ints = integerize(w.values)
-            from math import gcd
-            g_all = 0
-            for x in ints:
-                g_all = gcd(g_all, abs(x))
-            assert g_all in (0, 1)
-            lead = next((x for x in ints if x != 0), 1)
-            assert lead > 0
+            assert list(w.values) == _coprime_integers(w.values)
 
 
 def test_clique_indicator_membership_on_corpus_sccgs():
@@ -259,17 +228,15 @@ def test_clique_indicator_membership_on_corpus_sccgs():
         for c in rep.cliques:
             if all(len(m & c) == 1 for m in mis):
                 ind = indicator_weighting(g, c)
-                assert verify_weighting(g, ind, mis).ok, name
+                assert _constant_sum(ind, mis), name
                 assert span_equal(space.basis_vectors(),
                                   space.basis_vectors() + [list(ind.values)],
                                   QQ, length=g.n), name
 
 
 def _full_matrix_basis(g, mis, field):
-    basis = nullspace_basis(constraint_matrix(g, mis, field))
-    if field.is_rationals:
-        basis = [[Fraction(x) for x in integerize(vec)] for vec in basis]
-    return basis
+    return nullspace_basis(Matrix.from_rows(_constraint_rows(g, mis), field,
+                                            cols=g.n))
 
 
 def _seeded_random_graphs(seed, count):
@@ -408,14 +375,12 @@ def test_kernel_read_basis_matches_oracle_on_list_and_stream():
 
 
 def test_integral_rationals_are_ints_at_the_library_interface():
-    # over Q an integral scalar is an int; only rref's matrix holds Fractions
+    # over Q an integral scalar is an int; the library builds no Fraction
     def ints(vectors):
         return all(type(x) is int for v in vectors for x in v)
 
-    assert ints([[QQ.zero(), QQ.one(), QQ.from_int(-4)]])
     assert ints([indicator_weighting(figure1(), {0, 3}).values])
-    m = constraint_matrix(figure1(), enumerate_mis(figure1()), QQ)
-    assert ints(nullspace_basis(m))
+    assert ints(_full_matrix_basis(figure1(), enumerate_mis(figure1()), QQ))
     assert ints(span_basis([[2, 4, 0], [1, 0, -3]], QQ, 3))
     for g in (figure1(), cycle(4)):
         assert ints(well_covered_space(g, QQ, mis=enumerate_mis(g))
@@ -425,7 +390,6 @@ def test_integral_rationals_are_ints_at_the_library_interface():
             assert ints(space.basis_vectors())
     basis, _, _ = certified_space(sierpinski(3).graph, QQ)
     assert ints(w.values for w in basis)
-    assert all(type(x) is Fraction for r in rref(m)[0].entries for x in r)
 
 
 def _assert_live_kernel_is_exact(filt, field):
