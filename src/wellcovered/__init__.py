@@ -17,7 +17,7 @@ from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   split_cliques_by_neighborhood, CliqueSplit,
                   SccgCountBreakdown, sccg_mis_count_formula,
                   scs_mis_count, SharedCliqueMisCount)
-from .wcspace import (Weighting, WcSpace, certified_space,
+from .wcspace import (WcSpace, certified_space,
                       well_covered_space, well_covered_spaces, wcdim,
                       is_well_covered, indicator_weighting, wcspace_report)
 from .families import (SierpinskiGraph, ScsSpec, ScsComposition, ScsSplit,

@@ -435,8 +435,7 @@ def _cmd_compose(args) -> int:
 def _cmd_verify(args) -> int:
     fields = _field_list(args.field)
     report = run_suite(suite=args.suite, seed=args.seed, fields=fields,
-                       cap=args.mis_cap, random_count=args.random_count,
-                       threads=args.threads)
+                       cap=args.mis_cap, random_count=args.random_count)
     _emit(args, report, summary_table(report))
     return EXIT_OK if suite_passed(report) else EXIT_USAGE
 

@@ -222,13 +222,13 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
     for b_index, w in enumerate(space.basis):
         for i, clique in enumerate(rep.cliques):
             residual = clique - rep.per_clique_w[i]
-            if not _constant_on(w.values, residual):
+            if not _constant_on(w, residual):
                 return _holds(
                     "weighting_lemmas", [graph_id], False,
                     {"basis_size": space.dimension},
                     witness={"clause": "constant-on-residual",
                              "basis_vector": b_index, "clique": sorted(clique),
-                             "values": [str(w.values[v]) for v in sorted(residual)]})
+                             "values": [str(w[v]) for v in sorted(residual)]})
         for conn in sorted(rep.connection_set):
             covered = split_cliques_by_neighborhood(g, [conn]).covered
             pools = [sorted(c & rep.simplicial_vertices) for c in covered]
@@ -238,8 +238,8 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
             if total > _SELECTION_CAP:
                 return _na("weighting_lemmas", [graph_id],
                            f"selection search above {_SELECTION_CAP}")
-            target = w.values[conn]
-            found = any(sum(w.values[v] for v in pick) == target
+            target = w[conn]
+            found = any(sum(w[v] for v in pick) == target
                         for pick in product(*pools))
             if not found:
                 return _holds(
@@ -263,12 +263,12 @@ def check_neighbor_swap(g: Graph, graph_id: str,
     pairs = swap_pairs(g, cap)
     for u, v in pairs:
         for b_index, w in enumerate(space.basis):
-            if w.values[u] != w.values[v]:
+            if w[u] != w[v]:
                 return _holds(
                     "neighbor_swap", [graph_id], False,
                     {"pairs": len(pairs)},
                     witness={"pair": [u, v], "basis_vector": b_index,
-                             "values": [str(w.values[u]), str(w.values[v])]})
+                             "values": [str(w[u]), str(w[v])]})
     return _holds("neighbor_swap", [graph_id], True,
                   {"pairs": len(pairs), "vacuous": not pairs})
 
@@ -398,7 +398,7 @@ def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
             return _holds("sierpinski", ids, False, details, witness=details)
         if order >= 3:
             for b_index, w in enumerate(space.basis):
-                bad_outside = [v for v in sorted(outside) if w.values[v] != 0]
+                bad_outside = [v for v in sorted(outside) if w[v] != 0]
                 if bad_outside:
                     return _holds(
                         "sierpinski", ids, False, details,
@@ -406,7 +406,7 @@ def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                                  "field": f.label(), "basis_vector": b_index,
                                  "vertices": bad_outside})
                 for c in sg.corner_cliques:
-                    if not _constant_on(w.values, c):
+                    if not _constant_on(w, c):
                         return _holds(
                             "sierpinski", ids, False, details,
                             witness={"clause": "constant-on-corner",
@@ -432,8 +432,8 @@ def check_path_cycle_citations(n: int,
         details["path_wcdim"][f.label()] = space.dimension
         ok = ok and space.dimension == 2
     q_space = _space(pg, QQ, cap)
-    ends = [indicator_weighting(pg, {0, 1}).values,
-            indicator_weighting(pg, {n - 2, n - 1}).values]
+    ends = [indicator_weighting(pg, {0, 1}),
+            indicator_weighting(pg, {n - 2, n - 1})]
     span_ok = span_equal(q_space.basis_vectors(), [list(e) for e in ends], QQ,
                          length=pg.n)
     details["path_basis_is_end_edges"] = span_ok
@@ -549,14 +549,12 @@ def _run_task(task: Task) -> Verdict:
 @_opens_cache
 def run_suite(suite: str = "default", seed: int = 0,
               fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
-              cap: int = DEFAULT_MIS_CAP, random_count: int = 120,
-              threads: int = 1) -> dict:
+              cap: int = DEFAULT_MIS_CAP, random_count: int = 120) -> dict:
     """Run a named suite and assemble an order-normalized report.
 
     The report is a plain JSON-ready dict with verdicts sorted by check id
-    and inputs.  Checks run serially for any threads value, which is kept
-    for compatibility and never changes the output bytes.  The MIS lists and
-    spaces cached during the run are released when it returns.
+    and inputs.  Checks run serially.  The MIS lists and spaces cached
+    during the run are released when it returns.
     """
     tasks = _suite_tasks(suite, seed, tuple(fields), cap, random_count)
     verdicts = [_run_task(t) for t in tasks]

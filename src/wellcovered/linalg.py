@@ -1,7 +1,9 @@
 """Exact row reduction over the rationals and prime fields.
 
 Scalars are plain values: over the rationals an int, or a fractions.Fraction
-where an input value is non-integral, over GF(p) an int in 0..p-1.  A
+where an input value is non-integral, over GF(p) an int in 0..p-1.  An input
+entry over GF(p) may be any integer, an integral Fraction included, and is
+reduced to its residue; a non-integral one raises ValueError.  A
 FieldSpec names the field; matrices and vectors never round and never
 overflow.  rank_of_rows, nullspace_basis and span_basis all run one
 elimination on int rows for both kinds of field (fraction-free over the
@@ -117,8 +119,9 @@ class Matrix:
     """Dense row-major matrix over a FieldSpec.  rows == 0 is allowed.
 
     Over the rationals the entries are ints or Fractions; from_rows keeps
-    ints as they are, since they are exact rationals.  Over GF(p) from_rows
-    stores int entries as residues in 0..p-1.
+    them as they are, since they are exact rationals.  Over GF(p) from_rows
+    stores every entry as its residue in 0..p-1, and an entry that is not an
+    integer (a Fraction with denominator above 1) raises ValueError.
     """
 
     rows: int
@@ -139,31 +142,29 @@ class Matrix:
         if not rows and cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         width = cols if cols is not None else len(rows[0])
-        p = field.p
-        if p:
-            ent = tuple(tuple(x % p if isinstance(x, int) else x for x in r)
-                        for r in rows)
-        else:
-            ent = tuple(map(tuple, rows))
+        if field.p:
+            rows = _int_rows(rows, field.p)
+        ent = tuple(map(tuple, rows))
         return cls(len(ent), width, ent, field)
 
 
-def _integer_row(row: Sequence[Scalar]) -> list[int]:
-    """A rational row scaled by the lcm of its denominators to integers; a
-    row of ints is copied as it is."""
-    if set(map(type, row)) <= {int}:
-        return list(row)
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def _integer_row(row: Sequence[Scalar], p: int | None) -> list[int]:
+    """A row as a new int row.  Over the rationals (p None) it is scaled by
+    the lcm of its denominators to integers.  Over GF(p) each entry becomes
+    its residue, and an entry that is not an integer raises ValueError."""
+    if not set(map(type, row)) <= {int}:
+        den = lcm(*(x.denominator for x in row))
+        if p and den != 1:
+            raise ValueError(f"non-integral entry has no residue modulo {p}")
+        row = [x.numerator * (den // x.denominator) for x in row]
+    return [x % p for x in row] if p else list(row)
 
 
 def _int_rows(rows: Sequence[Sequence[Scalar]],
               p: int | None) -> list[list[int]]:
     """The rows as new int rows: residues over GF(p), each row scaled to
     integers over the rationals (p None)."""
-    if p:
-        return [[x % p for x in row] for row in rows]
-    return [_integer_row(row) for row in rows]
+    return [_integer_row(row, p) for row in rows]
 
 
 def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:

@@ -43,22 +43,26 @@ GF(p) filter at its floor has rows of rank n - sc, so the dimension over Q
 is at most sc, hence exactly sc, and the space is the span of the clique
 indicators; no rational filter is built.  With no prime field asked for,
 one fixed internal prime is sampled for this alone.  Where no prime filter
-finishes, a rational filter reads the same samples and, if it is not
-finished either, joins the others.  The filters not yet finished then
-read the search, streamed a block of MISs at a time so that no MIS list is
-held, until they are.  Where the dimension exceeds sc they read it to the
-end, and its length is the MIS count.  Otherwise the count comes from count_mis, which lists no set, and
-where sampling finished every filter the search is never run.
-certified_space stops after the sampling phase, and returns the space only
-when every kernel reached its floor.
+finishes, a rational filter is built on the first sample and joins the
+others; it reads no sample, since on the corpus and on some 900 random
+graphs the samples that left every prime filter open never finished it
+either.  The filters not yet
+finished then read the search, streamed a block of MISs at a time so that
+no MIS list is held, until they are.  Where the dimension exceeds sc they
+read it to the end, and its length is the MIS count.  Otherwise the count
+comes from count_mis, which lists no set, and where sampling finished every
+filter the search is never run.  certified_space stops after the sampling
+phase, and returns the space only when its one prime filter reached its
+floor: over the rationals, the filter over the internal prime.
 
 The basis is then read off each filter's final kernel, which is the
 well-covered space, or off the clique indicators where a prime certified
 the rationals: span_basis returns the free-column basis of the reduced
 echelon form of the constraint rows, from vectors spanning their nullspace,
-so the selected rows are never eliminated a second time.  That basis depends
-only on the space, so neither on which spanning rows were selected, nor on
-the base, nor on the order of the MISs.
+so the selected rows are never eliminated a second time.  Each basis
+vector is a tuple of ints.  That basis depends only on the space, so
+neither on which spanning rows were selected, nor on the base, nor on the
+order of the MISs.
 """
 
 from __future__ import annotations
@@ -81,41 +85,30 @@ from .mis import enumerate_mis  # noqa: F401
 
 
 @dataclass(frozen=True)
-class Weighting:
-    """A vertex-indexed vector of exact field scalars."""
-
-    graph: Graph
-    field: FieldSpec
-    values: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.graph.n:
-            raise ValueError(
-                f"weighting length {len(self.values)} != vertex count {self.graph.n}")
-
-
-@dataclass(frozen=True)
 class WcSpace:
-    """Basis and dimension of the well-covered space over one field.
+    """Basis of the well-covered space over one field.
 
-    Every basis entry is an int: a residue in 0..p-1 over GF(p), and over
-    the rationals each vector's entries are coprime with its first nonzero
-    entry positive, as span_basis returns them.  well_covered_space is
-    the only constructor.
+    Every basis vector is a tuple of ints: residues in 0..p-1 over GF(p),
+    and over the rationals coprime entries with the first nonzero entry
+    positive, as span_basis returns them.  well_covered_space and
+    well_covered_spaces are the only constructors.
     """
 
     graph: Graph
     field: FieldSpec
-    basis: tuple[Weighting, ...]
-    dimension: int
+    basis: tuple[tuple[int, ...], ...]
     mis_count: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     @property
     def constraint_rank(self) -> int:
         return self.graph.n - self.dimension
 
-    def basis_vectors(self) -> list[list]:
-        return [list(w.values) for w in self.basis]
+    def basis_vectors(self) -> list[list[int]]:
+        return [list(w) for w in self.basis]
 
 
 def _difference_row(members: tuple[int, ...], first: tuple[int, ...],
@@ -244,45 +237,18 @@ class _RowFilter:
         return len(kernel) == floor
 
 
-def _list_filter(mis: Iterable[tuple[int, ...]], n: int,
-                 p: int | None) -> _RowFilter:
-    """One _RowFilter, over GF(p) or over the rationals when p is None,
-    that has read the MISs: its rows span the whole constraint row space,
-    and its kernel is the well-covered space.
-
-    One forward pass: the MISs are read once, in order, the first being the
-    base of every difference row, and none is read after the kernel empties.
-    """
-    mis = iter(mis)
-    filt = _RowFilter(next(mis), n, p)
-    filt.read(mis)
-    return filt
-
-
 def _basis(g: Graph, field: FieldSpec,
-           filt: _RowFilter | None) -> tuple[Weighting, ...]:
+           filt: _RowFilter | None) -> tuple[tuple[int, ...], ...]:
     """The reduced echelon basis of the space the filter's live kernel
     vectors span, read off those vectors by span_basis.  No filter stands
     for a rational space certified by a prime filter at its floor (see
     _sampled_filters): the span of the simplicial clique indicators."""
     if filt is None:
-        vectors = []
-        for clique in simplicial_report(g).cliques:
-            vec = [0] * g.n
-            for v in clique:
-                vec[v] = 1
-            vectors.append(vec)
+        vectors = [indicator_weighting(g, c)
+                   for c in simplicial_report(g).cliques]
     else:
         vectors = list(filt.kernel.values())
-    return tuple(Weighting(graph=g, field=field, values=tuple(vec))
-                 for vec in span_basis(vectors, field, g.n))
-
-
-def _space(g: Graph, field: FieldSpec, filt: _RowFilter | None,
-           mis_count: int) -> WcSpace:
-    basis = _basis(g, field, filt)
-    return WcSpace(graph=g, field=field, basis=basis,
-                   dimension=len(basis), mis_count=mis_count)
+    return tuple(map(tuple, span_basis(vectors, field, g.n)))
 
 
 # The sampler's seed: a fixed seed keeps the samples, and so the work, the
@@ -304,23 +270,19 @@ _STALL = 32
 _Q_PRIME = 65521
 
 
-def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
-    """Sampling phase: one row filter per prime field, each with the given
-    floor, fed seeded random greedy MISs until every filter is finished or
-    _STALL samples in a row select no row in any live filter.  Where the
-    rationals are asked for with no prime field, one filter over
-    GF(_Q_PRIME) is sampled in their place.
+def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
+    """Sampling phase: one row filter per prime, each over GF(p) with the
+    given floor, fed seeded random greedy MISs until every filter is
+    finished or _STALL samples in a row select no row in any live filter.
 
     Every sample is checked to be independent and dominating before it is
     read; a sampler that breaks this raises RuntimeError.  The first sample
-    is the base of every difference row.  Returns the samples, one filter
-    per field, and the filters not yet finished.  The difference rows are
-    integer rows, so their rank over Q is at least their rank modulo p: a
-    prime filter at its floor sc leaves the rational space at most sc
-    dimensions, and the clique indicators give it at least sc.  A rational
-    field then gets None, and no rational filter is built.  Otherwise it
-    gets a rational filter that has read the samples, live unless that
-    finished it.
+    is the base of every difference row.  Returns the samples and the
+    filters keyed by their prime; a filter is finished when its kernel is
+    down to the floor.  The difference rows are integer rows, so their rank
+    over Q is at least their rank modulo p: a prime filter at its floor sc
+    leaves the rational space at most sc dimensions, and the clique
+    indicators give it at least sc.
     """
     adj = adjacency_masks(g)
     full = (1 << g.n) - 1
@@ -340,27 +302,17 @@ def _sampled_filters(g: Graph, fields: Sequence[FieldSpec], floor: int):
         return members
 
     samples = [draw()]
-    primes = [f.p for f in fields if f.p]
-    rationals = len(primes) < len(fields)
-    sampled = {p: _RowFilter(samples[0], g.n, p, floor)
-               for p in primes or ([_Q_PRIME] if rationals else [])}
-    live = list(sampled.values())
+    filters = {p: _RowFilter(samples[0], g.n, p, floor) for p in primes}
+    live = list(filters.values())
     selected = stall = 0
     while live and stall < _STALL:
         members = draw()
         samples.append(members)
         live = [filt for filt in live if not filt.read((members,))]
-        total = sum(len(filt.rows) for filt in sampled.values())
+        total = sum(len(filt.rows) for filt in filters.values())
         stall = 0 if total > selected else stall + 1
         selected = total
-    rational = None
-    if rationals and len(live) == len(sampled):  # no prime filter finished
-        rational = _RowFilter(samples[0], g.n, None, floor)
-        if not primes:
-            live = []  # GF(_Q_PRIME) was asked for by no field
-        if not rational.read(islice(samples, 1, None)):
-            live.append(rational)
-    return samples, [sampled[f.p] if f.p else rational for f in fields], live
+    return samples, filters
 
 
 def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
@@ -372,19 +324,31 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     The sampling phase feeds the prime filters the same seeded random
     greedy MISs first; the first sample is the base of every difference
     row.  A prime filter that finishes there certifies the rational space
-    as the span of the clique indicators; otherwise a rational filter
-    reads the samples and joins the others (see _sampled_filters).  While
-    a filter is above its floor the search is streamed: its
-    MISs are taken in blocks, and each filter still above its floor reads
-    each block in turn, so at most one block of MISs is held.  A filter
-    reads no MIS once it is finished.  mis_count is the stream's length
-    when the filters read it to the end, and count_mis's otherwise, so it
-    is exact either way and the cap still raises; where sampling finished
-    every filter, the search is never run.  The basis depends only on the
-    row space, so not on the samples or the MIS order: each space equals
-    well_covered_space's for the enumerated MIS list.
+    as the span of the clique indicators (see _sampled_filters).  Where the
+    rationals are asked for with no prime field, one filter over
+    GF(_Q_PRIME) is sampled in their place.  Where no prime filter
+    finishes, a rational filter is built on the first sample, and it reads
+    the stream alone.  While a filter is above its floor the search is
+    streamed: its MISs are taken in blocks, and each filter still above its
+    floor reads each block in turn, so at most one block of MISs is held.
+    A filter reads no MIS once it is finished.  mis_count is the stream's
+    length when the filters read it to the end, and count_mis's otherwise,
+    so it is exact either way and the cap still raises; where sampling
+    finished every filter, the search is never run.  The basis depends only
+    on the row space, so not on the samples or the MIS order: each space
+    equals well_covered_space's for the enumerated MIS list.
     """
-    _, filters, live = _sampled_filters(g, fields, simplicial_report(g).sc)
+    sc = simplicial_report(g).sc
+    primes = [f.p for f in fields if f.p]
+    rationals = len(primes) < len(fields)
+    samples, filters = _sampled_filters(
+        g, primes or ([_Q_PRIME] if rationals else []), sc)
+    live = [filt for filt in filters.values() if len(filt.kernel) > sc]
+    if rationals and len(live) == len(filters):  # no prime filter finished
+        if not primes:
+            live = []  # GF(_Q_PRIME) was asked for by no field
+        filters[None] = _RowFilter(samples[0], g.n, None, sc)
+        live.append(filters[None])
     stream = iter_mis(g, cap)
     count = 0
     while live and (block := list(islice(stream, _BLOCK))):
@@ -392,8 +356,8 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
         live = [filt for filt in live if not filt.read(block)]
     if not live:
         count = count_mis(g, cap)
-    return tuple(_space(g, f, filt, count)
-                 for f, filt in zip(fields, filters))
+    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p)), count)
+                 for f in fields)
 
 
 def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
@@ -408,20 +372,20 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     has dimension at most sc; every MIS meets each simplicial clique in
     exactly one vertex, and each clique has a private simplicial vertex, so
     the clique indicators give dimension at least sc.  Over the rationals
-    that rank is taken modulo the prime _Q_PRIME, 65521: the rows are
-    integer rows, so their rank over Q is at least their rank modulo p.
-    Where the prime falls short, the rank is taken over Q from the same
-    samples.  basis holds the Weightings of well_covered_space's reduced
-    echelon basis, read off the filter's final kernel of sc vectors, or
-    off the clique indicators where the prime certified the rationals;
-    samples holds the MISs in the order drawn, each as its members in the
-    order they joined; cliques holds the simplicial cliques.
+    that rank is taken modulo the prime _Q_PRIME, 65521, alone: the rows
+    are integer rows, so their rank over Q is at least their rank modulo p,
+    and where the prime stalls the result is None.  basis holds
+    well_covered_space's reduced echelon basis vectors, read off the
+    filter's final kernel of sc vectors, or off the clique indicators over
+    the rationals; samples holds the MISs in the order drawn, each as its
+    members in the order they joined; cliques holds the simplicial cliques.
     """
     rep = simplicial_report(g)
-    samples, (filt,), live = _sampled_filters(g, (field,), rep.sc)
-    if live:
+    p = field.p or _Q_PRIME
+    samples, filters = _sampled_filters(g, (p,), rep.sc)
+    if len(filters[p].kernel) > rep.sc:
         return None
-    return _basis(g, field, filt), tuple(samples), rep.cliques
+    return _basis(g, field, filters.get(field.p)), tuple(samples), rep.cliques
 
 
 def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
@@ -438,8 +402,9 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
         return well_covered_spaces(g, (field,), cap=cap)[0]
     if mis.graph != g:
         raise ValueError("MIS list belongs to a different graph")
-    filt = _list_filter(mis.sets, g.n, field.p)
-    return _space(g, field, filt, len(mis))
+    filt = _RowFilter(mis.sets[0], g.n, field.p)
+    filt.read(islice(mis.sets, 1, None))
+    return WcSpace(g, field, _basis(g, field, filt), len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,
@@ -453,12 +418,10 @@ def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
     return len({len(s) for s in iter_mis(g, cap)}) == 1
 
 
-def indicator_weighting(g: Graph, vs, field: FieldSpec = QQ) -> Weighting:
-    """Weighting that is one on the given set and zero elsewhere, as int
-    scalars over every field."""
+def indicator_weighting(g: Graph, vs) -> tuple[int, ...]:
+    """The int vector that is one on the given set and zero elsewhere."""
     s = g._check_subset(vs)
-    values = tuple(1 if v in s else 0 for v in g.vertices)
-    return Weighting(graph=g, field=field, values=values)
+    return tuple(1 if v in s else 0 for v in g.vertices)
 
 
 def wcspace_report(space: WcSpace, graph_id: str) -> dict:
@@ -469,5 +432,5 @@ def wcspace_report(space: WcSpace, graph_id: str) -> dict:
         "mis_count": space.mis_count,
         "dimension": space.dimension,
         "constraint_rank": space.constraint_rank,
-        "basis": [list(w.values) for w in space.basis],
+        "basis": space.basis_vectors(),
     }

@@ -143,6 +143,20 @@ def test_span_basis_takes_rational_entries():
             [Fraction(5), Fraction(0), Fraction(-4)]]
 
 
+def test_prime_fields_take_integral_fractions_and_reject_the_rest():
+    assert rank_of_rows([[Fraction(2), 1]], GF3, 2) == 1
+    assert Matrix.from_rows([[Fraction(4), -1]], GF3).entries == ((1, 2),)
+    got = span_basis([[Fraction(4), Fraction(-1)]], GF3, 2)
+    assert got == span_basis([[4, -1]], GF3, 2) == [[2, 1]]
+    assert all(type(x) is int for x in got[0])
+    with pytest.raises(ValueError, match="no residue modulo 3"):
+        nullspace_basis(Matrix.from_rows([[Fraction(1, 2), 1]], GF3))
+    with pytest.raises(ValueError, match="no residue modulo 3"):
+        span_basis([[Fraction(1, 2), 1]], GF3, 2)
+    with pytest.raises(ValueError, match="no residue modulo 2"):
+        rank_of_rows([[1, Fraction(3, 4)]], GF2, 2)
+
+
 def test_span_equal():
     e1 = [Fraction(1), Fraction(0)]
     e2 = [Fraction(0), Fraction(1)]

@@ -17,21 +17,20 @@ from wellcovered.linalg import DEFAULT_FIELDS, GF2, GF3, QQ, FieldSpec, \
 from wellcovered import wcspace
 from wellcovered.mis import MisCapExceededError, MisList, count_mis, \
     enumerate_mis, is_mis, random_greedy_mis
-from wellcovered.wcspace import (Weighting, certified_space,
-                                 indicator_weighting, is_well_covered, wcdim,
-                                 well_covered_space, well_covered_spaces,
-                                 wcspace_report)
+from wellcovered.wcspace import (certified_space, indicator_weighting,
+                                 is_well_covered, wcdim, well_covered_space,
+                                 well_covered_spaces, wcspace_report)
 
 from oracles import _coprime_integers, greedy_spanning_rows, \
     nullspace_basis_elimination, wcdim_fraction_elimination
 from strategies import connected_graphs
 
 
-def _constant_sum(w, mis):
+def _constant_sum(w, field, mis):
     """True iff the weighting has the same sum over every MIS, compared
     modulo p over GF(p)."""
-    p = w.field.p
-    sums = {sum(w.values[v] for v in members) for members in mis.sets}
+    p = field.p
+    sums = {sum(w[v] for v in members) for members in mis.sets}
     return len({s % p for s in sums} if p else sums) == 1
 
 
@@ -124,7 +123,7 @@ def test_basis_vectors_pass_verification_and_are_independent():
         for field in DEFAULT_FIELDS:
             space = well_covered_space(g, field, mis=mis)
             for w in space.basis:
-                assert _constant_sum(w, mis), name
+                assert _constant_sum(w, field, mis), name
             assert rank_of_rows(space.basis_vectors(), field, g.n) == \
                 space.dimension, name
 
@@ -137,10 +136,9 @@ def test_random_combinations_stay_in_space():
         for _ in range(100):
             coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in space.basis]
-            values = [sum((c * w.values[v] for c, w in zip(coeffs, space.basis)),
+            values = [sum((c * w[v] for c, w in zip(coeffs, space.basis)),
                           Fraction(0)) for v in g.vertices]
-            combo = Weighting(graph=g, field=QQ, values=tuple(values))
-            assert _constant_sum(combo, mis)
+            assert _constant_sum(values, QQ, mis)
 
 
 def test_is_well_covered():
@@ -153,7 +151,7 @@ def test_is_well_covered():
             continue
         mis = enumerate_mis(g)
         ones = indicator_weighting(g, set(g.vertices))
-        assert is_well_covered(g) == _constant_sum(ones, mis), name
+        assert is_well_covered(g) == _constant_sum(ones, QQ, mis), name
 
 
 def test_lower_bound_and_chordal_equality_on_corpus():
@@ -189,9 +187,9 @@ def test_clique_indicators_for_disjoint_clique_cover():
     space = well_covered_space(g, QQ, mis=mis)
     for c in rep.cliques:
         ind = indicator_weighting(g, c)
-        assert _constant_sum(ind, mis)
+        assert _constant_sum(ind, QQ, mis)
         assert span_equal(space.basis_vectors(),
-                          space.basis_vectors() + [list(ind.values)],
+                          space.basis_vectors() + [list(ind)],
                           QQ, length=g.n)
 
 
@@ -212,7 +210,7 @@ def test_integerized_basis_is_content_one():
     for g in (figure1(), path(9), cycle(4)):
         space = well_covered_space(g, QQ)
         for w in space.basis:
-            assert list(w.values) == _coprime_integers(w.values)
+            assert list(w) == _coprime_integers(w)
 
 
 def test_clique_indicator_membership_on_corpus_sccgs():
@@ -228,9 +226,9 @@ def test_clique_indicator_membership_on_corpus_sccgs():
         for c in rep.cliques:
             if all(len(m & c) == 1 for m in mis):
                 ind = indicator_weighting(g, c)
-                assert _constant_sum(ind, mis), name
+                assert _constant_sum(ind, QQ, mis), name
                 assert span_equal(space.basis_vectors(),
-                                  space.basis_vectors() + [list(ind.values)],
+                                  space.basis_vectors() + [list(ind)],
                                   QQ, length=g.n), name
 
 
@@ -297,6 +295,15 @@ WIDTH_GROWS = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 6),
                         (2, 3), (2, 6), (3, 6), (4, 6)])
 
 
+def _list_filter(mis, n, p):
+    """A row filter, over GF(p) or over the rationals when p is None, that
+    has read the MISs in order, the first being the base."""
+    mis = iter(mis)
+    filt = wcspace._RowFilter(next(mis), n, p)
+    filt.read(mis)
+    return filt
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(connected_graphs())
 @example(RESIDUES_AGREE)
@@ -305,7 +312,7 @@ WIDTH_GROWS = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 6),
 def test_spanning_rows_match_greedy_oracle(g):
     tuples = enumerate_mis(g).sets
     for p in (None, 2, 3, 5):
-        got = wcspace._list_filter(tuples, g.n, p).rows
+        got = _list_filter(tuples, g.n, p).rows
         assert got == greedy_spanning_rows(tuples, g.n, p), p
 
 
@@ -328,7 +335,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
     tuples = enumerate_mis(RESIDUES_AGREE).sets
     for p in (2, 3, 5):
         calls.clear()
-        rows = wcspace._list_filter(tuples, RESIDUES_AGREE.n, p).rows
+        rows = _list_filter(tuples, RESIDUES_AGREE.n, p).rows
         assert any(d and all(x % p == 0 for _, x in d) for _, d in calls), p
         assert rows == greedy_spanning_rows(tuples, RESIDUES_AGREE.n, p), p
 
@@ -336,7 +343,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
 def test_slot_width_grows_with_rational_vectors(monkeypatch):
     calls = _record_digits(monkeypatch)
     tuples = enumerate_mis(WIDTH_GROWS).sets
-    rows = wcspace._list_filter(tuples, WIDTH_GROWS.n, None).rows
+    rows = _list_filter(tuples, WIDTH_GROWS.n, None).rows
     assert [w for w, _ in calls] == [2, 4, 4, 4]
     assert rows == greedy_spanning_rows(tuples, WIDTH_GROWS.n)
 
@@ -349,7 +356,7 @@ def test_pass_stops_when_the_kernel_empties():
                     if len(greedy_spanning_rows(tuples[:k + 1], g.n, p)) == g.n)
         assert full < len(tuples) - 1
         unread = iter(tuples)
-        rows = wcspace._list_filter(unread, g.n, p).rows
+        rows = _list_filter(unread, g.n, p).rows
         assert len(rows) == g.n, p
         assert next(unread) == tuples[full + 1], p
 
@@ -379,7 +386,7 @@ def test_integral_rationals_are_ints_at_the_library_interface():
     def ints(vectors):
         return all(type(x) is int for v in vectors for x in v)
 
-    assert ints([indicator_weighting(figure1(), {0, 3}).values])
+    assert ints([indicator_weighting(figure1(), {0, 3})])
     assert ints(_full_matrix_basis(figure1(), enumerate_mis(figure1()), QQ))
     assert ints(span_basis([[2, 4, 0], [1, 0, -3]], QQ, 3))
     for g in (figure1(), cycle(4)):
@@ -389,7 +396,7 @@ def test_integral_rationals_are_ints_at_the_library_interface():
         for space in well_covered_spaces(g, DEFAULT_FIELDS):
             assert ints(space.basis_vectors())
     basis, _, _ = certified_space(sierpinski(3).graph, QQ)
-    assert ints(w.values for w in basis)
+    assert ints(basis)
 
 
 def _assert_live_kernel_is_exact(filt, field):
@@ -424,19 +431,23 @@ def test_kernel_is_exact_when_read_stops_at_the_floor():
     assert stopped > 50, stopped
 
 
-def test_sampled_kernels_are_exact_at_the_floor():
+def test_sampled_kernels_are_exact_at_the_floor(monkeypatch):
     graphs = [g for g in named_corpus().values() if g.n <= 16]
     graphs += [_relabelled_s4()] + _seeded_random_graphs(37, 40)
+    primes = [f.p for f in FOUR_FIELDS if f.p]
+    built = _spy_built_filters(monkeypatch)
     for g in graphs:
-        _, filters, live = wcspace._sampled_filters(
-            g, FOUR_FIELDS, simplicial_report(g).sc)
-        for field, filt in zip(FOUR_FIELDS, filters):
-            if filt is None:
-                # a certified Q: some prime filter reached its floor
-                assert any(f is not None and f not in live
-                           for f in filters), g
-            elif filt not in live:
-                _assert_live_kernel_is_exact(filt, field)
+        sc = simplicial_report(g).sc
+        _, filters = wcspace._sampled_filters(g, primes, sc)
+        assert list(filters) == primes
+        finished = [p for p, filt in filters.items() if len(filt.kernel) == sc]
+        for p in finished:
+            _assert_live_kernel_is_exact(filters[p], FieldSpec.gf(p))
+        # a certified Q: some prime filter reached its floor on the same
+        # samples, and no rational filter is built
+        built.clear()
+        well_covered_spaces(g, FOUR_FIELDS)
+        assert (None not in built) == bool(finished), g
 
 
 # sha256 of json.dumps(report, sort_keys=True) for sierpinski order 4: the
@@ -633,11 +644,26 @@ def test_a_prime_filter_above_its_floor_hands_over_to_the_rationals(
         monkeypatch):
     built = _spy_built_filters(monkeypatch)
     fed = _count_streamed_reads(monkeypatch)
+    sampled = Counter()
+    read = wcspace._RowFilter.read
+
+    def spy(self, mis):
+        def counted():
+            for members in mis:
+                # the stream's MISs are tuple subclasses, the samples tuples
+                if type(members) is tuple:
+                    sampled[self.p] += 1
+                yield members
+        return read(self, counted())
+
+    monkeypatch.setattr(wcspace._RowFilter, "read", spy)
     space = well_covered_space(SAMPLES_FALL_SHORT, QQ)
     assert built == [wcspace._Q_PRIME, None]
     assert space.dimension == 2 > simplicial_report(SAMPLES_FALL_SHORT).sc
     # only the rational filter reads the stream, and it reads all of it
     assert fed == {None: space.mis_count}
+    # the rational filter is never handed a sampled MIS
+    assert list(sampled) == [wcspace._Q_PRIME]
     assert certified_space(SAMPLES_FALL_SHORT, QQ) is None
 
 
@@ -648,7 +674,7 @@ def _random_7_graphs() -> dict:
     return dict(random_connected_graphs(40, 7, max_n=11))
 
 
-def test_rationals_close_from_the_samples_where_gf2_stays_open(monkeypatch):
+def test_rationals_read_the_stream_where_gf2_stays_open(monkeypatch):
     g = _random_7_graphs()["random_7_017_n11_p0.7"]
     assert simplicial_report(g).sc == 0
     assert [wcdim(g, f) for f in (QQ, GF2, GF3)] == [0, 1, 0]
@@ -657,13 +683,13 @@ def test_rationals_close_from_the_samples_where_gf2_stays_open(monkeypatch):
     q, gf2 = well_covered_spaces(g, (QQ, GF2))
     assert built == [2, None]
     assert (q.dimension, gf2.dimension) == (0, 1)
-    assert set(fed) == {2}  # the rational filter closed on the samples
-    # a prime that falls short hands Q's certificate to the rational filter
+    assert set(fed) == {2, None}  # the rational filter reads the stream
+    # Q is certified modulo _Q_PRIME alone: a prime that falls short leaves
+    # no certificate, and no rational filter is built
     monkeypatch.setattr(wcspace, "_Q_PRIME", 2)
     built.clear()
-    basis, _, cliques = certified_space(g, QQ)
-    assert basis == () and cliques == ()
-    assert built == [2, None]
+    assert certified_space(g, QQ) is None
+    assert built == [2]
 
 
 FIELD_SETS = ((QQ,), (QQ, GF2), (GF2, QQ, GF3), FOUR_FIELDS)
@@ -744,9 +770,9 @@ def test_certified_space_closes_on_sierpinski_5():
         for w in basis:
             for v in sg.graph.vertices:
                 if not any(v in c for c in cliques):
-                    assert w.values[v] == 0, field
+                    assert w[v] == 0, field
             for c in cliques:
-                assert len({w.values[v] for v in c}) == 1, field
+                assert len({w[v] for v in c}) == 1, field
 
 
 def test_certified_space_equals_the_enumerated_space():
