@@ -7,7 +7,7 @@ from .graph import (Graph, GraphError, VertexRangeError, SelfLoopError,
                     simplicial_vertices, simplicial_report,
                     contains_simplicial_vertex, is_chordal, is_sccg,
                     parse_edge_list, format_edge_list, load_graph, save_graph)
-from .linalg import (FieldSpec, Matrix, QQ, GF2, GF3, DEFAULT_FIELDS,
+from .linalg import (FieldSpec, QQ, GF2, GF3, DEFAULT_FIELDS,
                      nullspace_basis, span_basis, span_equal)
 from .mis import (MisList, MisCapExceededError, NotIndependentError,
                   NotSccgError, DEFAULT_MIS_CAP, is_independent, is_mis,

@@ -72,17 +72,17 @@ def _shipped_corpus_dir() -> str:
 def _load_graph_arg(spec: str, corpus_dir: str | None) -> tuple[Graph, str]:
     """Resolve a graph argument: a readable path first, then a corpus name."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read()), os.path.basename(spec)
-    name = spec.removesuffix(".g")
-    if name in corpus_names():
-        base = corpus_dir or _shipped_corpus_dir()
-        file_path = os.path.join(base, name + ".g")
-        if os.path.exists(file_path):
-            with open(file_path, "r", encoding="utf-8") as fh:
-                return parse_edge_list(fh.read()), name
-        return corpus_graph(name), name
-    raise GraphError(f"no such file or corpus graph: {spec}")
+        file_path, graph_id = spec, os.path.basename(spec)
+    else:
+        graph_id = spec.removesuffix(".g")
+        if graph_id not in corpus_names():
+            raise GraphError(f"no such file or corpus graph: {spec}")
+        file_path = os.path.join(corpus_dir or _shipped_corpus_dir(),
+                                 graph_id + ".g")
+        if not os.path.exists(file_path):
+            return corpus_graph(graph_id), graph_id
+    with open(file_path, "r", encoding="utf-8") as fh:
+        return parse_edge_list(fh.read()), graph_id
 
 
 # the stdlib encoder _write_json matches byte for byte; it encodes the

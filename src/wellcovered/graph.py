@@ -2,15 +2,15 @@
 
 Graphs are simple, connected, undirected, with vertices 0..n-1.  Everything
 here is a pure function of (n, edges); graph values are safe to share and
-hash.
+hash.  A graph holds its adjacency in one form, an int bitmask of
+neighbours per vertex (adjacency_masks); the queries that return vertex
+sets build their frozensets from the masks when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-VertexSet = frozenset  # frozenset[int] keyed to a Graph's 0..n-1 range
 
 
 class GraphError(ValueError):
@@ -37,23 +37,46 @@ class EdgeListParseError(ValueError):
         self.line = line
 
 
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(masks: Sequence[int], start: int, keep: int) -> int:
+    """The vertices of keep joined to the bitmask start by paths inside
+    keep, start included: one flood fill over the neighbour masks."""
+    comp = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & keep & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 class Graph:
     """Immutable simple undirected connected graph on vertices 0..n-1.
 
     Equality and hashing are label-sensitive: two graphs are equal iff they
     have the same vertex count and the same edge set.
 
-    The graph builds its neighbour bitmasks once, into the _masks slot (see
-    adjacency_masks), and memoises its simplicial_report in the _simplicial
-    slot, set on first use: both live exactly as long as the graph object,
+    The graph stores its adjacency once, as per-vertex neighbour bitmasks in
+    the _masks slot (see adjacency_masks); neighbors() and the other set
+    queries read them.  It memoises its simplicial_report in the _simplicial
+    slot, set on first use.  Both live exactly as long as the graph object,
     and neither takes part in equality or hashing.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_hash", "_masks", "_simplicial")
+    __slots__ = ("n", "edges", "_hash", "_masks", "_simplicial")
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[frozenset, ...]
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]) -> None:
         if n < 1:
@@ -67,36 +90,21 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         if len(seen) < n - 1:
             # too few edges to connect n vertices: reject before the
-            # per-vertex sets below are allocated
+            # per-vertex masks below are allocated
             raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
         edges = tuple(sorted(seen))
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in neighbors))
-        object.__setattr__(self, "_hash", hash((n, edges)))
-        object.__setattr__(self, "_simplicial", None)
-        if not self._is_connected():
-            raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
         masks = [0] * n
         for u, v in edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        everything = (1 << n) - 1
+        if _reach(masks, 1, everything) != everything:
+            raise DisconnectedGraphError(f"graph on {n} vertices is not connected")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_masks", tuple(masks))
-
-    def _is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        object.__setattr__(self, "_hash", hash((n, edges)))
+        object.__setattr__(self, "_simplicial", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -122,16 +130,16 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adjacency[v])
+        return self._masks[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
-        return self.adjacency[v]
+        return frozenset(_members(self._masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self.adjacency[u]
+        return bool(self._masks[u] >> v & 1)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -145,11 +153,10 @@ class Graph:
 
     def neighborhood(self, vs: Iterable[int]) -> frozenset:
         """Open neighborhood N(S): vertices adjacent to some vertex of S."""
-        s = self._check_subset(vs)
-        out: set[int] = set()
-        for v in s:
-            out |= self.adjacency[v]
-        return frozenset(out)
+        out = 0
+        for v in self._check_subset(vs):
+            out |= self._masks[v]
+        return frozenset(_members(out))
 
     def closed_neighborhood(self, vs: Iterable[int]) -> frozenset:
         """Closed neighborhood N[S] = N(S) plus S itself."""
@@ -158,9 +165,9 @@ class Graph:
 
     def is_clique(self, vs: Iterable[int]) -> bool:
         """True iff every pair of distinct vertices in the set is adjacent."""
-        s = sorted(self._check_subset(vs))
-        return all(s[j] in self.adjacency[s[i]]
-                   for i in range(len(s)) for j in range(i + 1, len(s)))
+        s = self._check_subset(vs)
+        bits = sum(1 << v for v in s)
+        return all(bits & ~self._masks[v] == 1 << v for v in s)
 
     def induced_subgraph(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on the given vertices, relabeled 0..k-1.
@@ -248,15 +255,16 @@ def simplicial_report(g: Graph) -> SimplicialReport:
 
 
 def _simplicial_report(g: Graph) -> SimplicialReport:
-    closed = [m | 1 << v for v, m in enumerate(adjacency_masks(g))]
+    closed = [m | 1 << v for v, m in enumerate(g._masks)]
     # N[v] is a clique iff every neighbour u of v is adjacent to all of it,
     # that is iff N[v] is a subset of N[u]
     simp = [v for v in g.vertices
-            if all(closed[v] & ~closed[u] == 0 for u in g.adjacency[v])]
+            if all(closed[v] & ~closed[u] == 0 for u in _members(g._masks[v]))]
     # distinct cliques in order of their first simplicial vertex, then
     # stably sorted by their smallest vertex
-    cliques = sorted(dict.fromkeys(g.adjacency[v] | {v} for v in simp),
-                     key=min)
+    cliques = [frozenset(_members(c)) for c in
+               sorted(dict.fromkeys(closed[v] for v in simp),
+                      key=lambda c: c & -c)]
     seen: frozenset = frozenset()
     connection: frozenset = frozenset()
     for c in cliques:
@@ -290,7 +298,7 @@ def _lex_bfs_order(g: Graph) -> list[int]:
         v = max(remaining, key=lambda u: (labels[u], -u))
         remaining.discard(v)
         order.append(v)
-        for w in g.adjacency[v]:
+        for w in _members(g._masks[v]):
             if w in remaining:
                 labels[w].append(step)
     return order
@@ -305,12 +313,12 @@ def is_chordal(g: Graph) -> bool:
     order = _lex_bfs_order(g)
     position = {v: i for i, v in enumerate(order)}
     for v in order:
-        earlier = [u for u in g.adjacency[v] if position[u] < position[v]]
+        earlier = [u for u in _members(g._masks[v]) if position[u] < position[v]]
         if not earlier:
             continue
         parent = max(earlier, key=lambda u: position[u])
         for u in earlier:
-            if u != parent and u not in g.adjacency[parent]:
+            if u != parent and not g._masks[parent] >> u & 1:
                 return False
     return True
 
@@ -378,20 +386,12 @@ def components(g: Graph, vs: Iterable[int]) -> list[frozenset]:
 
     Returned in increasing order of their smallest member.
     """
-    keep = set(g._check_subset(vs))
+    keep = sum(1 << v for v in g._check_subset(vs))
     out: list[frozenset] = []
     while keep:
-        start = min(keep)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w in keep and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        keep -= comp
-        out.append(frozenset(comp))
-    out.sort(key=min)
+        # the lowest vertex left starts the next component
+        comp = _reach(g._masks, keep & -keep, keep)
+        keep ^= comp
+        out.append(frozenset(_members(comp)))
     return out
 

@@ -4,13 +4,14 @@ Scalars are plain values: over the rationals an int, or a fractions.Fraction
 where an input value is non-integral, over GF(p) an int in 0..p-1.  An input
 entry over GF(p) may be any integer, an integral Fraction included, and is
 reduced to its residue; a non-integral one raises ValueError.  A
-FieldSpec names the field; matrices and vectors never round and never
-overflow.  rank_of_rows, nullspace_basis and span_basis all run one
-elimination on int rows for both kinds of field (fraction-free over the
-rationals), so no Fraction is ever built.  The basis vectors are ints, over
-the rationals coprime with the first nonzero entry positive.  span_basis
-reads the basis of a nullspace off any vectors spanning it;
-nullspace_basis reads the same basis off a matrix.
+FieldSpec names the field by its prime p, None for the rationals; rows
+and vectors never round and never overflow.  rank_of_rows, nullspace_basis
+and span_basis take a list of rows, the field and the row length, and run
+one elimination on int rows for both kinds of field (fraction-free over
+the rationals), so no Fraction is ever built.  The basis vectors are ints,
+over the rationals coprime with the first nonzero entry positive.
+nullspace_basis reads the basis of the space the rows annihilate;
+span_basis reads the same basis off any vectors spanning that space.
 """
 
 from __future__ import annotations
@@ -51,36 +52,33 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An exact coefficient field: the rationals, or GF(p) for a prime p.
+    """An exact coefficient field: GF(p) for a prime p, or the rationals
+    where p is None.
 
     It does no arithmetic: rank_of_rows, nullspace_basis and span_basis
-    read it to pick the reduction, modulo p over GF(p) and fraction-free
+    read p to pick the reduction, modulo p over GF(p) and fraction-free
     over the rationals."""
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "rationals":
-            if self.p is not None:
-                raise ValueError("rationals take no modulus")
-        elif self.kind == "prime_field":
-            if self.p is None or not (2 <= self.p < _MAX_PRIME):
+        if self.p is not None:
+            if not (2 <= self.p < _MAX_PRIME):
                 raise ValueError(f"prime modulus out of range: {self.p}")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
 
     # constructors ----------------------------------------------------------
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls("rationals")
+        return cls()
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":
-        return cls("prime_field", p)
+        if p is None:
+            raise ValueError("prime modulus out of range: None")
+        return cls(p)
 
     @classmethod
     def parse(cls, token: str) -> "FieldSpec":
@@ -97,7 +95,7 @@ class FieldSpec:
 
     @property
     def is_rationals(self) -> bool:
-        return self.kind == "rationals"
+        return self.p is None
 
     def label(self) -> str:
         return "Q" if self.is_rationals else f"GF({self.p})"
@@ -114,40 +112,6 @@ GF3 = FieldSpec.gf(3)
 DEFAULT_FIELDS = (QQ, GF2, GF3)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense row-major matrix over a FieldSpec.  rows == 0 is allowed.
-
-    Over the rationals the entries are ints or Fractions; from_rows keeps
-    them as they are, since they are exact rationals.  Over GF(p) from_rows
-    stores every entry as its residue in 0..p-1, and an entry that is not an
-    integer (a Fraction with denominator above 1) raises ValueError.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
-    field: FieldSpec
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], field: FieldSpec,
-                  cols: int | None = None) -> "Matrix":
-        if not rows and cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        width = cols if cols is not None else len(rows[0])
-        if field.p:
-            rows = _int_rows(rows, field.p)
-        ent = tuple(map(tuple, rows))
-        return cls(len(ent), width, ent, field)
-
-
 def _integer_row(row: Sequence[Scalar], p: int | None) -> list[int]:
     """A row as a new int row.  Over the rationals (p None) it is scaled by
     the lcm of its denominators to integers.  Over GF(p) each entry becomes
@@ -160,10 +124,12 @@ def _integer_row(row: Sequence[Scalar], p: int | None) -> list[int]:
     return [x % p for x in row] if p else list(row)
 
 
-def _int_rows(rows: Sequence[Sequence[Scalar]],
-              p: int | None) -> list[list[int]]:
-    """The rows as new int rows: residues over GF(p), each row scaled to
-    integers over the rationals (p None)."""
+def _int_rows(rows: Sequence[Sequence[Scalar]], p: int | None,
+              length: int) -> list[list[int]]:
+    """The rows, each of the given length, as new int rows: residues over
+    GF(p), each row scaled to integers over the rationals (p None)."""
+    if any(len(row) != length for row in rows):
+        raise ValueError(f"vectors must have length {length}")
     return [_integer_row(row, p) for row in rows]
 
 
@@ -212,24 +178,26 @@ def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
     return pivot_cols
 
 
-def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
-    """Deterministic basis of {x : Mx = 0} via free-column parameterization.
+def nullspace_basis(rows: Sequence[Sequence[Scalar]], field: FieldSpec,
+                    length: int) -> list[list[Scalar]]:
+    """Deterministic basis of {x : row . x = 0 for every row}, the rows
+    each of the given length, via free-column parameterization.
 
     Free columns are taken in increasing order, one basis vector each, and
     vector k is zero on every free column but the k-th; basis size is
-    cols - rank.  Over GF(p) the vector has a one in its free column.  Over
+    length - rank.  Over GF(p) the vector has a one in its free column.  Over
     the rationals it is scaled to coprime integers with its first nonzero
     entry positive.  Entries are ints over both kinds of field.  The vectors
     are read from the eliminated int rows; no reduced matrix is built.
     """
-    p = m.field.p
-    work = _int_rows(m.entries, p)
-    pivot_cols = _eliminate(work, m.cols, p)
+    p = field.p
+    work = _int_rows(rows, p, length)
+    pivot_cols = _eliminate(work, length, p)
     pivots = list(zip(work, pivot_cols))
     pivot_set = set(pivot_cols)
     basis = []
-    for free in (c for c in range(m.cols) if c not in pivot_set):
-        vec = [0] * m.cols
+    for free in (c for c in range(length) if c not in pivot_set):
+        vec = [0] * length
         if p:
             vec[free] = 1
             for row, pc in pivots:
@@ -248,20 +216,20 @@ def nullspace_basis(m: Matrix) -> list[list[Scalar]]:
 
 def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
                length: int) -> list[list[Scalar]]:
-    """The free-column basis of the space the vectors span: nullspace_basis(m)
-    for every matrix m whose nullspace is that space, vector for vector.
+    """The free-column basis of the space the vectors span:
+    nullspace_basis(rows, field, length) for all rows whose nullspace is
+    that space, vector for vector.
 
     Eliminating with the columns reversed takes the pivots greedily from
-    the right, and those are m's free columns: the complement of the greedy
-    basis from the left of m's column matroid is the greedy basis from the
-    right of its dual, the column matroid of the nullspace.  Each reduced
-    row, reversed back, is then zero on every other free column, and is
-    scaled as nullspace_basis scales its vectors, with int entries.
+    the right, and those are the rows' free columns: the complement of the
+    greedy basis from the left of the rows' column matroid is the greedy
+    basis from the right of its dual, the column matroid of the nullspace.
+    Each reduced row, reversed back, is then zero on every other free
+    column, and is scaled as nullspace_basis scales its vectors, with int
+    entries.
     """
-    if any(len(v) != length for v in vectors):
-        raise ValueError(f"vectors must have length {length}")
     p = field.p
-    work = _int_rows(vectors, p)
+    work = _int_rows(vectors, p, length)
     for row in work:
         row.reverse()
     rank = len(_eliminate(work, length, p))
@@ -281,9 +249,7 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
 def rank_of_rows(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
                  length: int) -> int:
     """Rank of the vectors over the field, each of the given length."""
-    if any(len(v) != length for v in vectors):
-        raise ValueError(f"vectors must have length {length}")
-    return len(_eliminate(_int_rows(vectors, field.p), length, field.p))
+    return len(_eliminate(_int_rows(vectors, field.p, length), length, field.p))
 
 
 def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],

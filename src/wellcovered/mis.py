@@ -56,15 +56,16 @@ class NotSccgError(ValueError):
 
 def is_independent(g: Graph, vs: Iterable[int]) -> bool:
     s = g._check_subset(vs)
-    return all(v not in g.adjacency[u] for u in s for v in s if v > u)
+    adj, bits = adjacency_masks(g), sum(1 << v for v in s)
+    return not any(adj[v] & bits for v in s)
 
 
 def is_mis(g: Graph, vs: Iterable[int]) -> bool:
-    """True iff the set is independent and no outside vertex can be added."""
+    """True iff the set is independent and no outside vertex can be added:
+    exactly the vertices outside it have a neighbour in it."""
     s = g._check_subset(vs)
-    if not is_independent(g, s):
-        return False
-    return all(bool(g.adjacency[v] & s) for v in g.vertices if v not in s)
+    adj, bits = adjacency_masks(g), sum(1 << v for v in s)
+    return all(bool(adj[v] & bits) != (v in s) for v in g.vertices)
 
 
 @dataclass(frozen=True)

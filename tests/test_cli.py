@@ -98,6 +98,15 @@ def test_wcdim_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_corpus_names_read_the_corpus_directory_first(tmp_path, capsys):
+    (tmp_path / "p5.g").write_text("n 3\n0 zero\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "wcdim", "p5", "--corpus", str(tmp_path))
+    assert code == 2 and "line 2" in err
+    # a name with no file in the directory falls back to the built-in graph
+    code, out, _ = run_cli(capsys, "wcdim", "c8.g", "--corpus", str(tmp_path))
+    assert code == 0 and out.startswith("graph c8: wcdim Q=0")
+
+
 def test_wcdim_huge_edgeless_header_is_validation_error(tmp_path, capsys):
     # rejected from the edge count, before any per-vertex state is built
     huge = tmp_path / "huge.g"

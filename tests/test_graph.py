@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
 from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
 
-from oracles import has_long_induced_cycle, simplicial_vertices_naive
+from oracles import adjacency, has_long_induced_cycle, simplicial_vertices_naive
 from strategies import connected_graphs
 
 
@@ -32,6 +33,20 @@ def test_build_dedups_both_orientations():
 def test_build_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         build_graph(4, [(0, 1), (2, 3)])
+    # n - 1 edges, so only the flood fill over the masks can reject it
+    with pytest.raises(DisconnectedGraphError):
+        build_graph(4, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_too_few_edges_are_rejected_before_any_per_vertex_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError):
+            Graph(10**7, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_build_rejects_self_loop():
@@ -128,7 +143,7 @@ def _report_from_oracle(g):
     stably sorted by their smallest member."""
     cliques = []
     for v in simplicial_vertices_naive(g.n, g.edges):
-        c = frozenset(g.adjacency[v] | {v})
+        c = frozenset(g.neighbors(v) | {v})
         if c not in cliques:
             cliques.append(c)
     cliques.sort(key=min)
@@ -181,7 +196,8 @@ def test_graph_copies_and_pickles_to_an_equal_graph():
         for twin in (copy.copy(g), copy.deepcopy(g),
                      pickle.loads(pickle.dumps(g))):
             assert twin == g and hash(twin) == hash(g), name
-            assert twin.adjacency == g.adjacency, name
+            assert [twin.neighbors(v) for v in twin.vertices] == \
+                [g.neighbors(v) for v in g.vertices], name
             # rebuilt through the constructor: the memo is not carried over
             assert twin._simplicial is None, name
 
@@ -189,8 +205,8 @@ def test_graph_copies_and_pickles_to_an_equal_graph():
 def test_adjacency_masks_are_built_once_and_rebuilt_by_copies():
     for name, g in named_corpus().items():
         masks = adjacency_masks(g)
-        assert masks == tuple(sum(1 << u for u in g.adjacency[v])
-                              for v in g.vertices), name
+        assert masks == tuple(sum(1 << u for u in nbrs)
+                              for nbrs in adjacency(g.n, g.edges)), name
         assert adjacency_masks(g) is masks, name
         for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert adjacency_masks(twin) == masks, name
@@ -232,7 +248,7 @@ def test_simplicial_report_cliques_are_maximal():
         for c in rep.cliques:
             assert g.is_clique(c), name
             outside = set(g.vertices) - c
-            assert not any(c <= g.adjacency[v] for v in outside), name
+            assert not any(c <= g.neighbors(v) for v in outside), name
 
 
 def test_connection_set_membership_counts():
@@ -304,6 +320,34 @@ def test_components():
     g = figure1()
     comps = components(g, set(g.vertices) - {2})
     assert [sorted(c) for c in comps] == [[0, 1], [3, 4, 5, 6, 7, 8, 9]]
+
+
+def _components_naive(adj, keep):
+    out = []
+    for v in sorted(keep):
+        if not any(v in c for c in out):
+            comp, stack = {v}, [v]
+            while stack:
+                for w in adj[stack.pop()] & keep - comp:
+                    comp.add(w)
+                    stack.append(w)
+            out.append(comp)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(max_n=10))
+def test_set_queries_match_the_edge_list(g):
+    adj = adjacency(g.n, g.edges)
+    rng = random.Random(g.n * 1000 + len(g.edges))
+    for v in g.vertices:
+        assert g.neighbors(v) == adj[v] and g.degree(v) == len(adj[v])
+        assert all(g.has_edge(v, u) == (u in adj[v]) for u in g.vertices)
+    for _ in range(10):
+        s = {v for v in g.vertices if rng.random() < 0.5}
+        assert g.neighborhood(s) == set().union(*(adj[v] for v in s))
+        assert g.is_clique(s) == all(u in adj[v] for u in s for v in s if u != v)
+        assert components(g, s) == _components_naive(adj, s)
 
 
 # --- edge-list format ---------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every name
-the bench's layer tracing wraps exists.
+"""Every module of the package uses each name it imports, only graph.py
+reads a Graph's private slots, and every name the bench's layer tracing
+wraps exists.
 
 The bench keep-alive imports are the exceptions: bench/spans.py traces those
 functions under the importing module's name, so the module imports them
@@ -16,6 +17,9 @@ from wellcovered.families import cycle
 
 KEEP_ALIVE = {("cli", "well_covered_space"), ("wcspace", "nullspace_basis"),
               ("wcspace", "enumerate_mis")}
+
+# read outside graph.py through adjacency_masks and simplicial_report
+GRAPH_SLOTS = {"_masks", "_simplicial", "_hash"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,6 +40,15 @@ def test_modules_use_every_name_they_import():
               for path in package.glob("*.py") if path.name != "__init__.py"
               for name in _unused_imports(path.read_text(encoding="utf-8"))}
     assert unused == KEEP_ALIVE
+
+
+def test_only_graph_reads_the_private_graph_slots():
+    package = Path(wellcovered.__file__).parent
+    readers = {(path.stem, node.attr)
+               for path in package.glob("*.py") if path.name != "graph.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in GRAPH_SLOTS}
+    assert readers == set()
 
 
 def _bench_spans():
