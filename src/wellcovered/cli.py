@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        corpus_graph, corpus_names, complete, cycle,
@@ -65,21 +64,18 @@ def _int_at_least(low: int):
     return parse
 
 
-def _shipped_corpus_dir() -> str:
-    return str(resources.files("wellcovered") / "corpus")
-
-
 def _load_graph_arg(spec: str, corpus_dir: str | None) -> tuple[Graph, str]:
-    """Resolve a graph argument: a readable path first, then a corpus name."""
+    """Resolve a graph argument: a readable path first, then a corpus name,
+    read from its file in the --corpus directory where that has one and
+    built by its generator otherwise."""
     if os.path.exists(spec):
         file_path, graph_id = spec, os.path.basename(spec)
     else:
         graph_id = spec.removesuffix(".g")
         if graph_id not in corpus_names():
             raise GraphError(f"no such file or corpus graph: {spec}")
-        file_path = os.path.join(corpus_dir or _shipped_corpus_dir(),
-                                 graph_id + ".g")
-        if not os.path.exists(file_path):
+        file_path = corpus_dir and os.path.join(corpus_dir, graph_id + ".g")
+        if not (file_path and os.path.exists(file_path)):
             return corpus_graph(graph_id), graph_id
     with open(file_path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read()), graph_id
@@ -288,6 +284,10 @@ def _family_graph(family: str, param: int | None) -> tuple[Graph, tuple[str, ...
 
 def _cmd_gen(args) -> int:
     if args.family == "corpus":
+        if args.param is not None:
+            raise _UsageError("gen corpus takes no size parameter")
+        if args.out:
+            raise _UsageError("gen corpus takes no -o/--out; use --corpus DIR")
         target = args.corpus or "corpus"
         os.makedirs(target, exist_ok=True)
         for name in corpus_names():

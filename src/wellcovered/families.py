@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graph import (Graph, components, contains_simplicial_vertex,
-                    format_edge_list, simplicial_report)
+                    simplicial_report)
 
 SIERPINSKI_MAX_ORDER = 7
 FAMILY_MAX_K = 64
@@ -63,16 +63,13 @@ def star(leaves: int) -> Graph:
 class SierpinskiGraph:
     """Sierpinski gasket graph of a given order with geometric bookkeeping.
 
-    corners are the three outer triangle vertices; side_paths lists the three
-    outer sides vertex by vertex (bottom left-to-right, then left and right
-    sides each ending at the apex); corner_cliques are the three simplicial
-    corner triangles (the whole triangle itself at order 1).
+    corners are the three outer triangle vertices; corner_cliques are the
+    three simplicial corner triangles (the whole triangle itself at order 1).
     """
 
     order: int
     graph: Graph
     corners: tuple[int, int, int]
-    side_paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     corner_cliques: tuple[frozenset, frozenset, frozenset]
 
 
@@ -106,25 +103,13 @@ def sierpinski(order: int) -> SierpinskiGraph:
 
     width = 2 ** order
     corners = (index[(0, 0)], index[(width // 2, width // 2)], index[(width, 0)])
-    bottom = tuple(index[c] for c in coords if c[1] == 0)
-    left = tuple(index[c] for c in coords if c[0] == c[1])
-    right = tuple(index[c] for c in sorted(
-        (c for c in coords if c[0] + c[1] == width), reverse=True))
     if order == 1:
         whole = frozenset(range(3))
         cliques = (whole, whole, whole)
     else:
         cliques = tuple(g.closed_neighborhood([c]) for c in corners)
     return SierpinskiGraph(order=order, graph=g, corners=corners,
-                           side_paths=(bottom, left, right),
                            corner_cliques=cliques)
-
-
-def sierpinski_vertex_count(order: int) -> int:
-    """Closed-form vertex count 3(3^(order-1) + 1) / 2."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return 3 * (3 ** (order - 1) + 1) // 2
 
 
 # --- named example graphs ----------------------------------------------------
@@ -220,25 +205,19 @@ def diamond() -> Graph:
 
 @dataclass(frozen=True)
 class ScsSpec:
-    """Recipe for a clique sum: glue maps each shared g2 vertex to its g1
-    counterpart.  The glued set must be a simplicial clique of both parts and
-    of the composite.  A pair sequence that names a g2 vertex twice raises
-    ValueError."""
+    """Recipe for a clique sum: the glue mapping sends each shared g2
+    vertex to its g1 counterpart, stored as its sorted (g2, g1) pairs.  The
+    glued set must be a simplicial clique of both parts and of the
+    composite."""
 
     g1: Graph
     g2: Graph
     glue: tuple[tuple[int, int], ...]
 
-    def __init__(self, g1: Graph, g2: Graph,
-                 glue: Mapping[int, int] | Sequence[tuple[int, int]]) -> None:
+    def __init__(self, g1: Graph, g2: Graph, glue: Mapping[int, int]) -> None:
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
-        pairs = tuple(sorted(glue.items())) if isinstance(glue, Mapping) \
-            else tuple(sorted(tuple(p) for p in glue))
-        for (u, _), (w, _) in zip(pairs, pairs[1:]):
-            if u == w:
-                raise ValueError(f"glue names g2 vertex {u} twice")
-        object.__setattr__(self, "glue", pairs)
+        object.__setattr__(self, "glue", tuple(sorted(glue.items())))
 
     def glue_map(self) -> dict[int, int]:
         return dict(self.glue)
@@ -317,13 +296,6 @@ class ScsSplit:
     part1_vertices: tuple[int, ...]
     part2_vertices: tuple[int, ...]
 
-    def to_spec(self) -> ScsSpec:
-        """Recipe that re-composes the original graph (up to relabeling)."""
-        back1 = {orig: i for i, orig in enumerate(self.part1_vertices)}
-        back2 = {orig: i for i, orig in enumerate(self.part2_vertices)}
-        glue = {back2[v]: back1[v] for v in self.shared}
-        return ScsSpec(self.part1, self.part2, glue)
-
 
 def _scs_splits(g: Graph) -> Iterator[ScsSplit]:
     """Yield the clique-sum splits of the graph lazily, simplicial clique by
@@ -354,14 +326,6 @@ def _scs_splits(g: Graph) -> Iterator[ScsSplit]:
             part2, labels2 = g.induced_subgraph(side2 | clique)
             yield ScsSplit(part1=part1, part2=part2, shared=frozenset(clique),
                            part1_vertices=labels1, part2_vertices=labels2)
-
-
-def find_scs_splits(g: Graph) -> list[ScsSplit]:
-    """Every way to split the graph as a clique sum over one of its
-    simplicial cliques, in deterministic order (see _scs_splits).  Their
-    number grows as 2^(k-1) in the k components left by a clique; use
-    scs_split when one split is enough."""
-    return list(_scs_splits(g))
 
 
 def scs_split(g: Graph) -> ScsSplit | None:
@@ -472,8 +436,3 @@ def corpus_comments(name: str) -> tuple[str, ...]:
 def named_corpus() -> dict[str, Graph]:
     """All shipped corpus graphs by name (deterministic insertion order)."""
     return {name: corpus_graph(name) for name in corpus_names()}
-
-
-def corpus_file_text(name: str) -> str:
-    """Canonical edge-list file contents for a corpus graph."""
-    return format_edge_list(corpus_graph(name), corpus_comments(name))

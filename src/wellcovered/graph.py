@@ -128,18 +128,9 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v].bit_count()
-
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
         return frozenset(_members(self._masks[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._masks[u] >> v & 1)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -189,11 +180,6 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit u of entry v set iff u and v are
     adjacent), built once when the graph is."""
     return g._masks
-
-
-def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated Graph; duplicate pairs in either orientation collapse."""
-    return Graph(n, edge_list)
 
 
 def relabel(g: Graph, mapping: Sequence[int] | dict) -> Graph:

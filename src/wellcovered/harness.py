@@ -449,15 +449,15 @@ def check_path_cycle_citations(n: int,
 
 # --- random corpus and suites ----------------------------------------------------
 
-def random_connected_graphs(count: int, seed: int, max_n: int = 10,
-                            p_values: Sequence[float] = (0.3, 0.5, 0.7),
-                            ) -> list[tuple[str, Graph]]:
-    """Seeded Erdos-Renyi sampler filtered to connected graphs."""
+def random_connected_graphs(count: int, seed: int,
+                            max_n: int = 10) -> list[tuple[str, Graph]]:
+    """Seeded Erdos-Renyi sampler filtered to connected graphs; the edge
+    probability cycles through 0.3, 0.5 and 0.7."""
     rng = random.Random(seed)
     out: list[tuple[str, Graph]] = []
     while len(out) < count:
         n = rng.randint(4, max_n)
-        p = p_values[len(out) % len(p_values)]
+        p = (0.3, 0.5, 0.7)[len(out) % 3]
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
         try:

@@ -1,15 +1,14 @@
 """Exact row reduction over the rationals and prime fields.
 
-Scalars are plain values: over the rationals an int, or a fractions.Fraction
-where an input value is non-integral, over GF(p) an int in 0..p-1.  An input
-entry over GF(p) may be any integer, an integral Fraction included, and is
-reduced to its residue; a non-integral one raises ValueError.  A
-FieldSpec names the field by its prime p, None for the rationals; rows
-and vectors never round and never overflow.  rank_of_rows, nullspace_basis
-and span_basis take a list of rows, the field and the row length, and run
-one elimination on int rows for both kinds of field (fraction-free over
-the rationals), so no Fraction is ever built.  The basis vectors are ints,
-over the rationals coprime with the first nonzero entry positive.
+Every entry is an int: over the rationals the value itself, over GF(p)
+any int, reduced to its residue in 0..p-1.  An entry that is not an int
+raises ValueError.  A FieldSpec names the field by its prime p, None for
+the rationals, and is built by FieldSpec(p) or FieldSpec.parse; rows and
+vectors never round and never overflow.  rank_of_rows, nullspace_basis and
+span_basis take a list of rows, the field and the row length, and run one
+elimination on int rows for both kinds of field (fraction-free over the
+rationals).  The basis vectors are ints, over the rationals coprime with
+the first nonzero entry positive.
 nullspace_basis reads the basis of the space the rows annihilate;
 span_basis reads the same basis off any vectors spanning that space.
 """
@@ -19,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence
-
-Scalar = object  # int or Fraction over the rationals, int residue over GF(p)
 
 _MAX_PRIME = 2**61
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,27 +65,15 @@ class FieldSpec:
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
-    # constructors ----------------------------------------------------------
-
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls()
-
-    @classmethod
-    def gf(cls, p: int) -> "FieldSpec":
-        if p is None:
-            raise ValueError("prime modulus out of range: None")
-        return cls(p)
-
     @classmethod
     def parse(cls, token: str) -> "FieldSpec":
         """Parse a CLI field token: 'q' or 'gf:<p>'."""
         t = token.strip().lower()
         if t == "q":
-            return cls.rationals()
+            return cls()
         if t.startswith("gf:"):
             try:
-                return cls.gf(int(t[3:]))
+                return cls(int(t[3:]))
             except ValueError as exc:
                 raise ValueError(f"bad field token {token!r}: {exc}") from None
         raise ValueError(f"bad field token {token!r} (expected 'q' or 'gf:<p>')")
@@ -106,31 +91,23 @@ class FieldSpec:
         return {"kind": "prime_field", "p": self.p}
 
 
-QQ = FieldSpec.rationals()
-GF2 = FieldSpec.gf(2)
-GF3 = FieldSpec.gf(3)
+QQ = FieldSpec()
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 DEFAULT_FIELDS = (QQ, GF2, GF3)
 
 
-def _integer_row(row: Sequence[Scalar], p: int | None) -> list[int]:
-    """A row as a new int row.  Over the rationals (p None) it is scaled by
-    the lcm of its denominators to integers.  Over GF(p) each entry becomes
-    its residue, and an entry that is not an integer raises ValueError."""
-    if not set(map(type, row)) <= {int}:
-        den = lcm(*(x.denominator for x in row))
-        if p and den != 1:
-            raise ValueError(f"non-integral entry has no residue modulo {p}")
-        row = [x.numerator * (den // x.denominator) for x in row]
-    return [x % p for x in row] if p else list(row)
-
-
-def _int_rows(rows: Sequence[Sequence[Scalar]], p: int | None,
+def _int_rows(rows: Sequence[Sequence[int]], p: int | None,
               length: int) -> list[list[int]]:
     """The rows, each of the given length, as new int rows: residues over
-    GF(p), each row scaled to integers over the rationals (p None)."""
+    GF(p), copies over the rationals (p None).  An entry that is not an int
+    raises ValueError."""
     if any(len(row) != length for row in rows):
         raise ValueError(f"vectors must have length {length}")
-    return [_integer_row(row, p) for row in rows]
+    if not all(set(map(type, row)) <= {int} for row in rows):
+        raise ValueError("vector entries must be ints")
+    return [[x % p for x in row] for row in rows] if p else \
+        [list(row) for row in rows]
 
 
 def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
@@ -178,8 +155,8 @@ def _eliminate(work: list[list[int]], ncols: int, p: int | None) -> list[int]:
     return pivot_cols
 
 
-def nullspace_basis(rows: Sequence[Sequence[Scalar]], field: FieldSpec,
-                    length: int) -> list[list[Scalar]]:
+def nullspace_basis(rows: Sequence[Sequence[int]], field: FieldSpec,
+                    length: int) -> list[list[int]]:
     """Deterministic basis of {x : row . x = 0 for every row}, the rows
     each of the given length, via free-column parameterization.
 
@@ -214,8 +191,8 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]], field: FieldSpec,
     return basis
 
 
-def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
-               length: int) -> list[list[Scalar]]:
+def span_basis(vectors: Sequence[Sequence[int]], field: FieldSpec,
+               length: int) -> list[list[int]]:
     """The free-column basis of the space the vectors span:
     nullspace_basis(rows, field, length) for all rows whose nullspace is
     that space, vector for vector.
@@ -246,13 +223,13 @@ def span_basis(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
     return basis
 
 
-def rank_of_rows(vectors: Sequence[Sequence[Scalar]], field: FieldSpec,
+def rank_of_rows(vectors: Sequence[Sequence[int]], field: FieldSpec,
                  length: int) -> int:
     """Rank of the vectors over the field, each of the given length."""
     return len(_eliminate(_int_rows(vectors, field.p, length), length, field.p))
 
 
-def span_equal(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]],
+def span_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
                field: FieldSpec, length: int | None = None) -> bool:
     """True iff the two vector lists span the same subspace."""
     lengths = {len(v) for v in a} | {len(v) for v in b}

@@ -1,5 +1,5 @@
-"""Maximal independent set machinery: exact enumeration, greedy extension,
-random greedy sampling, and the closed-form counting formula for
+"""Maximal independent set machinery: exact enumeration, random greedy
+sampling, and the closed-form counting formula for
 simplicial-clique-covered graphs.
 
 Counting and listing share one branching rule over bitmask states (U, D),
@@ -293,28 +293,6 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
         tuple(sorted(t)) for t in iter_mis(g, cap))))
 
 
-def greedy_extend(g: Graph, base: Iterable[int]) -> frozenset:
-    """Grow an independent set to a MIS by repeated smallest-index selection.
-
-    Each step adds the smallest surviving vertex and deletes its closed
-    neighborhood; ties in the source procedure ('select any vertex') are
-    broken deterministically by index.
-    """
-    s = g._check_subset(base)
-    if not is_independent(g, s):
-        raise NotIndependentError(f"{sorted(s)} is not independent")
-    adj = adjacency_masks(g)
-    surviving = (1 << g.n) - 1
-    result = set(s)
-    for v in s:
-        surviving &= ~(adj[v] | (1 << v))
-    while surviving:
-        v = (surviving & -surviving).bit_length() - 1
-        result.add(v)
-        surviving &= ~(adj[v] | (1 << v))
-    return frozenset(result)
-
-
 def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
     """A maximal independent set grown greedily in a random vertex order.
 
@@ -352,13 +330,6 @@ def _connection_walk(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
             v = w[j]
             if not closed >> v & 1:
                 stack.append((members + (v,), j + 1, closed | adj[v] | 1 << v))
-
-
-def independent_subsets_of_connection_set(g: Graph) -> list[frozenset]:
-    """All nonempty independent subsets of the connection set, in canonical
-    order.  The empty set is excluded: the counting formula accounts for it
-    through its standalone product term."""
-    return [frozenset(members) for members, _ in _connection_walk(g)][1:]
 
 
 @dataclass(frozen=True)

@@ -407,10 +407,9 @@ def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
     return WcSpace(g, field, _basis(g, field, filt), len(mis))
 
 
-def wcdim(g: Graph, field: FieldSpec = QQ, mis: MisList | None = None,
-          cap: int = DEFAULT_MIS_CAP) -> int:
+def wcdim(g: Graph, field: FieldSpec = QQ, cap: int = DEFAULT_MIS_CAP) -> int:
     """Dimension of the well-covered space over the given field."""
-    return well_covered_space(g, field, mis=mis, cap=cap).dimension
+    return well_covered_spaces(g, (field,), cap=cap)[0].dimension
 
 
 def is_well_covered(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:

@@ -7,7 +7,8 @@ independent_subsets_of_connection_set, the package's earlier power-set scan
 over its own independence test, kept as the reference for the search that
 replaced it, and sccg_mis_count_formula, the package's earlier formula over
 that scan and the public split_cliques_by_neighborhood, kept as the
-reference for the bitmask formula that replaced it.
+reference for the bitmask formula that replaced it.  split_to_spec is no
+oracle: it turns a clique-sum split back into the package's ScsSpec.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
+from wellcovered.families import ScsSpec, ScsSplit
 from wellcovered.graph import (Graph, SimplicialReport, is_sccg,
                                simplicial_report)
 from wellcovered import mis as wc_mis
@@ -289,3 +291,12 @@ def sccg_mis_count_formula(
         total=i_count + product_term + sum_term,
         count_mode=count_mode,
     )
+
+
+def split_to_spec(split: ScsSplit) -> ScsSpec:
+    """The recipe that re-composes a split's graph, up to relabelling: each
+    shared vertex of part2 is glued to the same vertex of part1."""
+    back1 = {orig: i for i, orig in enumerate(split.part1_vertices)}
+    back2 = {orig: i for i, orig in enumerate(split.part2_vertices)}
+    return ScsSpec(split.part1, split.part2,
+                   {back2[v]: back1[v] for v in split.shared})

@@ -9,8 +9,13 @@ import pytest
 import wellcovered
 from wellcovered import cli, mis, wcspace
 from wellcovered.cli import main
-from wellcovered.families import corpus_file_text, corpus_names, star
+from wellcovered.families import (corpus_comments, corpus_graph, corpus_names,
+                                  star)
 from wellcovered.graph import format_edge_list, parse_edge_list
+
+
+def _corpus_text(name):
+    return format_edge_list(corpus_graph(name), corpus_comments(name))
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +57,23 @@ def test_gen_corpus_directory(tmp_path, capsys):
     assert code == 0
     for name in corpus_names():
         path = target / f"{name}.g"
-        assert path.read_text(encoding="utf-8") == corpus_file_text(name)
+        assert path.read_text(encoding="utf-8") == _corpus_text(name)
+
+
+def test_gen_corpus_with_an_output_file_is_a_usage_error(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", "corpus", "-o", "out.g")
+    assert code == 1 and out == "" and "-o/--out" in err
+    assert list(tmp_path.iterdir()) == []  # neither out.g nor ./corpus
+
+
+def test_gen_corpus_with_a_size_parameter_is_a_usage_error(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", "corpus", "5")
+    assert code == 1 and out == "" and "size parameter" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_unknown_family_is_validation_error(capsys):
@@ -86,7 +107,7 @@ def test_wcdim_single_field_flag(capsys):
 
 def test_wcdim_reads_files(tmp_path, capsys):
     target = tmp_path / "g.g"
-    target.write_text(corpus_file_text("p5"), encoding="utf-8")
+    target.write_text(_corpus_text("p5"), encoding="utf-8")
     code, out, _ = run_cli(capsys, "wcdim", str(target))
     assert code == 0 and "wcdim Q=2" in out
 
@@ -105,6 +126,18 @@ def test_corpus_names_read_the_corpus_directory_first(tmp_path, capsys):
     # a name with no file in the directory falls back to the built-in graph
     code, out, _ = run_cli(capsys, "wcdim", "c8.g", "--corpus", str(tmp_path))
     assert code == 0 and out.startswith("graph c8: wcdim Q=0")
+
+
+def test_corpus_names_are_built_without_a_corpus_directory(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def no_read(text):
+        raise AssertionError("a corpus name read a file")
+
+    monkeypatch.setattr(cli, "parse_edge_list", no_read)
+    code, out, _ = run_cli(capsys, "wcdim", "p5")
+    assert code == 0 and out.startswith("graph p5: wcdim Q=2")
 
 
 def test_wcdim_huge_edgeless_header_is_validation_error(tmp_path, capsys):

@@ -4,19 +4,20 @@ from hashlib import sha256
 
 import pytest
 
-from wellcovered.graph import (is_chordal, is_sccg,
-                               parse_edge_list, relabel, simplicial_report,
-                               simplicial_vertices)
+from wellcovered.graph import (adjacency_masks, format_edge_list, is_chordal,
+                               is_sccg, parse_edge_list, relabel,
+                               simplicial_report, simplicial_vertices)
 from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
-                                  ScsValidationError, complete, corpus_comments,
-                                  corpus_file_text, corpus_graph, corpus_names,
+                                  ScsValidationError, _scs_splits, complete,
+                                  corpus_comments, corpus_graph, corpus_names,
                                   cycle, figure1, figure2_family,
                                   figure6_composite, figure6_g1, figure6_g2,
-                                  figure6_spec, find_scs_splits, named_corpus,
-                                  path, scs_compose, scs_split, sierpinski,
-                                  sierpinski_vertex_count, star,
+                                  figure6_spec, named_corpus, path,
+                                  scs_compose, scs_split, sierpinski, star,
                                   triangle_pendant_spec, vertex_bowtie)
 from wellcovered.harness import random_connected_graphs
+
+from oracles import split_to_spec
 
 
 def test_standard_families():
@@ -39,11 +40,14 @@ def test_generators_are_deterministic():
 # --- Sierpinski -----------------------------------------------------------------
 
 def test_sierpinski_vertex_count_formula():
+    def vertex_count(order):
+        return 3 * (3 ** (order - 1) + 1) // 2
+
     expected = {1: 3, 2: 6, 3: 15, 4: 42, 5: 123, 6: 366}
     for order, count in expected.items():
-        assert sierpinski_vertex_count(order) == count
+        assert vertex_count(order) == count
     for order in (1, 2, 3, 4, 5):
-        assert sierpinski(order).graph.n == sierpinski_vertex_count(order)
+        assert sierpinski(order).graph.n == vertex_count(order)
 
 
 def test_sierpinski_order_bounds():
@@ -56,7 +60,7 @@ def test_sierpinski_order_bounds():
 def test_sierpinski_s2_shape():
     sg = sierpinski(2)
     assert len(sg.graph.edges) == 9
-    degrees = sorted(sg.graph.degree(v) for v in sg.graph.vertices)
+    degrees = sorted(m.bit_count() for m in adjacency_masks(sg.graph))
     assert degrees == [2, 2, 2, 4, 4, 4]
 
 
@@ -67,11 +71,11 @@ def test_sierpinski_degrees_and_simplicial_vertices():
         sg = sierpinski(order)
         simp = simplicial_vertices(sg.graph)
         assert simp == set(sg.corners)
-        for v in sg.graph.vertices:
+        for v, mask in enumerate(adjacency_masks(sg.graph)):
             expected = 2 if v in simp else 4
-            assert sg.graph.degree(v) == expected
+            assert mask.bit_count() == expected
     s1 = sierpinski(1)
-    assert all(s1.graph.degree(v) == 2 for v in s1.graph.vertices)
+    assert all(m.bit_count() == 2 for m in adjacency_masks(s1.graph))
 
 
 def test_sierpinski_corner_cliques():
@@ -83,19 +87,6 @@ def test_sierpinski_corner_cliques():
         assert len(c) == 3
     one = sierpinski(1)
     assert one.corner_cliques == (frozenset({0, 1, 2}),) * 3
-
-
-def test_sierpinski_side_paths():
-    for order in (1, 2, 3, 4):
-        sg = sierpinski(order)
-        for side in sg.side_paths:
-            assert len(side) == 2 ** (order - 1) + 1
-            for a, b in zip(side, side[1:]):
-                assert sg.graph.has_edge(a, b)
-        # sides start and end at corners
-        endpoints = {side[0] for side in sg.side_paths} | \
-                    {side[-1] for side in sg.side_paths}
-        assert endpoints == set(sg.corners)
 
 
 def test_sierpinski_contains_three_previous_orders():
@@ -235,19 +226,13 @@ def test_scs_compose_validation_clauses():
         scs_compose(ScsSpec(path(5), p9, {4: 0, 5: 1}))
     assert err.value.clause == "not-simplicial-in-g2"
 
-    with pytest.raises(ScsValidationError) as err:
-        scs_compose(ScsSpec(complete(3), complete(3), {0: 0, 1: 0, 2: 1}))
-    assert err.value.clause == "glue-not-injective"
-
-
-def test_scs_spec_rejects_a_g2_vertex_glued_twice():
-    k3 = complete(3)
-    for pairs in ([(0, 0), (1, 1), (2, 2), (2, 9)], [(0, 0), (0, 0)]):
-        with pytest.raises(ValueError, match="g2 vertex"):
-            ScsSpec(k3, k3, pairs)
     # a map names each g2 vertex once; distinct g2 vertices may share a
     # target, which scs_compose rejects as not injective
+    k3 = complete(3)
     assert ScsSpec(k3, k3, {2: 0, 0: 0}).glue == ((0, 0), (2, 0))
+    with pytest.raises(ScsValidationError) as err:
+        scs_compose(ScsSpec(k3, k3, {0: 0, 1: 0, 2: 1}))
+    assert err.value.clause == "glue-not-injective"
 
 
 def test_scs_compose_degenerate_full_overlap():
@@ -261,10 +246,10 @@ def test_scs_split_figure6_round_trip():
     assert split is not None
     assert sorted(split.shared) == [1, 2, 5, 9]
     assert split.part1 == figure6_g1()
-    recomposed = scs_compose(split.to_spec())
+    recomposed = scs_compose(split_to_spec(split))
     _, back = _canonical_relabel(recomposed.graph, split, comp_graph)
     assert back == comp_graph
-    assert len(find_scs_splits(comp_graph)) == 1
+    assert len(list(_scs_splits(comp_graph))) == 1
 
 
 def _canonical_relabel(recomposed, split, original):
@@ -287,8 +272,8 @@ def test_scs_split_round_trips_on_corpus():
     for name, g in named_corpus().items():
         if g.n > 15:
             continue
-        for split in find_scs_splits(g):
-            recomposed = scs_compose(split.to_spec())
+        for split in _scs_splits(g):
+            recomposed = scs_compose(split_to_spec(split))
             _, back = _canonical_relabel(recomposed.graph, split, g)
             assert back == g, name
 
@@ -296,8 +281,7 @@ def test_scs_split_round_trips_on_corpus():
 def test_star_and_kn_split_behaviour():
     # K_m glued onto a star's simplicial edge splits back apart
     comp = scs_compose(ScsSpec(star(3), complete(3), {0: 1, 1: 0}))
-    splits = find_scs_splits(comp.graph)
-    assert splits
+    assert scs_split(comp.graph) is not None
     # 40 components around {0, 1}: the first split is found without
     # building the other 2^39 - 2 groupings
     split = scs_split(star(40))
@@ -305,7 +289,7 @@ def test_star_and_kn_split_behaviour():
     assert split.part1_vertices == (0, 1, 2)
 
 
-# sha256 of every split find_scs_splits returns on corpus graphs with n <= 15
+# sha256 of every split _scs_splits yields on corpus graphs with n <= 15
 # and random_connected_graphs(200, 7), taken before the search became lazy
 _SPLITS_DIGEST = \
     "36642fc6cc283a46625badbc81cb4d585604467b45b9345504057d9387a16da3"
@@ -316,14 +300,14 @@ def test_find_scs_splits_are_pinned_and_recompose():
     graphs += random_connected_graphs(200, 7)
     record = []
     for name, g in graphs:
-        splits = find_scs_splits(g)
+        splits = list(_scs_splits(g))
         record.append([name, [[sorted(s.shared), s.part1_vertices,
                                s.part1.edges, s.part2_vertices, s.part2.edges]
                               for s in splits]])
         for split in splits:
             # scs_compose re-validates that the shared clique is simplicial
             # in both parts and in the composite
-            recomposed = scs_compose(split.to_spec())
+            recomposed = scs_compose(split_to_spec(split))
             _, back = _canonical_relabel(recomposed.graph, split, g)
             assert back == g, name
         assert scs_split(g) == (splits[0] if splits else None), name
@@ -344,7 +328,8 @@ def test_corpus_files_match_generators_byte_for_byte():
     corpus_dir = resources.files("wellcovered") / "corpus"
     for name in corpus_names():
         on_disk = (corpus_dir / f"{name}.g").read_text(encoding="utf-8")
-        assert on_disk == corpus_file_text(name), name
+        assert on_disk == format_edge_list(corpus_graph(name),
+                                           corpus_comments(name)), name
         assert parse_edge_list(on_disk) == corpus_graph(name), name
 
 

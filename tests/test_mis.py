@@ -17,8 +17,6 @@ from wellcovered.families import (complete, cycle, figure1, figure2_family,
 from wellcovered.harness import random_connected_graphs
 from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
                              NotSccgError, count_mis, enumerate_mis,
-                             greedy_extend,
-                             independent_subsets_of_connection_set,
                              is_independent, is_mis, iter_mis,
                              sccg_mis_count_formula, scs_mis_count,
                              split_cliques_by_neighborhood, swap_pairs)
@@ -318,41 +316,17 @@ def test_enumerate_cap_is_a_named_error():
     assert err.value.cap == 10
 
 
-def test_greedy_extend_examples():
-    p5 = path(5)
-    assert greedy_extend(p5, set()) == {0, 2, 4}
-    c4 = cycle(4)
-    assert greedy_extend(c4, {1}) == {1, 3}
-    # a MIS is a fixed point
-    assert greedy_extend(p5, {1, 3}) == {1, 3}
-
-
-def test_greedy_extend_rejects_dependent_input():
-    with pytest.raises(NotIndependentError):
-        greedy_extend(path(5), {0, 1})
-
-
-def test_greedy_extend_always_yields_containing_mis():
-    rng = random.Random(3)
-    for name, g in named_corpus().items():
-        if g.n > 20:
-            continue
-        for _ in range(5):
-            seed = [v for v in g.vertices if rng.random() < 0.2]
-            base = []
-            for v in seed:
-                if is_independent(g, base + [v]):
-                    base.append(v)
-            out = greedy_extend(g, base)
-            assert set(base) <= out
-            assert is_mis(g, out), name
+def _connection_subsets(g):
+    """The nonempty independent subsets of the connection set, in canonical
+    order: mis._connection_walk's sets after the empty one."""
+    return [frozenset(members)
+            for members, _ in mis_module._connection_walk(g)][1:]
 
 
 def test_independent_subsets_of_connection_set():
-    assert independent_subsets_of_connection_set(figure1()) == []
-    assert independent_subsets_of_connection_set(vertex_bowtie()) == \
-        [frozenset({2})]
-    assert independent_subsets_of_connection_set(star(3)) == [frozenset({0})]
+    assert _connection_subsets(figure1()) == []
+    assert _connection_subsets(vertex_bowtie()) == [frozenset({2})]
+    assert _connection_subsets(star(3)) == [frozenset({0})]
 
 
 def triangle_chain(k: int) -> Graph:
@@ -368,7 +342,7 @@ def test_independent_subsets_match_the_power_set_oracle():
         [g for _, g in random_connected_graphs(60, 17, max_n=12)] + \
         [triangle_chain(k) for k in range(1, 9)]
     for g in graphs:
-        assert independent_subsets_of_connection_set(g) == \
+        assert _connection_subsets(g) == \
             oracles.independent_subsets_of_connection_set(g), g
 
 
@@ -383,7 +357,7 @@ def test_independent_subsets_grow_only_independent_sets(monkeypatch):
 
     monkeypatch.setattr(mis_module, "is_independent", spy)
     g = triangle_chain(16)
-    seeds = independent_subsets_of_connection_set(g)
+    seeds = _connection_subsets(g)
     breakdown = sccg_mis_count_formula(g)
     assert len(seeds) == 1596  # nonempty independent sets of a 15-vertex path
     assert calls <= 2 * len(seeds)
@@ -445,7 +419,7 @@ def test_uncovered_empty_iff_seed_is_mis():
     for name, g in named_corpus().items():
         if not is_sccg(g) or g.n > 20:
             continue
-        for seed in independent_subsets_of_connection_set(g):
+        for seed in _connection_subsets(g):
             split = split_cliques_by_neighborhood(g, seed)
             assert (split.uncovered == ()) == is_mis(g, seed), name
 

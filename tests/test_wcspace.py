@@ -7,7 +7,7 @@ from hashlib import sha256
 import pytest
 from hypothesis import example, given, settings
 
-from wellcovered.graph import DisconnectedGraphError, Graph, build_graph, \
+from wellcovered.graph import DisconnectedGraphError, Graph, \
     is_chordal, relabel, simplicial_report
 from wellcovered.families import (complete, cycle, figure1, named_corpus,
                                   path, sierpinski, star)
@@ -41,7 +41,7 @@ def _constraint_rows(g, mis):
 
 
 def test_constraint_matrix_single_mis():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert _constraint_rows(g, enumerate_mis(g)) == []
     assert wcdim(g) == 1
 
@@ -361,7 +361,7 @@ def test_pass_stops_when_the_kernel_empties():
         assert next(unread) == tuples[full + 1], p
 
 
-FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec.gf(5),)
+FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec(5),)
 
 
 def test_kernel_read_basis_matches_oracle_on_list_and_stream():
@@ -419,7 +419,7 @@ def test_kernel_is_exact_when_read_stops_at_the_floor():
         sc = simplicial_report(g).sc
         mis = enumerate_mis(g)
         for field in FOUR_FIELDS:
-            if wcdim(g, field, mis=mis) != sc:
+            if well_covered_space(g, field, mis=mis).dimension != sc:
                 continue
             filt = wcspace._RowFilter(mis.sets[0], g.n, field.p, sc)
             rest = iter(mis.sets[1:])
@@ -442,7 +442,7 @@ def test_sampled_kernels_are_exact_at_the_floor(monkeypatch):
         assert list(filters) == primes
         finished = [p for p, filt in filters.items() if len(filt.kernel) == sc]
         for p in finished:
-            _assert_live_kernel_is_exact(filters[p], FieldSpec.gf(p))
+            _assert_live_kernel_is_exact(filters[p], FieldSpec(p))
         # a certified Q: some prime filter reached its floor on the same
         # samples, and no rational filter is built
         built.clear()
