@@ -9,12 +9,11 @@ from .graph import (Graph, GraphError, VertexRangeError, SelfLoopError,
                     save_graph)
 from .linalg import (FieldSpec, QQ, GF2, GF3, DEFAULT_FIELDS,
                      nullspace_basis, span_basis, span_equal)
-from .mis import (MisList, MisCapExceededError, NotIndependentError,
-                  NotSccgError, DEFAULT_MIS_CAP, is_independent, is_mis,
-                  enumerate_mis, iter_mis, count_mis, random_greedy_mis,
-                  split_cliques_by_neighborhood, CliqueSplit,
-                  SccgCountBreakdown, sccg_mis_count_formula,
-                  scs_mis_count, SharedCliqueMisCount)
+from .mis import (MisList, MisCapExceededError, NotSccgError,
+                  DEFAULT_MIS_CAP, is_mis, enumerate_mis, iter_mis, count_mis,
+                  random_greedy_mis, SccgCountBreakdown,
+                  sccg_mis_count_formula, scs_mis_count,
+                  SharedCliqueMisCount)
 from .wcspace import (WcSpace, certified_space,
                       well_covered_space, well_covered_spaces, wcdim,
                       is_well_covered, indicator_weighting, wcspace_report)

@@ -192,8 +192,6 @@ def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:
     p.add_argument("--mis-cap", type=_int_at_least(1), default=DEFAULT_MIS_CAP,
                    help="abort enumeration past this many MISs")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--corpus", metavar="DIR",
-                   help="directory searched for corpus graph files")
 
 
 def _build_parser() -> _Parser:
@@ -238,6 +236,10 @@ def _build_parser() -> _Parser:
                         help="map g2 vertex U2 to g1 vertex U1, repeatable")
     p_comp.add_argument("-o", "--out", help="write the composite here")
     _add_common(p_comp)
+
+    for p in (p_dim, p_cls, p_mis, p_comp):
+        p.add_argument("--corpus", metavar="DIR",
+                       help="directory searched for corpus graph files")
 
     p_ver = sub.add_parser("verify",
                            help="run a verification suite")
@@ -295,6 +297,9 @@ def _cmd_gen(args) -> int:
                        corpus_comments(name))
         sys.stdout.write(f"wrote {len(corpus_names())} graphs to {target}\n")
         return EXIT_OK
+    if args.corpus is not None:
+        raise _UsageError(f"gen {args.family} takes no --corpus; "
+                          "it is for 'gen corpus' only")
     g, comments = _family_graph(args.family, args.param)
     if args.out:
         save_graph(g, args.out, comments)
@@ -368,8 +373,7 @@ def _cmd_mis(args) -> int:
     payload: dict = {"graph": graph_id, "count": count}
     lines = [f"graph {graph_id}: mis_count={count}"]
     if not capped and is_sccg(g):
-        residual = sccg_mis_count_formula(g, "residual")
-        simplicial = sccg_mis_count_formula(g, "simplicial")
+        residual, simplicial = sccg_mis_count_formula(g)
         payload["formula_residual"] = residual.total
         payload["formula_simplicial"] = simplicial.total
         payload["formula_matches_enumeration"] = residual.total == count

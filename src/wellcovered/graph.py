@@ -197,14 +197,12 @@ class SimplicialReport:
 
     cliques holds the distinct maximal cliques N[v] over simplicial v,
     ordered by smallest contained vertex.  connection_set holds the vertices
-    lying in at least two of those cliques, and per_clique_w[i] is the part
-    of cliques[i] inside the connection set.
+    lying in at least two of those cliques.
     """
 
     simplicial_vertices: frozenset
     cliques: tuple[frozenset, ...]
     connection_set: frozenset
-    per_clique_w: tuple[frozenset, ...]
 
     @property
     def sc(self) -> int:
@@ -260,7 +258,6 @@ def _simplicial_report(g: Graph) -> SimplicialReport:
         simplicial_vertices=frozenset(simp),
         cliques=tuple(cliques),
         connection_set=connection,
-        per_clique_w=tuple(c & connection for c in cliques),
     )
 
 

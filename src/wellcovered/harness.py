@@ -22,8 +22,7 @@ from .graph import (DisconnectedGraphError, Graph, is_chordal, is_sccg,
                     simplicial_report)
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ, span_equal
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, enumerate_mis, is_mis,
-                  sccg_mis_count_formula, scs_mis_count,
-                  split_cliques_by_neighborhood, swap_pairs)
+                  sccg_mis_count_formula, scs_mis_count, swap_pairs)
 from .wcspace import indicator_weighting, well_covered_space
 from . import families
 
@@ -148,8 +147,8 @@ def _classify_mis(g: Graph, rep, clique_index: dict, m: frozenset) -> str:
     rest = m - seed
     if not rest <= simp:
         return "neither"
-    split = split_cliques_by_neighborhood(g, seed)
-    uncovered = {i for i, c in enumerate(rep.cliques) if c in split.uncovered}
+    closed = g.closed_neighborhood(seed)
+    uncovered = {i for i, c in enumerate(rep.cliques) if not c <= closed}
     picked = [clique_index[v] for v in rest]
     if len(set(picked)) == len(picked) and set(picked) == uncovered:
         return "seeded"
@@ -187,8 +186,7 @@ def check_mis_count(g: Graph, graph_id: str,
     under both residual and simplicial-only clique sizing."""
     if not is_sccg(g):
         return _na("mis_count", [graph_id], "not an SCCG")
-    residual = sccg_mis_count_formula(g, "residual")
-    simplicial = sccg_mis_count_formula(g, "simplicial")
+    residual, simplicial = sccg_mis_count_formula(g)
     enumerated = len(_mis(g, cap))
     details = {
         "formula_residual": residual.total,
@@ -220,8 +218,8 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
     rep = simplicial_report(g)
     space = _space(g, QQ, cap)
     for b_index, w in enumerate(space.basis):
-        for i, clique in enumerate(rep.cliques):
-            residual = clique - rep.per_clique_w[i]
+        for clique in rep.cliques:
+            residual = clique - rep.connection_set
             if not _constant_on(w, residual):
                 return _holds(
                     "weighting_lemmas", [graph_id], False,
@@ -230,8 +228,9 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
                              "basis_vector": b_index, "clique": sorted(clique),
                              "values": [str(w[v]) for v in sorted(residual)]})
         for conn in sorted(rep.connection_set):
-            covered = split_cliques_by_neighborhood(g, [conn]).covered
-            pools = [sorted(c & rep.simplicial_vertices) for c in covered]
+            closed = g.closed_neighborhood([conn])
+            pools = [sorted(c & rep.simplicial_vertices)
+                     for c in rep.cliques if c <= closed]
             total = 1
             for p in pools:
                 total *= max(len(p), 1)

@@ -32,8 +32,7 @@ from math import prod
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import (Graph, SimplicialReport, adjacency_masks, is_sccg,
-                    simplicial_report)
+from .graph import Graph, adjacency_masks, is_sccg, simplicial_report
 
 DEFAULT_MIS_CAP = 10**6
 
@@ -46,18 +45,8 @@ class MisCapExceededError(RuntimeError):
         self.cap = cap
 
 
-class NotIndependentError(ValueError):
-    """A set required to be independent contains an edge."""
-
-
 class NotSccgError(ValueError):
     """The operation needs the simplicial cliques to cover the graph."""
-
-
-def is_independent(g: Graph, vs: Iterable[int]) -> bool:
-    s = g._check_subset(vs)
-    adj, bits = adjacency_masks(g), sum(1 << v for v in s)
-    return not any(adj[v] & bits for v in s)
 
 
 def is_mis(g: Graph, vs: Iterable[int]) -> bool:
@@ -333,64 +322,28 @@ def _connection_walk(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 @dataclass(frozen=True)
-class CliqueSplit:
-    """Simplicial cliques split against a closed neighborhood: uncovered holds
-    the cliques not contained in it, covered the rest."""
-
-    uncovered: tuple[frozenset, ...]
-    covered: tuple[frozenset, ...]
-
-
-def split_cliques_by_neighborhood(g: Graph, seed: Iterable[int]) -> CliqueSplit:
-    """Partition the simplicial cliques by containment in N[seed].
-
-    seed must be an independent subset of the connection set.  A clique lands
-    in 'uncovered' iff it is not a subset of the closed neighborhood of seed.
-    """
-    rep = simplicial_report(g)
-    s = g._check_subset(seed)
-    if not s <= rep.connection_set:
-        raise ValueError(f"{sorted(s)} is not a subset of the connection set")
-    if not is_independent(g, s):
-        raise NotIndependentError(f"{sorted(s)} is not independent")
-    closed = g.closed_neighborhood(s)
-    uncovered = tuple(c for c in rep.cliques if not c <= closed)
-    covered = tuple(c for c in rep.cliques if c <= closed)
-    return CliqueSplit(uncovered=uncovered, covered=covered)
-
-
-@dataclass(frozen=True)
 class SccgCountBreakdown:
     """Terms of the closed-form MIS count for a simplicial-clique-covered
-    graph: total = i_count + product_term + sum_term.
-
-    count_mode records how clique residuals were sized: 'residual' counts
-    every vertex of a clique outside the connection set, 'simplicial' counts
-    only its simplicial vertices.  The two differ exactly when a clique holds
-    a non-simplicial vertex outside the connection set.
-    """
+    graph under one reading of the clique sizes:
+    total = i_count + product_term + sum_term."""
 
     i_count: int
     product_term: int
     sum_term: int
     total: int
-    count_mode: str
 
 
-def _clique_residual_sizes(rep: SimplicialReport, mode: str) -> list[int]:
-    if mode == "residual":
-        return [len(c - rep.per_clique_w[i]) for i, c in enumerate(rep.cliques)]
-    if mode == "simplicial":
-        return [len(c & rep.simplicial_vertices) for c in rep.cliques]
-    raise ValueError(f"unknown count mode {mode!r}")
+def sccg_mis_count_formula(
+        g: Graph) -> tuple[SccgCountBreakdown, SccgCountBreakdown]:
+    """Evaluate the closed-form MIS count exactly as written, under both
+    readings of a clique's size: (residual, simplicial).
 
-
-def sccg_mis_count_formula(g: Graph, count_mode: str = "residual") -> SccgCountBreakdown:
-    """Evaluate the closed-form MIS count exactly as written.
-
-    The seeds are the nonempty independent subsets S of the connection
-    set, each with N[S] as a bitmask; a clique is uncovered by S when its
-    mask has a bit outside N[S].
+    The residual reading sizes a clique C as |C - W|, W the connection set;
+    the simplicial reading as the number of simplicial vertices in C.  The
+    two differ exactly when a clique holds a non-simplicial vertex outside
+    the connection set.  The seeds are the nonempty independent subsets S
+    of the connection set, each with N[S] as a bitmask, from one walk; a
+    clique is uncovered by S when its mask has a bit outside N[S].
 
     No claim is made that the result matches true enumeration; the
     verification harness compares the two and reports disagreements.
@@ -398,31 +351,35 @@ def sccg_mis_count_formula(g: Graph, count_mode: str = "residual") -> SccgCountB
     if not is_sccg(g):
         raise NotSccgError("simplicial cliques do not cover the graph")
     rep = simplicial_report(g)
-    sizes = _clique_residual_sizes(rep, count_mode)
-    cliques = [(sum(1 << v for v in c), size)
-               for c, size in zip(rep.cliques, sizes)]
-    product_term = prod(sizes)
+    cliques = [(sum(1 << v for v in c), len(c - rep.connection_set),
+                len(c & rep.simplicial_vertices)) for c in rep.cliques]
 
     i_count = 0
-    sum_term = 0
+    sum_residual = sum_simplicial = 0
     seeds = _connection_walk(g)
     next(seeds)  # the empty set: its term is the product term
     for _, closed in seeds:
         outside = ~closed
-        uncovered = [size for mask, size in cliques if mask & outside]
+        uncovered, term_residual, term_simplicial = False, 1, 1
+        for mask, r, s in cliques:
+            if mask & outside:
+                uncovered = True
+                term_residual *= r
+                term_simplicial *= s
         if uncovered:
-            sum_term += prod(uncovered)
+            sum_residual += term_residual
+            sum_simplicial += term_simplicial
         else:
             # the seed already dominates everything: it is itself a MIS
             i_count += 1
 
-    return SccgCountBreakdown(
-        i_count=i_count,
-        product_term=product_term,
-        sum_term=sum_term,
-        total=i_count + product_term + sum_term,
-        count_mode=count_mode,
-    )
+    def reading(product_term: int, sum_term: int) -> SccgCountBreakdown:
+        return SccgCountBreakdown(i_count=i_count, product_term=product_term,
+                                  sum_term=sum_term,
+                                  total=i_count + product_term + sum_term)
+
+    return (reading(prod(r for _, r, _ in cliques), sum_residual),
+            reading(prod(s for _, _, s in cliques), sum_simplicial))
 
 
 @dataclass(frozen=True)

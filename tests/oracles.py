@@ -2,25 +2,21 @@
 
 Everything here works from (n, edge set) alone with definition-literal
 power-set scans and plain Fraction elimination, deliberately sharing no code
-path with the package implementations it checks.  The exceptions are
-independent_subsets_of_connection_set, the package's earlier power-set scan
-over its own independence test, kept as the reference for the search that
-replaced it, and sccg_mis_count_formula, the package's earlier formula over
-that scan and the public split_cliques_by_neighborhood, kept as the
-reference for the bitmask formula that replaced it.  split_to_spec is no
-oracle: it turns a clique-sum split back into the package's ScsSpec.
+path with the package implementations it checks.  The oracle formula builds
+the package's SccgCountBreakdown records only so that the two compare
+equal.  split_to_spec is no oracle: it turns a clique-sum split back into
+the package's ScsSpec.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from wellcovered.families import ScsSpec, ScsSplit
-from wellcovered.graph import (Graph, SimplicialReport, is_sccg,
-                               simplicial_report)
-from wellcovered import mis as wc_mis
+from wellcovered.graph import Graph
+from wellcovered.mis import SccgCountBreakdown
 
 
 def is_prime_trial_division(n: int) -> bool:
@@ -233,64 +229,60 @@ def _coprime_integers(vec) -> list[int]:
     return [sign * x // content for x in ints]
 
 
-def independent_subsets_of_connection_set(
-        g: Graph, report: SimplicialReport | None = None) -> list[frozenset]:
+def simplicial_cliques_naive(n: int, edges) -> tuple[list[frozenset], frozenset]:
+    """The distinct closed neighbourhoods of the simplicial vertices, and
+    the connection set: the vertices lying in at least two of them."""
+    adj = adjacency(n, edges)
+    cliques = list(dict.fromkeys(frozenset(adj[v] | {v})
+                                 for v in simplicial_vertices_naive(n, edges)))
+    connection = frozenset(v for v in range(n)
+                           if sum(v in c for c in cliques) >= 2)
+    return cliques, connection
+
+
+def independent_subsets_of_connection_set(g: Graph) -> list[frozenset]:
     """All nonempty independent subsets of the connection set, in canonical
-    order.  The empty set is excluded: the counting formula accounts for it
-    through its standalone product term."""
-    rep = report if report is not None else simplicial_report(g)
-    w = sorted(rep.connection_set)
-    out = []
-    for r in range(1, len(w) + 1):
-        for combo in combinations(w, r):
-            if wc_mis.is_independent(g, combo):
-                out.append(frozenset(combo))
+    order, by a power-set scan.  The empty set is excluded: the counting
+    formula accounts for it through its standalone product term."""
+    adj = adjacency(g.n, g.edges)
+    w = sorted(simplicial_cliques_naive(g.n, g.edges)[1])
+    out = [frozenset(combo) for r in range(1, len(w) + 1)
+           for combo in combinations(w, r) if is_independent(adj, combo)]
     out.sort(key=lambda s: tuple(sorted(s)))
     return out
 
 
 def sccg_mis_count_formula(
-        g: Graph, count_mode: str = "residual") -> wc_mis.SccgCountBreakdown:
-    """Evaluate the closed-form MIS count exactly as written.
-
-    No claim is made that the result matches true enumeration; the
-    verification harness compares the two and reports disagreements.
+        g: Graph) -> tuple[SccgCountBreakdown, SccgCountBreakdown]:
+    """The closed-form MIS count exactly as written, (residual, simplicial):
+    a clique C is sized |C - W|, W the connection set, in the first reading
+    and by its simplicial vertices in the second.  Each reading is the
+    product of the clique sizes plus, for every seed S of
+    independent_subsets_of_connection_set, 1 when N[S] contains every
+    clique and otherwise the product of the sizes of those it does not.
     """
-    if not is_sccg(g):
-        raise wc_mis.NotSccgError("simplicial cliques do not cover the graph")
-    rep = simplicial_report(g)
-    if count_mode == "residual":
-        sizes = [len(c - rep.per_clique_w[i]) for i, c in enumerate(rep.cliques)]
-    elif count_mode == "simplicial":
-        sizes = [len(c & rep.simplicial_vertices) for c in rep.cliques]
-    else:
-        raise ValueError(f"unknown count mode {count_mode!r}")
-    by_clique = dict(zip(rep.cliques, sizes))
-
-    product_term = 1
-    for s in sizes:
-        product_term *= s
-
-    i_count = 0
-    sum_term = 0
-    for seed in independent_subsets_of_connection_set(g, rep):
-        split = wc_mis.split_cliques_by_neighborhood(g, seed)
-        if not split.uncovered:
-            # the seed already dominates everything: it is itself a MIS
-            i_count += 1
-            continue
-        term = 1
-        for c in split.uncovered:
-            term *= by_clique[c]
-        sum_term += term
-
-    return wc_mis.SccgCountBreakdown(
-        i_count=i_count,
-        product_term=product_term,
-        sum_term=sum_term,
-        total=i_count + product_term + sum_term,
-        count_mode=count_mode,
-    )
+    adj = adjacency(g.n, g.edges)
+    simp = frozenset(simplicial_vertices_naive(g.n, g.edges))
+    cliques, connection = simplicial_cliques_naive(g.n, g.edges)
+    if not cliques or frozenset().union(*cliques) != set(range(g.n)):
+        raise ValueError("simplicial cliques do not cover the graph")
+    seeds = independent_subsets_of_connection_set(g)
+    readings = []
+    for size in (lambda c: len(c - connection), lambda c: len(c & simp)):
+        i_count = sum_term = 0
+        for seed in seeds:
+            closed = seed.union(*(adj[v] for v in seed))
+            uncovered = [c for c in cliques if not c <= closed]
+            if uncovered:
+                sum_term += prod(size(c) for c in uncovered)
+            else:
+                # the seed already dominates everything: it is itself a MIS
+                i_count += 1
+        product_term = prod(size(c) for c in cliques)
+        readings.append(SccgCountBreakdown(
+            i_count=i_count, product_term=product_term, sum_term=sum_term,
+            total=i_count + product_term + sum_term))
+    return readings[0], readings[1]
 
 
 def split_to_spec(split: ScsSplit) -> ScsSpec:

@@ -1,8 +1,11 @@
+import argparse
+import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,15 @@ def test_gen_corpus_with_a_size_parameter_is_a_usage_error(tmp_path, capsys,
     code, out, err = run_cli(capsys, "gen", "corpus", "5")
     assert code == 1 and out == "" and "size parameter" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_family_with_a_corpus_directory_is_a_usage_error(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["path", "3"], ["p5"], ["path", "3", "-o", "out.g"]):
+        code, out, err = run_cli(capsys, "gen", *argv, "--corpus", "outdir")
+        assert code == 1 and out == "" and "--corpus" in err, argv
+    assert list(tmp_path.iterdir()) == []  # neither outdir nor out.g
 
 
 def test_gen_unknown_family_is_validation_error(capsys):
@@ -410,6 +422,47 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "wcdim")[0] == 1
     assert run_cli(capsys, "verify", "bogus-suite")[0] == 1
     assert run_cli(capsys, "wcdim", "figure1", "--field", "gf:9")[0] == 3
+
+
+def test_verify_takes_no_corpus_directory(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "default", "--random-count",
+                             "0", "--corpus", str(tmp_path / "missing"))
+    assert code == 1 and out == "" and "--corpus" in err
+
+
+def _options_read(tree: ast.Module, name: str) -> set[str]:
+    """The attributes of its first parameter that the module function name
+    reads, directly or in a module function it passes that parameter to."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo, seen, read = [(name, funcs[name].args.args[0].arg)], set(), set()
+    while todo:
+        fn, param = todo.pop()
+        if (fn, param) in seen:
+            continue
+        seen.add((fn, param))
+        for node in ast.walk(funcs[fn]):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and node.value.id == param:
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and node.func.id in funcs:
+                callee = funcs[node.func.id].args.args
+                todo += [(node.func.id, callee[i].arg)
+                         for i, a in enumerate(node.args)
+                         if isinstance(a, ast.Name) and a.id == param]
+    return read
+
+
+def test_every_subcommand_reads_every_option_it_defines():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = {(command, action.dest)
+              for command, parser in sub.choices.items()
+              for action in parser._actions if action.dest != "help"
+              and action.dest not in _options_read(tree, "_cmd_" + command)}
+    # the README documents verify --threads as accepted and ignored
+    assert unread == {("verify", "threads")}
 
 
 def test_verify_default_passes_and_is_byte_identical(capsys):

@@ -15,7 +15,8 @@ from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
 from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
 
-from oracles import adjacency, has_long_induced_cycle, simplicial_vertices_naive
+from oracles import (adjacency, has_long_induced_cycle, simplicial_cliques_naive,
+                     simplicial_vertices_naive)
 from strategies import connected_graphs
 
 
@@ -139,18 +140,10 @@ def test_simplicial_vertices_match_clique_predicate():
 
 def _report_from_oracle(g):
     """The simplicial report built literally from the oracle's simplicial
-    vertices: distinct closed neighbourhoods by first simplicial vertex,
+    cliques, each the closed neighbourhood of its first simplicial vertex,
     stably sorted by their smallest member."""
-    cliques = []
-    for v in simplicial_vertices_naive(g.n, g.edges):
-        c = frozenset(g.neighbors(v) | {v})
-        if c not in cliques:
-            cliques.append(c)
-    cliques.sort(key=min)
-    connection = frozenset(v for v in g.vertices
-                           if sum(v in c for c in cliques) >= 2)
-    return ([sorted(c) for c in cliques], sorted(connection),
-            [sorted(c & connection) for c in cliques])
+    cliques, connection = simplicial_cliques_naive(g.n, g.edges)
+    return sorted(map(sorted, cliques), key=min), sorted(connection)
 
 
 def _assert_simplicial_matches_oracle(g):
@@ -158,8 +151,8 @@ def _assert_simplicial_matches_oracle(g):
     assert simp == set(simplicial_vertices_naive(g.n, g.edges))
     rep = simplicial_report(g)
     assert rep.simplicial_vertices == simp
-    assert ([sorted(c) for c in rep.cliques], sorted(rep.connection_set),
-            [sorted(w) for w in rep.per_clique_w]) == _report_from_oracle(g)
+    assert ([sorted(c) for c in rep.cliques], sorted(rep.connection_set)) == \
+        _report_from_oracle(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -227,7 +220,6 @@ def test_simplicial_report_figure1():
     assert rep.sc == 3
     assert [sorted(c) for c in rep.cliques] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
     assert rep.connection_set == frozenset()
-    assert rep.per_clique_w == (frozenset(), frozenset(), frozenset())
 
 
 def test_simplicial_report_s2():

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings
 
-from wellcovered import mis as mis_module
+from wellcovered import cli, mis as mis_module
 from wellcovered.graph import (DisconnectedGraphError, Graph, is_sccg,
                                relabel, simplicial_report)
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
@@ -14,26 +14,23 @@ from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   named_corpus, path, sierpinski, star,
                                   sccg_mod_base, triangle_pendant_spec,
                                   vertex_bowtie)
-from wellcovered.harness import random_connected_graphs
-from wellcovered.mis import (MisCapExceededError, MisList, NotIndependentError,
-                             NotSccgError, count_mis, enumerate_mis,
-                             is_independent, is_mis, iter_mis,
-                             sccg_mis_count_formula, scs_mis_count,
-                             split_cliques_by_neighborhood, swap_pairs)
+from wellcovered.harness import check_mis_count, random_connected_graphs
+from wellcovered.mis import (MisCapExceededError, MisList, NotSccgError,
+                             count_mis, enumerate_mis, is_mis, iter_mis,
+                             sccg_mis_count_formula, scs_mis_count, swap_pairs)
 
 import oracles
 from oracles import all_mis_powerset
 from strategies import connected_graphs
 
 
-def test_is_independent_and_is_mis_basics():
+def test_is_mis_basics():
     k3 = complete(3)
     assert is_mis(k3, {0})
     p5 = path(5)
-    assert is_independent(p5, {0, 2})
     assert not is_mis(p5, {0, 2})  # vertex 4 is still addable
     assert is_mis(p5, {0, 2, 4})
-    assert not is_independent(p5, {0, 1})
+    assert not is_mis(p5, {0, 1, 3})  # dominating but not independent
 
 
 def test_is_mis_figure1_hub_selection():
@@ -346,22 +343,16 @@ def test_independent_subsets_match_the_power_set_oracle():
             oracles.independent_subsets_of_connection_set(g), g
 
 
-def test_independent_subsets_grow_only_independent_sets(monkeypatch):
-    calls = 0
-    original = mis_module.is_independent
-
-    def spy(g, vs):
-        nonlocal calls
-        calls += 1
-        return original(g, vs)
-
-    monkeypatch.setattr(mis_module, "is_independent", spy)
+def test_independent_subsets_grow_only_independent_sets():
     g = triangle_chain(16)
+    adj = oracles.adjacency(g.n, g.edges)
     seeds = _connection_subsets(g)
-    breakdown = sccg_mis_count_formula(g)
-    assert len(seeds) == 1596  # nonempty independent sets of a 15-vertex path
-    assert calls <= 2 * len(seeds)
-    assert breakdown.total == count_mis(g)
+    # every set the walk grows is yielded: one per nonempty independent set
+    # of the 15-vertex connection path, and no other
+    assert len(seeds) == 1596
+    assert all(oracles.is_independent(adj, s) for s in seeds)
+    residual, _ = sccg_mis_count_formula(g)
+    assert residual.total == count_mis(g)
 
 
 def _random_sccgs() -> list[Graph]:
@@ -381,9 +372,8 @@ def test_count_formula_matches_the_reference():
     assert len(randoms) == 65
     assert sum(1 for g in randoms if simplicial_report(g).connection_set) == 51
     for g in _formula_graphs():
-        for mode in ("residual", "simplicial"):
-            assert sccg_mis_count_formula(g, mode) == \
-                oracles.sccg_mis_count_formula(g, mode), (g, mode)
+        # both readings, (residual, simplicial), against the oracle's
+        assert sccg_mis_count_formula(g) == oracles.sccg_mis_count_formula(g), g
 
 
 def test_count_formula_validates_no_seed(monkeypatch):
@@ -393,53 +383,62 @@ def test_count_formula_validates_no_seed(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the formula re-validates a seed it built")
 
-    monkeypatch.setattr(mis_module, "split_cliques_by_neighborhood", forbidden)
-    monkeypatch.setattr(mis_module, "is_independent", forbidden)
+    # every vertex-set check and set-valued neighbourhood passes through here
+    monkeypatch.setattr(Graph, "_check_subset", forbidden)
     assert [sccg_mis_count_formula(g) for g in graphs] == expected
 
 
-def test_split_cliques_by_neighborhood():
-    g = star(3)
-    split = split_cliques_by_neighborhood(g, {0})
-    assert split.uncovered == ()           # the center dominates everything
-    assert len(split.covered) == 3
-    with pytest.raises(ValueError):
-        split_cliques_by_neighborhood(g, {1})  # leaf is not a connection vertex
+def test_both_readings_come_from_one_walk(monkeypatch, capsys):
+    walked = []
+    original = mis_module._connection_walk
 
+    def spy(g):
+        walked.append(g)
+        return original(g)
 
-def test_split_empty_seed_uncovers_everything():
-    g = vertex_bowtie()
-    split = split_cliques_by_neighborhood(g, set())
-    assert len(split.uncovered) == simplicial_report(g).sc
+    monkeypatch.setattr(mis_module, "_connection_walk", spy)
+    assert cli.main(["mis", "vertex_bowtie", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["formula_simplicial"] == 5
+    assert walked == [vertex_bowtie()]
+    walked.clear()
+    verdict = check_mis_count(vertex_bowtie(), "vertex_bowtie")
+    assert verdict.details["formula_residual"] == 5
+    assert walked == [vertex_bowtie()]
 
 
 def test_uncovered_empty_iff_seed_is_mis():
-    # both directions of the membership remark, over every corpus SCCG
-    from wellcovered.graph import is_sccg
+    # both directions of the membership remark, over every corpus SCCG: a
+    # seed covers every simplicial clique exactly when it is itself a MIS
     for name, g in named_corpus().items():
         if not is_sccg(g) or g.n > 20:
             continue
-        for seed in _connection_subsets(g):
-            split = split_cliques_by_neighborhood(g, seed)
-            assert (split.uncovered == ()) == is_mis(g, seed), name
+        cliques = [sum(1 << v for v in c) for c in simplicial_report(g).cliques]
+        seeds = mis_module._connection_walk(g)
+        next(seeds)
+        for members, closed in seeds:
+            covers = all(c & ~closed == 0 for c in cliques)
+            assert covers == is_mis(g, members), (name, members)
 
 
 def test_count_formula_figure1():
-    breakdown = sccg_mis_count_formula(figure1())
-    assert (breakdown.i_count, breakdown.product_term, breakdown.sum_term) == \
+    residual, simplicial = sccg_mis_count_formula(figure1())
+    assert (residual.i_count, residual.product_term, residual.sum_term) == \
         (0, 36, 0)
-    assert breakdown.total == 36  # enumeration finds 24; the harness reports both
+    assert residual.total == 36  # enumeration finds 24; the harness reports both
+    assert (simplicial.i_count, simplicial.product_term,
+            simplicial.sum_term) == (0, 4, 0)
 
 
 def test_count_formula_complete():
     for n in (1, 2, 6):
-        assert sccg_mis_count_formula(complete(n)).total == n
+        assert [b.total for b in sccg_mis_count_formula(complete(n))] == \
+            [n, n]
 
 
 def test_count_formula_star_matches_enumeration():
     for leaves in (2, 3, 5):
         g = star(leaves)
-        breakdown = sccg_mis_count_formula(g)
+        breakdown, _ = sccg_mis_count_formula(g)
         assert (breakdown.i_count, breakdown.product_term, breakdown.sum_term) == \
             (1, 1, 0)
         assert breakdown.total == len(enumerate_mis(g))
@@ -447,22 +446,16 @@ def test_count_formula_star_matches_enumeration():
 
 def test_count_formula_vertex_bowtie_matches_enumeration():
     g = vertex_bowtie()
-    breakdown = sccg_mis_count_formula(g)
+    breakdown, _ = sccg_mis_count_formula(g)
     assert breakdown.total == 5 == len(enumerate_mis(g))
     assert breakdown.i_count == 1  # the lone connection vertex is itself a MIS
 
 
 def test_count_formula_edge_joined_triangles_overcounts():
     g = sccg_mod_base()
-    assert sccg_mis_count_formula(g, "residual").total == 9
-    assert sccg_mis_count_formula(g, "simplicial").total == 4
+    residual, simplicial = sccg_mis_count_formula(g)
+    assert (residual.total, simplicial.total) == (9, 4)
     assert len(enumerate_mis(g)) == 8  # neither reading matches here
-
-
-def test_split_rejects_dependent_seed():
-    from wellcovered.families import diamond
-    with pytest.raises(NotIndependentError):
-        split_cliques_by_neighborhood(diamond(), {1, 2})
 
 
 def test_count_formula_diamond_matches_enumeration():
@@ -471,7 +464,7 @@ def test_count_formula_diamond_matches_enumeration():
     g = diamond()
     rep = simplicial_report(g)
     assert sorted(rep.connection_set) == [1, 2]
-    breakdown = sccg_mis_count_formula(g)
+    breakdown, _ = sccg_mis_count_formula(g)
     assert (breakdown.i_count, breakdown.product_term, breakdown.sum_term) == \
         (2, 1, 0)
     assert breakdown.total == 3 == len(enumerate_mis(g))
@@ -484,7 +477,8 @@ def test_count_formula_requires_sccg():
 
 def test_count_formula_modes_figure2():
     g = figure2_family(1)
-    assert sccg_mis_count_formula(g, "residual").total == 6
+    residual, _ = sccg_mis_count_formula(g)
+    assert residual.total == 6
     assert len(enumerate_mis(g)) == 5
 
 
