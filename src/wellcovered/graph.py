@@ -151,8 +151,10 @@ class Graph:
 
     def closed_neighborhood(self, vs: Iterable[int]) -> frozenset:
         """Closed neighborhood N[S] = N(S) plus S itself."""
-        s = self._check_subset(vs)
-        return self.neighborhood(s) | s
+        out = 0
+        for v in self._check_subset(vs):
+            out |= self._masks[v] | 1 << v
+        return frozenset(_members(out))
 
     def is_clique(self, vs: Iterable[int]) -> bool:
         """True iff every pair of distinct vertices in the set is adjacent."""

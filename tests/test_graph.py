@@ -103,6 +103,21 @@ def test_neighborhood_rejects_out_of_range():
         path(3).neighborhood([7])
 
 
+def test_closed_neighborhood_checks_its_set_once(monkeypatch):
+    checked = []
+    check_subset = Graph._check_subset
+
+    def spy(self, vs):
+        checked.append(vs)
+        return check_subset(self, vs)
+
+    monkeypatch.setattr(Graph, "_check_subset", spy)
+    assert path(5).closed_neighborhood([0, 3]) == {0, 1, 2, 3, 4}
+    assert checked == [[0, 3]]
+    with pytest.raises(VertexRangeError):
+        path(3).closed_neighborhood([1, 7])
+
+
 def test_is_clique():
     k4 = complete(4)
     assert k4.is_clique([0, 2, 3])
@@ -339,6 +354,7 @@ def test_set_queries_match_the_edge_list(g):
     for _ in range(10):
         s = {v for v in g.vertices if rng.random() < 0.5}
         assert g.neighborhood(s) == set().union(*(adj[v] for v in s))
+        assert g.closed_neighborhood(s) == s.union(*(adj[v] for v in s))
         assert g.is_clique(s) == all(u in adj[v] for u in s for v in s if u != v)
         assert components(g, s) == _components_naive(adj, s)
 

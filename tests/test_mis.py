@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from wellcovered import cli, mis as mis_module
-from wellcovered.graph import (DisconnectedGraphError, Graph, is_sccg,
-                               relabel, simplicial_report)
+from wellcovered.graph import (DisconnectedGraphError, Graph,
+                               adjacency_masks, is_sccg, relabel,
+                               simplicial_report)
 from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   figure6_composite, figure6_spec,
                                   named_corpus, path, sierpinski, star,
@@ -16,8 +17,9 @@ from wellcovered.families import (complete, cycle, figure1, figure2_family,
                                   vertex_bowtie)
 from wellcovered.harness import check_mis_count, random_connected_graphs
 from wellcovered.mis import (MisCapExceededError, MisList, NotSccgError,
-                             count_mis, enumerate_mis, is_mis, iter_mis,
-                             sccg_mis_count_formula, scs_mis_count, swap_pairs)
+                             SharedCliqueMisCount, count_mis, enumerate_mis,
+                             is_mis, iter_mis, sccg_mis_count_formula,
+                             scs_mis_count, swap_pairs)
 
 import oracles
 from oracles import all_mis_powerset
@@ -169,6 +171,14 @@ def test_count_on_relabelled_sierpinski_4():
     assert count_mis(_relabelled(sierpinski(4).graph, 3)) == 80840
 
 
+def test_count_on_sierpinski_5():
+    # the gasket corner-state transfer's count of order 5; it takes well
+    # under a second only when the 65 536-entry memo does not thrash
+    g = sierpinski(5).graph
+    for h in (g, _relabelled(g, 5)):
+        assert count_mis(h, cap=10**60) == 298_925_600_262_168
+
+
 # sha256 over json.dumps([name, enumerate_mis(g).sets]) for each graph in
 # turn, taken from a Bron-Kerbosch search over the complement graph: an
 # independent algorithm's lists
@@ -219,20 +229,103 @@ def _branching_states(monkeypatch) -> list[int]:
 
 # Every count and list is unchanged by a branch-set scan that stops later,
 # as the scan's stop is only a shortcut; the states the searches visit on
-# this graph are not, so these pins fix the branching rule itself.
-_STATES_GRAPH = (24, 0.2, 24)
+# these graphs are not, so these pins fix the branching rule and the vertex
+# order themselves: (graph, MIS count, states counted, states searched) for
+# one graph the engine renumbers and one it keeps in its own labels.
+_PINNED_STATES = (((28, 0.2, 28), 340, 283, 683),
+                  ((24, 0.2, 24), 212, 347, 809))
+
+
+def test_pinned_graphs_lie_on_both_sides_of_the_renumbering_threshold():
+    sizes = [n for (n, _, _), _, _, _ in _PINNED_STATES]
+    assert sizes[0] > mis_module._RENUMBER_ABOVE >= sizes[1]
 
 
 def test_count_branches_from_the_pinned_states(monkeypatch):
     seen = _branching_states(monkeypatch)
-    assert count_mis(_gnp(*_STATES_GRAPH)) == 212
-    assert seen[0] == 207
+    for spec, mis_count, counted, _ in _PINNED_STATES:
+        seen[0] = 0
+        assert count_mis(_gnp(*spec)) == mis_count
+        assert seen[0] == counted, spec
 
 
 def test_search_branches_from_the_pinned_states(monkeypatch):
     seen = _branching_states(monkeypatch)
-    assert sum(1 for _ in iter_mis(_gnp(*_STATES_GRAPH))) == 212
-    assert seen[0] == 343
+    for spec, mis_count, _, searched in _PINNED_STATES:
+        seen[0] = 0
+        assert sum(1 for _ in iter_mis(_gnp(*spec))) == mis_count
+        assert seen[0] == searched, spec
+
+
+def test_smallest_last_takes_a_least_degree_vertex_each_step():
+    graphs = [star(6), path(9), cycle(7), complete(5), sierpinski(3).graph]
+    graphs += [_gnp(n, p, n) for n in (12, 30, 60) for p in (0.1, 0.3)]
+    for g in graphs:
+        order = mis_module._smallest_last(adjacency_masks(g))
+        assert sorted(order) == list(g.vertices), g
+        adj, left = oracles.adjacency(g.n, g.edges), set(g.vertices)
+        for v in order:
+            assert len(adj[v] & left) == \
+                min(len(adj[u] & left) for u in left), (g, order)
+            left.remove(v)
+
+
+def _mis_queries(g: Graph, glue_edge: tuple[int, ...]):
+    """count_mis, enumerate_mis's sets, swap_pairs and the through counts
+    of scs_mis_count with g glued to itself along glue_edge."""
+    return (count_mis(g), enumerate_mis(g).sets, swap_pairs(g),
+            scs_mis_count(g, g, {v: v for v in glue_edge}))
+
+
+@pytest.mark.parametrize("above", [None, 6])
+def test_state_queries_match_the_oracle_on_both_sides_of_the_threshold(
+        monkeypatch, above):
+    # with the threshold lowered to 6, graphs of 4 to 6 vertices keep their
+    # labels and larger ones are renumbered, so the oracle sees both
+    if above is not None:
+        monkeypatch.setattr(mis_module, "_RENUMBER_ABOVE", above)
+    for n in (4, 6, 7, 10, 14):
+        for k, p in enumerate((0.25, 0.5)):
+            g = _gnp(n, p, 41 * n + k)
+            sets = all_mis_powerset(g.n, g.edges)
+            through = [sum(1 for m in sets if v in m) for v in g.vertices]
+            edge = g.edges[0] if g.edges else (0,)
+            assert _mis_queries(g, edge) == (
+                len(sets), tuple(sets), _oracle_swap_pairs(g),
+                SharedCliqueMisCount(
+                    total=sum(through[v] ** 2 for v in edge),
+                    per_vertex=tuple((v, through[v], through[v])
+                                     for v in sorted(edge)))), (g, above)
+            assert all(is_mis(g, t) for t in iter_mis(g)), (g, above)
+
+
+def test_state_queries_are_unchanged_by_relabelling_around_the_threshold(
+        monkeypatch):
+    above = mis_module._RENUMBER_ABOVE
+    for n in (above - 1, above, above + 1, above + 12):
+        for k, p in enumerate((0.2, 0.4)):
+            g = _gnp(n, p, 43 * n + k)
+            edge = g.edges[0]
+            count, sets, pairs, through = _mis_queries(g, edge)
+            assert sum(1 for _ in iter_mis(g)) == count
+            assert all(is_mis(g, t) for t in iter_mis(g)), g
+            for seed in range(3):
+                perm = list(g.vertices)
+                random.Random(seed).shuffle(perm)
+                h = relabel(g, perm)
+                assert count_mis(h) == count, (g, seed)
+                assert enumerate_mis(h).sets == tuple(sorted(
+                    tuple(sorted(perm[v] for v in m)) for m in sets))
+                assert swap_pairs(h) == sorted(
+                    tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
+                out = scs_mis_count(h, g, {v: perm[v] for v in edge})
+                assert out.total == through.total
+                assert out.per_vertex == tuple(
+                    (perm[v], l, m) for v, l, m in through.per_vertex)
+            # the engine in g's own labels gives the same answers
+            monkeypatch.setattr(mis_module, "_RENUMBER_ABOVE", n)
+            assert _mis_queries(g, edge) == (count, sets, pairs, through), g
+            monkeypatch.setattr(mis_module, "_RENUMBER_ABOVE", above)
 
 
 def test_count_does_not_recurse_per_vertex():
@@ -286,7 +379,7 @@ def test_state_queries_are_unchanged_when_the_memo_is_cleared_mid_walk(
         # count rests on the parents saved on the stack alone
         memo = _ClearCountingMemo()
         assert mis_module._count_completions(
-            mis_module._state_masks(g), memo, (1 << g.n) - 1, 0, k) == k
+            mis_module._state_masks(g)[0], memo, (1 << g.n) - 1, 0, k) == k
         assert memo.clears > 0
 
 
