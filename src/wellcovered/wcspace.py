@@ -20,10 +20,14 @@ every field, since a subspace is the annihilator of its annihilator.  The
 kernel vectors are packed side by side into one integer per vertex, in
 slots wide enough that each vector's difference on a MIS is one exact
 digit, so a single integer sum per MIS tests every vector at once.  Over
-GF(p) the digits of an unequal sum are re-tested modulo p, because a
-difference that is a nonzero multiple of p is zero in the field.  A MIS that
-fails has its row selected, and one failing kernel vector is used to
-eliminate the new row from the others, then dropped.  The row space only
+GF(p), p odd, the digits of an unequal sum are re-tested modulo p, because
+a difference that is a nonzero multiple of p is zero in the field.  Over
+GF(2) a slot is one bit and a difference is a parity, so the XOR of the
+packed bits over the MIS and the base MIS is exactly the set of failing
+vectors, and no digit is decoded; there each kernel vector is one int
+bitmask.  A MIS that fails has its row selected, and one failing kernel
+vector is used to eliminate the new row from the others, then dropped
+(over GF(2), it is XORed into each of them).  The row space only
 grows, so the final kernel satisfies every MIS: the selection is exact over
 every field and needs no verification pass.
 
@@ -68,9 +72,10 @@ order of the MISs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, islice
 from math import gcd
-from operator import neg, sub
+from operator import neg, sub, xor
 from random import Random
 from typing import Iterable, Sequence
 
@@ -157,7 +162,7 @@ class _RowFilter:
     has entries in {-1, 0, 1}, so the vector's L1 norm bounds it, and width
     at least doubles (every vector is re-packed) whenever a vector outgrows
     it.  Equal packed sums mean every vector is constant on the MIS.  Over
-    GF(p) unequal sums can still agree modulo p, so only digits not
+    GF(p), p odd, unequal sums can still agree modulo p, so only digits not
     divisible by p fail.  A MIS with a failing digit has its row selected:
     the vector with the lowest failing slot is the pivot, it eliminates the
     new row from the other failing vectors (their digits are their inner
@@ -165,7 +170,17 @@ class _RowFilter:
     slots that changed.  The pivot eliminates the row from every other
     failing vector before the filter stops at its floor, so the live
     vectors always span the kernel of the selected rows exactly, and the
-    basis is read off them (see _basis).
+    basis is read off them (see _basis and vectors).
+
+    Over GF(2) the slots are one bit wide and are never summed: kernel[i]
+    is an int bitmask whose bit v is w_i[v], packed[v] has bit i set when
+    w_i[v] is 1, and base is the XOR of packed over first.  The XOR x of
+    packed over a MIS, and of base, has bit i set exactly when w_i . row is
+    odd, so its set bits are the failing slots.  The lowest one is the
+    pivot, as in the slot path, so the same rows are selected.  Its vector
+    w is XORed into every other failing vector, and packed[v] ^= x for
+    each v in w's support updates every failing slot and clears the
+    pivot's.
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
@@ -174,11 +189,24 @@ class _RowFilter:
     def __init__(self, first: tuple[int, ...], n: int, p: int | None,
                  floor: int = 0) -> None:
         self.first, self.n, self.p, self.floor = first, n, p, floor
-        self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)}
-        self.width = (n * (p - 1)).bit_length() + 1 if p else 2
+        if p == 2:
+            self.kernel = {i: 1 << i for i in range(n)}
+            self.width = 1
+        else:
+            self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i)
+                           for i in range(n)}
+            self.width = (n * (p - 1)).bit_length() + 1 if p else 2
         self.packed = [1 << (v * self.width) for v in range(n)]
+        # over GF(2) these bits are distinct, so their sum is their XOR
         self.base = sum(map(self.packed.__getitem__, first))
         self.rows: list[list[int]] = []
+
+    def vectors(self) -> list[list[int]]:
+        """The live kernel vectors, as int lists over every field."""
+        if self.p == 2:
+            return [[w >> v & 1 for v in range(self.n)]
+                    for w in self.kernel.values()]
+        return list(self.kernel.values())
 
     def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
         """Read MISs in order, selecting each row not yet spanned.  True once
@@ -191,6 +219,41 @@ class _RowFilter:
         kernel of floor vectors is the space itself, and every later row is
         spanned.  With floor 0 the filter finishes when the kernel empties.
         """
+        if self.p == 2:
+            self._read_xor(mis)
+        else:
+            self._read_slots(mis)
+        return len(self.kernel) == self.floor
+
+    def _read_xor(self, mis: Iterable[tuple[int, ...]]) -> None:
+        """read over GF(2): a MIS's packed XOR with the base is the set of
+        failing slots, and the pivot's support flips them all."""
+        n, first, kernel, rows = self.n, self.first, self.kernel, self.rows
+        floor, packed, base = self.floor, self.packed, self.base
+        get = packed.__getitem__
+        for members in mis:
+            x = reduce(xor, map(get, members), base)
+            if not x:
+                continue
+            rows.append(_difference_row(members, first, n))
+            low = x & -x
+            w = kernel.pop(low.bit_length() - 1)
+            others = x ^ low
+            while others:
+                low = others & -others
+                kernel[low.bit_length() - 1] ^= w
+                others ^= low
+            while w:
+                low = w & -w
+                packed[low.bit_length() - 1] ^= x
+                w ^= low
+            base = reduce(xor, map(get, first), 0)
+            if len(kernel) == floor:
+                break
+        self.base = base
+
+    def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
+        """read over an odd prime or the rationals, on packed digit slots."""
         p, n, first, kernel, rows = self.p, self.n, self.first, self.kernel, \
             self.rows
         floor = self.floor
@@ -234,7 +297,6 @@ class _RowFilter:
             if len(kernel) == floor:
                 break
         self.width, self.base = width, base
-        return len(kernel) == floor
 
 
 def _basis(g: Graph, field: FieldSpec,
@@ -247,7 +309,7 @@ def _basis(g: Graph, field: FieldSpec,
         vectors = [indicator_weighting(g, c)
                    for c in simplicial_report(g).cliques]
     else:
-        vectors = list(filt.kernel.values())
+        vectors = filt.vectors()
     return tuple(map(tuple, span_basis(vectors, field, g.n)))
 
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 
 from wellcovered.graph import DisconnectedGraphError, Graph, \
     is_chordal, relabel, simplicial_report
-from wellcovered.families import (complete, cycle, figure1, named_corpus,
-                                  path, sierpinski, star)
+from wellcovered.families import (complete, cycle, figure1,
+                                  figure6_composite, named_corpus, path,
+                                  sierpinski, star)
 from wellcovered.harness import random_connected_graphs
 from wellcovered.linalg import DEFAULT_FIELDS, GF2, GF3, QQ, FieldSpec, \
     nullspace_basis, rank_of_rows, span_basis, span_equal
@@ -336,7 +337,9 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
     for p in (2, 3, 5):
         calls.clear()
         rows = _list_filter(tuples, RESIDUES_AGREE.n, p).rows
-        assert any(d and all(x % p == 0 for _, x in d) for _, d in calls), p
+        if p != 2:  # GF(2) reads parities by XOR and decodes no digits
+            assert any(d and all(x % p == 0 for _, x in d)
+                       for _, d in calls), p
         assert rows == greedy_spanning_rows(tuples, RESIDUES_AGREE.n, p), p
 
 
@@ -359,6 +362,25 @@ def test_pass_stops_when_the_kernel_empties():
         rows = _list_filter(unread, g.n, p).rows
         assert len(rows) == g.n, p
         assert next(unread) == tuples[full + 1], p
+
+
+def test_gf2_selected_row_leaves_every_failing_vector():
+    # on figure6 some MIS fails four GF(2) kernel vectors at once, so its
+    # row is eliminated from three vectors besides the pivot; the XOR
+    # filter must match the oracle and stay exact after every MIS
+    g = figure6_composite()
+    tuples = enumerate_mis(g).sets
+    filt = wcspace._RowFilter(tuples[0], g.n, 2)
+    widest = 0
+    for k, members in enumerate(tuples[1:], 1):
+        row = wcspace._difference_row(members, tuples[0], g.n)
+        widest = max(widest, sum(sum(a * b for a, b in zip(w, row)) % 2
+                                 for w in filt.vectors()))
+        filt.read((members,))
+        assert filt.rows == greedy_spanning_rows(tuples[:k + 1], g.n, 2), k
+        _assert_live_kernel_is_exact(filt, GF2)
+    assert widest >= 3
+    assert len(filt.rows) > 1
 
 
 FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec(5),)
@@ -403,7 +425,7 @@ def _assert_live_kernel_is_exact(filt, field):
     # every live vector is orthogonal to every selected row (mod p over
     # GF(p)), and the live vectors are independent
     p = filt.p
-    live = list(filt.kernel.values())
+    live = filt.vectors()
     for w in live:
         for row in filt.rows:
             dot = sum(a * b for a, b in zip(w, row))
@@ -758,21 +780,32 @@ def test_spaces_do_not_depend_on_the_sample_seed(monkeypatch):
         assert reports() == expected, seed
 
 
+def _assert_gasket_certificate(sg, field):
+    # dimension 3: the basis is zero off the corners and constant on each
+    cliques = simplicial_report(sg.graph).cliques
+    assert set(cliques) == set(sg.corner_cliques)
+    basis, samples, cert_cliques = certified_space(sg.graph, field)
+    assert len(basis) == 3 and cert_cliques == cliques, field
+    assert all(is_mis(sg.graph, m) for m in samples)
+    for w in basis:
+        for v in sg.graph.vertices:
+            if not any(v in c for c in cliques):
+                assert w[v] == 0, field
+        for c in cliques:
+            assert len({w[v] for v in c}) == 1, field
+
+
 def test_certified_space_closes_on_sierpinski_5():
     sg = sierpinski(5)
     assert sg.graph.n == 123
-    cliques = simplicial_report(sg.graph).cliques
-    assert set(cliques) == set(sg.corner_cliques)
     for field in DEFAULT_FIELDS:
-        basis, samples, cert_cliques = certified_space(sg.graph, field)
-        assert len(basis) == 3 and cert_cliques == cliques, field
-        assert all(is_mis(sg.graph, m) for m in samples)
-        for w in basis:
-            for v in sg.graph.vertices:
-                if not any(v in c for c in cliques):
-                    assert w[v] == 0, field
-            for c in cliques:
-                assert len({w[v] for v in c}) == 1, field
+        _assert_gasket_certificate(sg, field)
+
+
+def test_certified_space_closes_on_sierpinski_6_over_gf2():
+    sg = sierpinski(6)
+    assert sg.graph.n == 366
+    _assert_gasket_certificate(sg, GF2)
 
 
 def test_certified_space_equals_the_enumerated_space():
