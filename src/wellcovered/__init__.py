@@ -17,7 +17,7 @@ from .mis import (MisList, MisCapExceededError, NotSccgError,
 from .wcspace import (WcSpace, certified_space,
                       well_covered_space, well_covered_spaces, wcdim,
                       is_well_covered, indicator_weighting, wcspace_report)
-from .families import (SierpinskiGraph, ScsSpec, ScsComposition, ScsSplit,
+from .families import (SierpinskiGraph, ScsSpec, ScsComposition,
                        ScsValidationError, complete, path, cycle, star,
                        sierpinski, figure1, figure2_family, figure6_g1,
                        figure6_g2, figure6_composite, figure6_spec,

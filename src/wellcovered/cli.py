@@ -335,7 +335,6 @@ def _cmd_classify(args) -> int:
     g, graph_id = _load_graph_arg(args.graph, args.corpus)
     rep = simplicial_report(g)
     well_covered = is_well_covered(g, args.mis_cap)
-    split = scs_split(g)
     payload = {
         "graph": graph_id,
         "n": g.n,
@@ -343,7 +342,7 @@ def _cmd_classify(args) -> int:
         "chordal": is_chordal(g),
         "sccg": is_sccg(g),
         "well_covered": well_covered,
-        "scs_splittable": split is not None,
+        "scs_splittable": scs_split(g) is not None,
         "sc": rep.sc,
         "simplicial_cliques": [sorted(c) for c in rep.cliques],
         "connection_set": sorted(rep.connection_set),
@@ -381,7 +380,7 @@ def _cmd_mis(args) -> int:
         lines.append(f"sccg formula: residual={residual.total} "
                      f"simplicial_only={simplicial.total}{flag}")
     if mis is not None:
-        payload["sets"] = mis.to_json()
+        payload["sets"] = mis.sets
         lines.extend(" ".join(map(str, s)) for s in mis.sets)
     _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_RESOURCE if capped else EXIT_OK

@@ -8,7 +8,7 @@ same Graph with the same vertex numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import (Graph, components, contains_simplicial_vertex,
                     simplicial_report)
@@ -225,12 +225,12 @@ class ScsSpec:
 
 @dataclass(frozen=True)
 class ScsComposition:
-    """A composed clique sum with provenance: position i of g1_to_composite
-    (resp. g2_to_composite) is the composite label of that part's vertex i."""
+    """A composed clique sum with provenance: the composite keeps g1's
+    labels, and position i of g2_to_composite is the composite label of
+    g2's vertex i."""
 
     graph: Graph
     shared: frozenset
-    g1_to_composite: tuple[int, ...]
     g2_to_composite: tuple[int, ...]
 
 
@@ -280,58 +280,26 @@ def scs_compose(spec: ScsSpec) -> ScsComposition:
     return ScsComposition(
         graph=composite,
         shared=shared,
-        g1_to_composite=tuple(range(g1.n)),
         g2_to_composite=tuple(g2_map[v] for v in range(g2.n)),
     )
 
 
-@dataclass(frozen=True)
-class ScsSplit:
-    """A decomposition of a graph as a clique sum.  part1_vertices[i] is the
-    original label of part1's vertex i, likewise part2_vertices."""
+def scs_split(g: Graph) -> frozenset | None:
+    """The first simplicial clique, in simplicial_report order, whose
+    removal leaves the rest in more than one component, or None when no
+    simplicial clique does: the graph is a clique sum exactly when some
+    clique does.
 
-    part1: Graph
-    part2: Graph
-    shared: frozenset
-    part1_vertices: tuple[int, ...]
-    part2_vertices: tuple[int, ...]
-
-
-def _scs_splits(g: Graph) -> Iterator[ScsSplit]:
-    """Yield the clique-sum splits of the graph lazily, simplicial clique by
-    simplicial clique, each clique's groupings in increasing mask order.
-
-    A simplicial clique C yields splits when removing it disconnects the
-    rest; every grouping of the remaining components into two nonempty sides
-    gives one.  No grouping needs re-checking.  C is N[v] for a simplicial
-    vertex v, and each part contains C, so v keeps N[v] = C there and C stays
-    simplicial in both parts.  Every component of g - C has a neighbour in C,
-    so each part is connected.  Cross edges between the sides cannot exist,
-    by choice of grouping.
+    Any grouping of the components of g - C into two nonempty sides splits
+    the graph along C.  C is N[v] for a simplicial vertex v, and each part
+    contains C, so v keeps N[v] = C there and C stays simplicial in both
+    parts.  Every component of g - C has a neighbour in C, so each part is
+    connected, and no edge joins the two sides.
     """
     for clique in simplicial_report(g).cliques:
-        rest = [v for v in g.vertices if v not in clique]
-        comps = components(g, rest)
-        k = len(comps)
-        if k < 2:
-            continue
-        # component 0 is pinned to side one and the all-ones mask is skipped,
-        # so each unordered grouping with nonempty sides appears exactly once
-        for mask in range((1 << (k - 1)) - 1):
-            side1: set[int] = set(comps[0])
-            side2: set[int] = set()
-            for i in range(1, k):
-                (side1 if (mask >> (i - 1)) & 1 else side2).update(comps[i])
-            part1, labels1 = g.induced_subgraph(side1 | clique)
-            part2, labels2 = g.induced_subgraph(side2 | clique)
-            yield ScsSplit(part1=part1, part2=part2, shared=frozenset(clique),
-                           part1_vertices=labels1, part2_vertices=labels2)
-
-
-def scs_split(g: Graph) -> ScsSplit | None:
-    """First clique-sum split in the deterministic search order, if any.
-    The search stops there, so it never builds the other groupings."""
-    return next(_scs_splits(g), None)
+        if len(components(g, set(g.vertices) - clique)) > 1:
+            return clique
+    return None
 
 
 def triangle_pendant_spec() -> ScsSpec:

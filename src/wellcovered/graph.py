@@ -162,21 +162,6 @@ class Graph:
         bits = sum(1 << v for v in s)
         return all(bits & ~self._masks[v] == 1 << v for v in s)
 
-    def induced_subgraph(self, vs: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on the given vertices, relabeled 0..k-1.
-
-        Returns (subgraph, labels) where labels[i] is the original index of
-        the subgraph's vertex i.  Labels are in increasing original order.
-        Raises DisconnectedGraphError if the induced subgraph is disconnected.
-        """
-        keep = sorted(self._check_subset(vs))
-        if not keep:
-            raise GraphError("cannot take the induced subgraph on an empty set")
-        index = {v: i for i, v in enumerate(keep)}
-        sub_edges = [(index[u], index[v]) for u, v in self.edges
-                     if u in index and v in index]
-        return Graph(len(keep), sub_edges), tuple(keep)
-
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit u of entry v set iff u and v are

@@ -104,7 +104,7 @@ def _mis(g: Graph, cap: int):
 def _space(g: Graph, fld: FieldSpec, cap: int):
     key = (g, fld, cap)
     if key not in _cache:
-        _cache[key] = well_covered_space(g, fld, mis=_mis(g, cap), cap=cap)
+        _cache[key] = well_covered_space(_mis(g, cap), fld)
     return _cache[key]
 
 
@@ -283,15 +283,14 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
         comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_mis_structure", [spec_id], f"invalid clique sum: {exc}")
-    back1 = {c: i for i, c in enumerate(comp.g1_to_composite)}
+    # the composite keeps g1's labels, so only g2's vertices are mapped
     back2 = {c: i for i, c in enumerate(comp.g2_to_composite)}
     g1, g2, gc = spec.g1, spec.g2, comp.graph
-    v1 = set(comp.g1_to_composite)
     v2 = set(comp.g2_to_composite)
     mis_c = _mis(gc, cap)
     for m in mis_c:
         inter = m & comp.shared
-        m1 = frozenset(back1[v] for v in m if v in v1)
+        m1 = frozenset(v for v in m if v < g1.n)
         m2 = frozenset(back2[v] for v in m if v in v2)
         if len(inter) != 1 or not is_mis(g1, m1) or not is_mis(g2, m2):
             return _holds("scs_mis_structure", [spec_id], False,
@@ -303,14 +302,13 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
     composite_sets = set(mis_c)
     composed = 0
     for a in mis1:
-        mapped_a = frozenset(comp.g1_to_composite[v] for v in a)
         for b in mis2:
             mapped_b = frozenset(comp.g2_to_composite[v] for v in b)
-            ia = mapped_a & comp.shared
+            ia = a & comp.shared
             ib = mapped_b & comp.shared
             if len(ia) == 1 and ia == ib:
                 composed += 1
-                if (mapped_a | mapped_b) not in composite_sets:
+                if (a | mapped_b) not in composite_sets:
                     return _holds(
                         "scs_mis_structure", [spec_id], False,
                         {"composite_mis": len(mis_c)},

@@ -230,17 +230,9 @@ def rank_of_rows(vectors: Sequence[Sequence[int]], field: FieldSpec,
 
 
 def span_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
-               field: FieldSpec, length: int | None = None) -> bool:
-    """True iff the two vector lists span the same subspace."""
-    lengths = {len(v) for v in a} | {len(v) for v in b}
-    if length is not None:
-        lengths.add(length)
-    if len(lengths) > 1:
-        raise ValueError(f"mixed vector lengths: {sorted(lengths)}")
-    if not lengths:
-        return True
-    dim = lengths.pop()
-    ra = rank_of_rows(a, field, dim)
-    rb = rank_of_rows(b, field, dim)
-    rab = rank_of_rows(list(a) + list(b), field, dim)
-    return ra == rb == rab
+               field: FieldSpec, length: int) -> bool:
+    """True iff the two vector lists, each vector of the given length, span
+    the same subspace."""
+    ra = rank_of_rows(a, field, length)
+    rb = rank_of_rows(b, field, length)
+    return ra == rb == rank_of_rows(list(a) + list(b), field, length)

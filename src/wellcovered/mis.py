@@ -80,9 +80,6 @@ class MisList:
     def __iter__(self):
         return map(frozenset, self.sets)
 
-    def to_json(self) -> list[list[int]]:
-        return [list(t) for t in self.sets]
-
 
 def _branch_set(adj: Sequence[int], u: int, d: int) -> int:
     """A set of undecided vertices that every completion of the state (U, D)

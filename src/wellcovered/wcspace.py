@@ -365,7 +365,7 @@ def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
 
     samples = [draw()]
     filters = {p: _RowFilter(samples[0], g.n, p, floor) for p in primes}
-    live = list(filters.values())
+    live = [filt for filt in filters.values() if len(filt.kernel) > floor]
     selected = stall = 0
     while live and stall < _STALL:
         members = draw()
@@ -450,20 +450,18 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     return _basis(g, field, filters.get(field.p)), tuple(samples), rep.cliques
 
 
-def well_covered_space(g: Graph, field: FieldSpec, mis: MisList | None = None,
-                       cap: int = DEFAULT_MIS_CAP) -> WcSpace:
-    """Exact basis of the well-covered space and its dimension.
+def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
+    """Exact basis of the well-covered space of mis.graph and its
+    dimension, from its listed MISs alone.
 
-    Deterministic: basis vectors come from free-column parameterization of
-    the reduced echelon form; every entry is an int, and rational vectors
-    are coprime with positive leading entry (see span_basis).  A given
-    MIS list is read by one row filter; without one, the search is streamed
-    as in well_covered_spaces.
+    One row filter with no floor reads the list, its first MIS the base, so
+    nothing is assumed of the dimension: this is the path that can show
+    dim < sc.  Deterministic: basis vectors come from free-column
+    parameterization of the reduced echelon form; every entry is an int,
+    and rational vectors are coprime with positive leading entry (see
+    span_basis).
     """
-    if mis is None:
-        return well_covered_spaces(g, (field,), cap=cap)[0]
-    if mis.graph != g:
-        raise ValueError("MIS list belongs to a different graph")
+    g = mis.graph
     filt = _RowFilter(mis.sets[0], g.n, field.p)
     filt.read(islice(mis.sets, 1, None))
     return WcSpace(g, field, _basis(g, field, filt), len(mis))

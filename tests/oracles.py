@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
-from wellcovered.families import ScsSpec, ScsSplit
+from wellcovered.families import ScsSpec
 from wellcovered.graph import Graph
 from wellcovered.mis import SccgCountBreakdown
 
@@ -285,7 +286,67 @@ def sccg_mis_count_formula(
     return readings[0], readings[1]
 
 
-def split_to_spec(split: ScsSplit) -> ScsSpec:
+def induced_subgraph(g: Graph, vs) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced on vs, relabelled 0..k-1 in increasing original
+    order, and labels, where labels[i] is the original label of vertex i."""
+    keep = sorted(vs)
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges
+             if u in index and v in index]
+    return Graph(len(keep), edges), tuple(keep)
+
+
+def components_naive(adj, vs) -> list[frozenset]:
+    """Connected components of the subgraph induced on vs, in increasing
+    order of their smallest member, by breadth-first search."""
+    left, out = set(vs), []
+    while left:
+        comp, frontier = set(), {min(left)}
+        while frontier:
+            comp |= frontier
+            frontier = set().union(*(adj[v] for v in frontier)) & (left - comp)
+        left -= comp
+        out.append(frozenset(comp))
+    return out
+
+
+class Split(NamedTuple):
+    """A clique-sum split: part1_vertices[i] is the original label of
+    part1's vertex i, likewise part2_vertices."""
+
+    part1: Graph
+    part2: Graph
+    shared: frozenset
+    part1_vertices: tuple[int, ...]
+    part2_vertices: tuple[int, ...]
+
+
+def scs_splits(g: Graph) -> list[Split]:
+    """Every clique-sum split of the graph.  A simplicial clique C splits
+    it when removing C leaves more than one component, and each grouping of
+    those components into two nonempty sides gives one split, each side
+    taken with C.  The cliques come ordered by their smallest vertex, and a
+    clique's groupings in increasing mask order with component 0 pinned to
+    side one, so each unordered grouping appears once."""
+    adj = adjacency(g.n, g.edges)
+    cliques, _ = simplicial_cliques_naive(g.n, g.edges)
+    out = []
+    for clique in sorted(cliques, key=min):
+        comps = components_naive(adj, set(range(g.n)) - clique)
+        k = len(comps)
+        if k < 2:
+            continue
+        for mask in range((1 << (k - 1)) - 1):
+            side1, side2 = set(comps[0]), set()
+            for i in range(1, k):
+                (side1 if mask >> (i - 1) & 1 else side2).update(comps[i])
+            part1, labels1 = induced_subgraph(g, side1 | clique)
+            part2, labels2 = induced_subgraph(g, side2 | clique)
+            out.append(Split(part1, part2, clique, labels1, labels2))
+    return out
+
+
+def split_to_spec(split: Split) -> ScsSpec:
     """The recipe that re-composes a split's graph, up to relabelling: each
     shared vertex of part2 is glued to the same vertex of part1."""
     back1 = {orig: i for i, orig in enumerate(split.part1_vertices)}

@@ -8,7 +8,7 @@ from wellcovered.graph import (adjacency_masks, format_edge_list, is_chordal,
                                is_sccg, parse_edge_list, relabel,
                                simplicial_report, simplicial_vertices)
 from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
-                                  ScsValidationError, _scs_splits, complete,
+                                  ScsValidationError, complete,
                                   corpus_comments, corpus_graph, corpus_names,
                                   cycle, figure1, figure2_family,
                                   figure6_composite, figure6_g1, figure6_g2,
@@ -17,7 +17,7 @@ from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
                                   triangle_pendant_spec, vertex_bowtie)
 from wellcovered.harness import random_connected_graphs
 
-from oracles import split_to_spec
+from oracles import induced_subgraph, scs_splits, split_to_spec
 
 
 def test_standard_families():
@@ -101,7 +101,7 @@ def test_sierpinski_contains_three_previous_orders():
         small_coords = sorted({(x, y) for x, y in _lattice_coords(order - 1)})
         for ox, oy in offsets:
             block = [index[(x + ox, y + oy)] for x, y in small_coords]
-            sub, labels = big.graph.induced_subgraph(block)
+            sub, labels = induced_subgraph(big.graph, block)
             assert sub == small
 
 
@@ -187,7 +187,7 @@ def test_scs_compose_triangle_pendants():
 def test_scs_compose_no_cross_edges():
     spec = figure6_spec()
     comp = scs_compose(spec)
-    only_g1 = set(comp.g1_to_composite) - comp.shared
+    only_g1 = set(range(spec.g1.n)) - comp.shared
     only_g2 = set(comp.g2_to_composite) - comp.shared
     for u, v in comp.graph.edges:
         assert not (u in only_g1 and v in only_g2)
@@ -242,14 +242,13 @@ def test_scs_compose_degenerate_full_overlap():
 
 def test_scs_split_figure6_round_trip():
     comp_graph = figure6_composite()
-    split = scs_split(comp_graph)
-    assert split is not None
+    assert sorted(scs_split(comp_graph)) == [1, 2, 5, 9]
+    [split] = scs_splits(comp_graph)
     assert sorted(split.shared) == [1, 2, 5, 9]
     assert split.part1 == figure6_g1()
     recomposed = scs_compose(split_to_spec(split))
     _, back = _canonical_relabel(recomposed.graph, split, comp_graph)
     assert back == comp_graph
-    assert len(list(_scs_splits(comp_graph))) == 1
 
 
 def _canonical_relabel(recomposed, split, original):
@@ -272,7 +271,7 @@ def test_scs_split_round_trips_on_corpus():
     for name, g in named_corpus().items():
         if g.n > 15:
             continue
-        for split in _scs_splits(g):
+        for split in scs_splits(g):
             recomposed = scs_compose(split_to_spec(split))
             _, back = _canonical_relabel(recomposed.graph, split, g)
             assert back == g, name
@@ -282,15 +281,14 @@ def test_star_and_kn_split_behaviour():
     # K_m glued onto a star's simplicial edge splits back apart
     comp = scs_compose(ScsSpec(star(3), complete(3), {0: 1, 1: 0}))
     assert scs_split(comp.graph) is not None
-    # 40 components around {0, 1}: the first split is found without
-    # building the other 2^39 - 2 groupings
-    split = scs_split(star(40))
-    assert split.shared == {0, 1}
-    assert split.part1_vertices == (0, 1, 2)
+    # 39 components around {0, 1}: the splitting clique is found without
+    # building any of the 2^38 - 1 groupings
+    assert scs_split(star(40)) == {0, 1}
 
 
-# sha256 of every split _scs_splits yields on corpus graphs with n <= 15
-# and random_connected_graphs(200, 7), taken before the search became lazy
+# sha256 of every split scs_splits gives on corpus graphs with n <= 15
+# and random_connected_graphs(200, 7), taken from the library's own split
+# search before scs_split came to return the splitting clique alone
 _SPLITS_DIGEST = \
     "36642fc6cc283a46625badbc81cb4d585604467b45b9345504057d9387a16da3"
 
@@ -300,7 +298,7 @@ def test_find_scs_splits_are_pinned_and_recompose():
     graphs += random_connected_graphs(200, 7)
     record = []
     for name, g in graphs:
-        splits = list(_scs_splits(g))
+        splits = scs_splits(g)
         record.append([name, [[sorted(s.shared), s.part1_vertices,
                                s.part1.edges, s.part2_vertices, s.part2.edges]
                               for s in splits]])
@@ -310,7 +308,7 @@ def test_find_scs_splits_are_pinned_and_recompose():
             recomposed = scs_compose(split_to_spec(split))
             _, back = _canonical_relabel(recomposed.graph, split, g)
             assert back == g, name
-        assert scs_split(g) == (splits[0] if splits else None), name
+        assert scs_split(g) == (splits[0].shared if splits else None), name
     assert sum(len(splits) for _, splits in record) == 184
     digest = sha256(json.dumps(record).encode()).hexdigest()
     assert digest == _SPLITS_DIGEST

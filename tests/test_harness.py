@@ -4,7 +4,7 @@ import json
 import weakref
 from collections import Counter
 
-from wellcovered import harness
+from wellcovered import harness, wcspace
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
                                   figure6_spec, path, sierpinski,
                                   triangle_pendant_spec, vertex_bowtie)
@@ -201,8 +201,8 @@ def _track_cached_results(monkeypatch):
         made.append(weakref.ref(out))
         return out
 
-    def space(g, fld, **kwargs):
-        out = well_covered_space(g, fld, **kwargs)
+    def space(mis, fld):
+        out = well_covered_space(mis, fld)
         made.append(weakref.ref(out))
         return out
 
@@ -229,6 +229,30 @@ def test_direct_check_call_releases_its_cache(monkeypatch):
     assert enumerated == {g: 1} and len(made) == 2
     assert all(ref() is None for ref in made)
     assert harness._cache is None
+
+
+def test_the_harness_reads_the_floor_free_listed_path(monkeypatch):
+    # lower_bound tests dim >= sc, so no space the harness reads may take
+    # sc as a floor: it samples nothing, and every row filter has floor 0
+    sampled, floors = [], []
+    sample = wcspace._sampled_filters
+    init = wcspace._RowFilter.__init__
+
+    def sample_spy(*args):
+        sampled.append(args)
+        return sample(*args)
+
+    def init_spy(self, first, n, p, floor=0):
+        floors.append(floor)
+        init(self, first, n, p, floor)
+
+    monkeypatch.setattr(wcspace, "_sampled_filters", sample_spy)
+    monkeypatch.setattr(wcspace._RowFilter, "__init__", init_spy)
+    run_suite("default", seed=1, random_count=5)
+    assert floors and set(floors) == {0} and not sampled
+    floors.clear()
+    assert check_lower_bound(figure1(), "figure1").status == "holds"
+    assert floors == [0] and not sampled
 
 
 def test_full_suite_report_is_byte_stable():

@@ -14,6 +14,7 @@ from pathlib import Path
 import wellcovered
 from wellcovered import cli, harness, wcspace
 from wellcovered.families import cycle
+from wellcovered.mis import enumerate_mis
 
 KEEP_ALIVE = {("cli", "well_covered_space"), ("wcspace", "nullspace_basis"),
               ("wcspace", "enumerate_mis")}
@@ -109,6 +110,6 @@ def test_every_name_the_bench_traces_exists():
     for table in spans.CHECK_TABLES:
         assert {fn for _, fn in getattr(harness, table)} <= checks, table
     # the bench reads these off every space it traces
-    space = wcspace.well_covered_space(cycle(4), wellcovered.QQ)
+    space = wcspace.well_covered_space(enumerate_mis(cycle(4)), wellcovered.QQ)
     assert (space.graph, space.field, space.mis_count) == \
         (cycle(4), wellcovered.QQ, 2)

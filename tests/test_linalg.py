@@ -165,13 +165,15 @@ def test_prime_fields_take_integral_fractions_and_reject_the_rest():
 def test_span_equal():
     e1 = [1, 0]
     e2 = [0, 1]
-    assert span_equal([e1], [[2, 0]], QQ)
-    assert not span_equal([e1], [e2], QQ)
-    assert span_equal([e1, e2], [[1, 1], e1], QQ)
-    assert span_equal([], [], QQ, length=4)
-    assert not span_equal([], [e1], QQ)
+    assert span_equal([e1], [[2, 0]], QQ, 2)
+    assert not span_equal([e1], [e2], QQ, 2)
+    assert span_equal([e1, e2], [[1, 1], e1], QQ, 2)
+    assert span_equal([], [], QQ, 4)
+    assert not span_equal([], [e1], QQ, 2)
     with pytest.raises(ValueError):
-        span_equal([e1], [[1]], QQ)
+        span_equal([e1], [[1]], QQ, 2)
+    with pytest.raises(ValueError):
+        span_equal([e1], [e2], QQ, 3)
 
 
 def test_span_equal_with_dependent_vectors():
@@ -179,8 +181,8 @@ def test_span_equal_with_dependent_vectors():
     a = [[1, 2, 3], [-2, -4, -6], [0, 1, 1], [1, 3, 4]]
     b = [[1, 1, 2], [0, 3, 3]]
     assert rank_of_rows(a, QQ, 3) == 2
-    assert span_equal(a, b, QQ)
-    assert not span_equal(a, b[:1] + [[0, 0, 1]], QQ)
+    assert span_equal(a, b, QQ, 3)
+    assert not span_equal(a, b[:1] + [[0, 0, 1]], QQ, 3)
 
 
 @st.composite

@@ -76,7 +76,7 @@ def test_wcdim_figure1_all_fields_and_basis_span():
         [0, 0, 0, 0, 0, 0, 1, 1, 1, 1],
     ]
     for field in DEFAULT_FIELDS:
-        space = well_covered_space(g, field, mis=mis)
+        space = well_covered_space(mis, field)
         assert space.dimension == 3
         assert space.constraint_rank == 7
         vecs = space.basis_vectors()
@@ -88,7 +88,7 @@ def test_well_covered_space_matches_oracle_elimination():
         if g.n > 12:
             continue
         mis_count, rank, nullity = wcdim_fraction_elimination(g.n, g.edges)
-        space = well_covered_space(g, QQ)
+        space = well_covered_spaces(g, (QQ,))[0]
         assert space.mis_count == mis_count, name
         assert space.constraint_rank == rank, name
         assert space.dimension == nullity, name
@@ -110,7 +110,7 @@ def test_space_agrees_with_full_matrix_path():
         done += 1
         mis = enumerate_mis(g)
         for field in DEFAULT_FIELDS:
-            space = well_covered_space(g, field, mis=mis)
+            space = well_covered_space(mis, field)
             assert space.dimension == \
                 len(nullspace_basis_elimination(g.n, g.edges, field.p))
 
@@ -122,7 +122,7 @@ def test_basis_vectors_pass_verification_and_are_independent():
             continue
         mis = enumerate_mis(g)
         for field in DEFAULT_FIELDS:
-            space = well_covered_space(g, field, mis=mis)
+            space = well_covered_space(mis, field)
             for w in space.basis:
                 assert _constant_sum(w, field, mis), name
             assert rank_of_rows(space.basis_vectors(), field, g.n) == \
@@ -133,7 +133,7 @@ def test_random_combinations_stay_in_space():
     rng = random.Random(2024)
     for g in (figure1(), path(7), sierpinski(2).graph, star(3)):
         mis = enumerate_mis(g)
-        space = well_covered_space(g, QQ, mis=mis)
+        space = well_covered_space(mis, QQ)
         for _ in range(100):
             coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in space.basis]
@@ -161,7 +161,7 @@ def test_lower_bound_and_chordal_equality_on_corpus():
             continue
         sc = simplicial_report(g).sc
         # the listed path: the sampled one stops at sc and cannot fall below
-        dim = well_covered_space(g, QQ, mis=enumerate_mis(g)).dimension
+        dim = well_covered_space(enumerate_mis(g), QQ).dimension
         assert dim >= sc, name
         if is_chordal(g):
             assert dim == sc, name
@@ -186,7 +186,7 @@ def test_clique_indicators_for_disjoint_clique_cover():
     g = figure1()
     mis = enumerate_mis(g)
     rep = simplicial_report(g)
-    space = well_covered_space(g, QQ, mis=mis)
+    space = well_covered_space(mis, QQ)
     for c in rep.cliques:
         ind = indicator_weighting(g, c)
         assert _constant_sum(ind, QQ, mis)
@@ -197,20 +197,20 @@ def test_clique_indicators_for_disjoint_clique_cover():
 
 def test_wcspace_report_shape():
     g = cycle(4)
-    space = well_covered_space(g, QQ)
+    space = well_covered_spaces(g, (QQ,))[0]
     report = wcspace_report(space, "c4")
     assert report["graph"] == "c4"
     assert report["dimension"] == 3
     assert report["constraint_rank"] == 1
     assert report["mis_count"] == 2
     assert all(isinstance(x, int) for row in report["basis"] for x in row)
-    gf_report = wcspace_report(well_covered_space(g, GF2), "c4")
+    gf_report = wcspace_report(well_covered_spaces(g, (GF2,))[0], "c4")
     assert gf_report["field"] == {"kind": "prime_field", "p": 2}
 
 
 def test_integerized_basis_is_content_one():
     for g in (figure1(), path(9), cycle(4)):
-        space = well_covered_space(g, QQ)
+        space = well_covered_spaces(g, (QQ,))[0]
         for w in space.basis:
             assert list(w) == _coprime_integers(w)
 
@@ -224,7 +224,7 @@ def test_clique_indicator_membership_on_corpus_sccgs():
             continue
         mis = enumerate_mis(g)
         rep = simplicial_report(g)
-        space = well_covered_space(g, QQ, mis=mis)
+        space = well_covered_space(mis, QQ)
         for c in rep.cliques:
             if all(len(m & c) == 1 for m in mis):
                 ind = indicator_weighting(g, c)
@@ -260,7 +260,7 @@ def test_basis_vectors_equal_full_matrix_basis():
     for g in graphs:
         mis = enumerate_mis(g)
         for field in DEFAULT_FIELDS:
-            space = well_covered_space(g, field, mis=mis)
+            space = well_covered_space(mis, field)
             assert space.basis_vectors() == _full_matrix_basis(g, mis, field), g
 
 
@@ -279,7 +279,7 @@ def test_basis_matches_oracle_elimination(g):
     mis = enumerate_mis(g)
     for field in DEFAULT_FIELDS:
         p = None if field.is_rationals else field.p
-        space = well_covered_space(g, field, mis=mis)
+        space = well_covered_space(mis, field)
         got = [[int(x) for x in vec] for vec in space.basis_vectors()]
         assert got == nullspace_basis_elimination(g.n, g.edges, p)
 
@@ -395,7 +395,7 @@ def test_kernel_read_basis_matches_oracle_on_list_and_stream():
         streamed = well_covered_spaces(g, FOUR_FIELDS)
         for field, space in zip(FOUR_FIELDS, streamed):
             want = nullspace_basis_elimination(g.n, g.edges, field.p)
-            listed = well_covered_space(g, field, mis=mis)
+            listed = well_covered_space(mis, field)
             for got in (listed, space):
                 assert [[int(x) for x in v] for v in got.basis_vectors()] \
                     == want, (g, field)
@@ -412,9 +412,9 @@ def test_integral_rationals_are_ints_at_the_library_interface():
     assert ints(_full_matrix_basis(figure1(), enumerate_mis(figure1()), QQ))
     assert ints(span_basis([[2, 4, 0], [1, 0, -3]], QQ, 3))
     for g in (figure1(), cycle(4)):
-        assert ints(well_covered_space(g, QQ, mis=enumerate_mis(g))
+        assert ints(well_covered_space(enumerate_mis(g), QQ)
                     .basis_vectors())
-        assert ints(well_covered_space(g, QQ).basis_vectors())
+        assert ints(well_covered_spaces(g, (QQ,))[0].basis_vectors())
         for space in well_covered_spaces(g, DEFAULT_FIELDS):
             assert ints(space.basis_vectors())
     basis, _, _ = certified_space(sierpinski(3).graph, QQ)
@@ -441,7 +441,7 @@ def test_kernel_is_exact_when_read_stops_at_the_floor():
         sc = simplicial_report(g).sc
         mis = enumerate_mis(g)
         for field in FOUR_FIELDS:
-            if well_covered_space(g, field, mis=mis).dimension != sc:
+            if well_covered_space(mis, field).dimension != sc:
                 continue
             filt = wcspace._RowFilter(mis.sets[0], g.n, field.p, sc)
             rest = iter(mis.sets[1:])
@@ -485,7 +485,7 @@ def test_sierpinski_4_reports_are_byte_stable():
     g = sierpinski(4).graph
     mis = enumerate_mis(g)
     for field in DEFAULT_FIELDS:
-        report = wcspace_report(well_covered_space(g, field, mis=mis),
+        report = wcspace_report(well_covered_space(mis, field),
                                 "sierpinski_4")
         digest = sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == S4_REPORT_SHA256[field.label()], field.label()
@@ -522,7 +522,7 @@ def test_streamed_spaces_equal_listed_spaces():
         streamed = well_covered_spaces(g, DEFAULT_FIELDS)
         assert [s.field for s in streamed] == list(DEFAULT_FIELDS)
         for field, space in zip(DEFAULT_FIELDS, streamed):
-            listed = well_covered_space(g, field, mis=mis)
+            listed = well_covered_space(mis, field)
             assert space == listed, (g, field)
             assert space.mis_count == len(mis)
 
@@ -532,13 +532,13 @@ def test_basis_does_not_depend_on_mis_order():
     graphs = [g for g in named_corpus().values() if g.n <= 20]
     for g in graphs + _seeded_random_graphs(6, 30):
         mis = enumerate_mis(g)
-        canonical = [well_covered_space(g, f, mis=mis) for f in DEFAULT_FIELDS]
+        canonical = [well_covered_space(mis, f) for f in DEFAULT_FIELDS]
         for _ in range(3):
             sets = list(mis.sets)
             rng.shuffle(sets)
             shuffled = MisList(graph=g, sets=tuple(sets))
             for field, space in zip(DEFAULT_FIELDS, canonical):
-                assert well_covered_space(g, field, mis=shuffled) == space, g
+                assert well_covered_space(shuffled, field) == space, g
 
 
 def _count_streamed_reads(monkeypatch) -> Counter:
@@ -627,7 +627,7 @@ def test_filters_read_the_stream_where_dim_exceeds_sc(monkeypatch):
         fed = _count_streamed_reads(monkeypatch)
         streamed = well_covered_spaces(g, DEFAULT_FIELDS)
         for field, space in zip(DEFAULT_FIELDS, streamed):
-            assert space == well_covered_space(g, field, mis=mis), (g, field)
+            assert space == well_covered_space(mis, field), (g, field)
             if space.dimension > sc:
                 # a filter above its floor reads the whole stream
                 assert fed[field.p] == len(mis), (g, field)
@@ -655,7 +655,7 @@ def test_a_prime_filter_at_its_floor_certifies_the_rationals(monkeypatch):
     assert [s.dimension for s in spaces] == [3, 3, 3]
     # the rationals alone ride on the internal prime
     built.clear()
-    assert well_covered_space(g, QQ) == spaces[0]
+    assert well_covered_spaces(g, (QQ,))[0] == spaces[0]
     assert built == [wcspace._Q_PRIME]
     built.clear()
     basis, _, _ = certified_space(g, QQ)
@@ -679,7 +679,7 @@ def test_a_prime_filter_above_its_floor_hands_over_to_the_rationals(
         return read(self, counted())
 
     monkeypatch.setattr(wcspace._RowFilter, "read", spy)
-    space = well_covered_space(SAMPLES_FALL_SHORT, QQ)
+    space = well_covered_spaces(SAMPLES_FALL_SHORT, (QQ,))[0]
     assert built == [wcspace._Q_PRIME, None]
     assert space.dimension == 2 > simplicial_report(SAMPLES_FALL_SHORT).sc
     # only the rational filter reads the stream, and it reads all of it
@@ -725,7 +725,7 @@ def test_streamed_spaces_equal_listed_spaces_over_every_field_set():
     graphs += list(_random_7_graphs().values())
     for g in graphs:
         mis = enumerate_mis(g)
-        listed = {f: well_covered_space(g, f, mis=mis) for f in FOUR_FIELDS}
+        listed = {f: well_covered_space(mis, f) for f in FOUR_FIELDS}
         for fields in FIELD_SETS:
             streamed = well_covered_spaces(g, fields)
             assert list(streamed) == [listed[f] for f in fields], (g, fields)
@@ -740,7 +740,7 @@ def test_streamed_spaces_raise_past_the_cap(monkeypatch, block):
     with pytest.raises(MisCapExceededError):
         well_covered_spaces(g, DEFAULT_FIELDS, cap=k - 1)
     with pytest.raises(MisCapExceededError):
-        well_covered_space(g, QQ, cap=k - 1)
+        well_covered_spaces(g, (QQ,), cap=k - 1)
     with pytest.raises(MisCapExceededError):
         is_well_covered(path(12), cap=count_mis(path(12)) - 1)
 
@@ -823,3 +823,11 @@ def test_certified_space_equals_the_enumerated_space():
                 assert space.dimension == sc
     assert closed >= 100, closed
     assert certified_space(cycle(4), QQ) is None
+
+
+def test_a_filter_born_at_its_floor_draws_no_sample():
+    # on one vertex n = sc, so every filter starts finished: the base MIS
+    # is the only sample, and no second draw repeats it
+    for field in DEFAULT_FIELDS:
+        assert certified_space(Graph(1, []), field) == \
+            (((1,),), ((0,),), (frozenset({0}),)), field
