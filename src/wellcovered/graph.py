@@ -297,8 +297,18 @@ def is_chordal(g: Graph) -> bool:
 #
 # UTF-8 text.  Lines starting with '#' are comments.  The first non-comment
 # line is 'n <count>'; every following non-comment line is '<u> <v>' with
-# 0-based decimal indices.  Duplicate edges are tolerated.  Writers emit
-# edges sorted by (min endpoint, max endpoint).
+# 0-based indices.  The count and the indices are ASCII decimal digits: no
+# sign, no underscore, no digit of another script.  Duplicate edges are
+# tolerated.  Writers emit edges sorted by (min endpoint, max endpoint).
+
+def _decimal(token: str) -> int:
+    """The value of a token of ASCII digits.  Any other token raises
+    ValueError, though int() would read a sign, an underscore or a
+    non-ASCII digit."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format into a Graph."""
@@ -313,14 +323,14 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2 or parts[0] != "n":
                 raise EdgeListParseError(lineno, f"expected 'n <count>', got {line!r}")
             try:
-                n = int(parts[1])
+                n = _decimal(parts[1])
             except ValueError:
                 raise EdgeListParseError(lineno, f"bad vertex count {parts[1]!r}") from None
             continue
         if len(parts) != 2:
             raise EdgeListParseError(lineno, f"expected '<u> <v>', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise EdgeListParseError(lineno, f"bad vertex index in {line!r}") from None
         edges.append((u, v))

@@ -19,17 +19,20 @@ that MIS as on the base, compared modulo p over GF(p); this holds over
 every field, since a subspace is the annihilator of its annihilator.  The
 kernel vectors are packed side by side into one integer per vertex, in
 slots wide enough that each vector's difference on a MIS is one exact
-digit, so a single integer sum per MIS tests every vector at once.  Over
-GF(p), p odd, the digits of an unequal sum are re-tested modulo p, because
-a difference that is a nonzero multiple of p is zero in the field.  Over
-GF(2) a slot is one bit and a difference is a parity, so the XOR of the
-packed bits over the MIS and the base MIS is exactly the set of failing
-vectors, and no digit is decoded; there each kernel vector is one int
-bitmask.  A MIS that fails has its row selected, and one failing kernel
-vector is used to eliminate the new row from the others, then dropped
-(over GF(2), it is XORed into each of them).  The row space only
-grows, so the final kernel satisfies every MIS: the selection is exact over
-every field and needs no verification pass.
+digit, so a single integer sum per MIS tests every vector at once.  A MIS
+that fails has its row selected, and one failing kernel vector is used to
+eliminate the new row from the others, then dropped.  There is one path per
+kind of field.  Over GF(2) a slot is one bit and a difference is a parity,
+so the XOR of the packed bits over the MIS and the base MIS is exactly the
+set of failing vectors, no digit is decoded, and the pivot is XORed into
+each of them.  Over GF(p), p odd, the packed slots are the kernel: each
+holds a residue, the digits of an unequal sum are re-tested modulo p,
+because a difference that is a nonzero multiple of p is zero in the field,
+and the elimination is one lane-wide add-and-reduce per vertex in the
+pivot's support.  Over the rationals the kernel vectors are coprime integer
+lists, eliminated fraction-free, and the slots widen as they grow.  The row
+space only grows, so the final kernel satisfies every MIS: the selection is
+exact over every field and needs no verification pass.
 
 Without a MIS list, the filters get a floor: the simplicial clique number
 sc, a lower bound on the dimension over every field.  Every MIS meets each
@@ -71,12 +74,14 @@ order of the MISs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice
 from math import gcd
 from operator import neg, sub, xor
 from random import Random
+from struct import calcsize
 from typing import Iterable, Sequence
 
 from .graph import Graph, adjacency_masks, simplicial_report
@@ -139,6 +144,11 @@ def _slot_digits(diff: int, width: int):
         yield shift // width, d
 
 
+# vectors() decoding: a memoryview cast format for each lane width it
+# reads natively, and the byte map from GF(2) bit characters to entries.
+_LANES = {8 * calcsize(code): code for code in "BHIQ"}
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 # MISs taken from the stream at a time.  Each row filter reads a block in
 # one tight loop; a block this size makes the per-block calls negligible and
 # bounds the MISs held at once.
@@ -152,35 +162,47 @@ class _RowFilter:
     rationals when p is None.  The filter is finished when the kernel is
     down to floor vectors (see read).
 
-    kernel maps a slot i to a vector w_i; the live vectors span the kernel
-    of the rows selected so far, starting from the identity.  They are
-    packed into one int per vertex, packed[v] = sum of w_i[v] << (i * width),
-    so a MIS's packed sum minus the base MIS's is the integer whose
-    balanced base 2**width digits are the differences w_i . row.  A digit
-    is exact while 2**(width-1) exceeds its absolute value: over GF(p) every
-    entry is a residue, so n * (p - 1) bounds it; over the rationals a row
-    has entries in {-1, 0, 1}, so the vector's L1 norm bounds it, and width
-    at least doubles (every vector is re-packed) whenever a vector outgrows
-    it.  Equal packed sums mean every vector is constant on the MIS.  Over
-    GF(p), p odd, unequal sums can still agree modulo p, so only digits not
-    divisible by p fail.  A MIS with a failing digit has its row selected:
+    The live vectors w_i span the kernel of the rows selected so far,
+    starting from the identity.  They are packed into one int per vertex,
+    packed[v] = sum of w_i[v] << (i * width), so a MIS's packed sum minus
+    the base MIS's is the integer whose balanced base 2**width digits are
+    the differences w_i . row.  Equal packed sums mean every vector is
+    constant on the MIS.  A MIS with a failing digit has its row selected:
     the vector with the lowest failing slot is the pivot, it eliminates the
-    new row from the other failing vectors (their digits are their inner
-    products with the row), and it is dropped; packed changes only in the
-    slots that changed.  The pivot eliminates the row from every other
-    failing vector before the filter stops at its floor, so the live
-    vectors always span the kernel of the selected rows exactly, and the
-    basis is read off them (see _basis and vectors).
+    new row from the other failing vectors, and it is dropped.  The pivot
+    eliminates the row from every other failing vector before the filter
+    stops at its floor, so the live vectors always span the kernel of the
+    selected rows exactly, and the basis is read off them (see _basis and
+    vectors).  Each kind of field has its own read path, and every path
+    picks the same pivot, so the same rows are selected.
 
-    Over GF(2) the slots are one bit wide and are never summed: kernel[i]
-    is an int bitmask whose bit v is w_i[v], packed[v] has bit i set when
-    w_i[v] is 1, and base is the XOR of packed over first.  The XOR x of
-    packed over a MIS, and of base, has bit i set exactly when w_i . row is
-    odd, so its set bits are the failing slots.  The lowest one is the
-    pivot, as in the slot path, so the same rows are selected.  Its vector
-    w is XORed into every other failing vector, and packed[v] ^= x for
-    each v in w's support updates every failing slot and clears the
+    Over GF(2) (_read_xor) the slots are one bit wide and are never summed:
+    kernel[i] is an int bitmask whose bit v is w_i[v], packed[v] has bit i
+    set when w_i[v] is 1, and base is the XOR of packed over first.  The
+    XOR x of packed over a MIS, and of base, has bit i set exactly when
+    w_i . row is odd, so its set bits are the failing slots.  The pivot's
+    vector w is XORed into every other failing vector, and packed[v] ^= x
+    for each v in w's support updates every failing slot and clears the
     pivot's.
+
+    Over GF(p), p odd (_read_lanes), the packed slots are the kernel: slot
+    i of packed[v] holds w_i[v] as a residue in 0..p-1, and kernel is the
+    set of live slot ids.  n * (p - 1) bounds every digit, so a width with
+    2**(width-1) above it keeps digits exact; a digit fails unless p
+    divides it.  With g_i the failing digits and j the pivot's slot, each
+    other failing w_i becomes w_i + t_i * w_j, t_i = -g_i / g_j mod p, and
+    w_j becomes zero: for each vertex v with a = w_j[v] nonzero,
+    packed[v] gains sum of (a * t_i mod p) << (i * width), less
+    a << (j * width), built once per distinct a.  Every slot is then in
+    0..2p-2, and one lane-wide step takes p off each slot at p or above:
+    adding 2**(width-1) - p to every slot sets its top bit exactly then,
+    which needs 2**(width-1) >= p.
+
+    Over the rationals (_read_slots) kernel maps a slot i to w_i as a list
+    of coprime ints.  A row has entries in {-1, 0, 1}, so a vector's L1
+    norm bounds its digit, and width at least doubles (every vector is
+    re-packed) whenever a vector outgrows it.  The pivot eliminates the row
+    fraction-free, and packed changes only in the slots that changed.
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
@@ -192,10 +214,15 @@ class _RowFilter:
         if p == 2:
             self.kernel = {i: 1 << i for i in range(n)}
             self.width = 1
+        elif p:
+            self.kernel = set(range(n))
+            # the least power of two, at least 8, above bit_length(n(p - 1)),
+            # so that vectors() reads every lane in one cast
+            self.width = max(8, 1 << (n * (p - 1)).bit_length().bit_length())
         else:
             self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i)
                            for i in range(n)}
-            self.width = (n * (p - 1)).bit_length() + 1 if p else 2
+            self.width = 2
         self.packed = [1 << (v * self.width) for v in range(n)]
         # over GF(2) these bits are distinct, so their sum is their XOR
         self.base = sum(map(self.packed.__getitem__, first))
@@ -204,9 +231,21 @@ class _RowFilter:
     def vectors(self) -> list[list[int]]:
         """The live kernel vectors, as int lists over every field."""
         if self.p == 2:
-            return [[w >> v & 1 for v in range(self.n)]
-                    for w in self.kernel.values()]
-        return list(self.kernel.values())
+            return [list(format(w, f"0{self.n}b")[::-1].encode()
+                         .translate(_BITS)) for w in self.kernel.values()]
+        if not self.p:
+            return list(self.kernel.values())
+        live = sorted(self.kernel)
+        step = self.width // 8
+        size = step * (max(live, default=-1) + 1)
+        if self.width in _LANES:  # each vertex's lanes in one cast
+            lanes = list(zip(*(memoryview(x.to_bytes(size, sys.byteorder))
+                               .cast(_LANES[self.width]).tolist()
+                               for x in self.packed)))
+            return [list(lanes[i]) for i in live]
+        raw = [x.to_bytes(size, "little") for x in self.packed]
+        return [[int.from_bytes(b[i * step:(i + 1) * step], "little")
+                 for b in raw] for i in live]
 
     def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
         """Read MISs in order, selecting each row not yet spanned.  True once
@@ -221,6 +260,8 @@ class _RowFilter:
         """
         if self.p == 2:
             self._read_xor(mis)
+        elif self.p:
+            self._read_lanes(mis)
         else:
             self._read_slots(mis)
         return len(self.kernel) == self.floor
@@ -252,39 +293,67 @@ class _RowFilter:
                 break
         self.base = base
 
-    def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
-        """read over an odd prime or the rationals, on packed digit slots."""
+    def _read_lanes(self, mis: Iterable[tuple[int, ...]]) -> None:
+        """read over an odd prime: a digit fails unless p divides it, and a
+        selected row costs one add-and-reduce per vertex in the pivot's
+        support."""
         p, n, first, kernel, rows = self.p, self.n, self.first, self.kernel, \
             self.rows
-        floor = self.floor
-        packed, width, base = self.packed, self.width, self.base
+        floor, packed, width, base = self.floor, self.packed, self.width, \
+            self.base
+        get = packed.__getitem__
+        mask, top = (1 << width) - 1, width - 1
+        ones = ((1 << (n * width)) - 1) // mask
+        lift, high = ((1 << top) - p) * ones, ones << top
+        for members in mis:
+            diff = sum(map(get, members)) - base
+            if not diff:
+                continue
+            failing = [(i, d) for i, d in _slot_digits(diff, width) if d % p]
+            if not failing:
+                continue
+            rows.append(_difference_row(members, first, n))
+            (j, gj), *others = failing
+            kernel.remove(j)
+            shift, neg_inv = j * width, -pow(gj, -1, p)
+            adds: dict[int, int] = {}
+            for v, x in enumerate(packed):
+                a = x >> shift & mask
+                if a:
+                    if a not in adds:
+                        adds[a] = sum(a * gi * neg_inv % p << (i * width)
+                                      for i, gi in others) - (a << shift)
+                    y = x + adds[a]
+                    packed[v] = y - (((y + lift) & high) >> top) * p
+            base = sum(map(get, first))
+            if len(kernel) == floor:
+                break
+        self.base = base
+
+    def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
+        """read over the rationals, on packed digit slots that widen as the
+        vectors grow."""
+        n, first, kernel, rows = self.n, self.first, self.kernel, self.rows
+        floor, packed, width, base = self.floor, self.packed, self.width, \
+            self.base
         get = packed.__getitem__
         for members in mis:
             diff = sum(map(get, members)) - base
             if not diff:
                 continue
-            failing = [(i, d) for i, d in _slot_digits(diff, width)
-                       if not p or d % p]
-            if not failing:
-                continue
             rows.append(_difference_row(members, first, n))
-            (j, gw), *others = failing
+            (j, gw), *others = _slot_digits(diff, width)
             w = kernel.pop(j)
             deltas = {j: list(map(neg, w))}
             for i, gu in others:
                 u = kernel[i]
-                if p:
-                    c = gu * pow(gw, -1, p) % p
-                    new = [(a - c * b) % p for a, b in zip(u, w)]
-                else:
-                    new = [gw * a - gu * b for a, b in zip(u, w)]
-                    content = gcd(*new)
-                    if content > 1:
-                        new = [x // content for x in new]
+                new = [gw * a - gu * b for a, b in zip(u, w)]
+                content = gcd(*new)
+                if content > 1:
+                    new = [x // content for x in new]
                 kernel[i] = new
                 deltas[i] = list(map(sub, new, u))
-            l1 = 0 if p else max((sum(map(abs, kernel[i])) for i, _ in others),
-                                 default=0)
+            l1 = max((sum(map(abs, kernel[i])) for i, _ in others), default=0)
             if l1 >> (width - 1):
                 width = max(2 * width, l1.bit_length() + 1)
                 packed[:] = [0] * n

@@ -131,6 +131,17 @@ def test_wcdim_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_wcdim_non_ascii_or_signed_indices_exit_code(tmp_path, capsys):
+    # int() would read each of these as a number; the format takes ASCII
+    # decimal digits only, so each is a parse error on its own line
+    for text, line in (("n \u0663\n0 1\n1 2\n", 1), ("n 1_0\n0 1\n", 1),
+                       ("n 3\n0 +1\n1 2\n", 2), ("n 3\n0 1\n1 -2\n", 3)):
+        bad = tmp_path / "bad.g"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "wcdim", str(bad))
+        assert code == 2 and f"line {line}" in err and not out, text
+
+
 def test_corpus_names_read_the_corpus_directory_first(tmp_path, capsys):
     (tmp_path / "p5.g").write_text("n 3\n0 zero\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "wcdim", "p5", "--corpus", str(tmp_path))

@@ -389,6 +389,26 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("# empty\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n \u0663\n0 1\n1 2\n", 1),      # an Arabic-Indic digit three
+    ("n 1_0\n0 1\n", 1),               # an underscore int() reads as 10
+    ("n +3\n0 1\n1 2\n", 1),
+    ("n -3\n", 1),
+    ("n 3\n0 +1\n1 2\n", 2),
+    ("n 3\n0 1\n-1 2\n", 3),
+    ("n 3\n0 1\n1 \uff12\n", 3),      # a fullwidth digit two
+    ("n 3\n0 1\n1 \u00b2\n", 3),      # a superscript two
+])
+def test_parse_reads_ascii_decimal_digits_only(text, line):
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+
+
+def test_parse_reads_leading_zeros_as_decimal():
+    assert parse_edge_list("n 03\n00 01\n01 002\n") == path(3)
+
+
 def test_writer_sorts_edges():
     g = Graph(4, [(3, 2), (1, 0), (2, 0)])
     body = [line for line in format_edge_list(g).splitlines()

@@ -312,7 +312,7 @@ def _list_filter(mis, n, p):
 @example(cycle(8))
 def test_spanning_rows_match_greedy_oracle(g):
     tuples = enumerate_mis(g).sets
-    for p in (None, 2, 3, 5):
+    for p in (None, 2, 3, 5, 7, 65521):
         got = _list_filter(tuples, g.n, p).rows
         assert got == greedy_spanning_rows(tuples, g.n, p), p
 
@@ -364,23 +364,29 @@ def test_pass_stops_when_the_kernel_empties():
         assert next(unread) == tuples[full + 1], p
 
 
-def test_gf2_selected_row_leaves_every_failing_vector():
-    # on figure6 some MIS fails four GF(2) kernel vectors at once, so its
-    # row is eliminated from three vectors besides the pivot; the XOR
-    # filter must match the oracle and stay exact after every MIS
-    g = figure6_composite()
-    tuples = enumerate_mis(g).sets
-    filt = wcspace._RowFilter(tuples[0], g.n, 2)
-    widest = 0
-    for k, members in enumerate(tuples[1:], 1):
-        row = wcspace._difference_row(members, tuples[0], g.n)
-        widest = max(widest, sum(sum(a * b for a, b in zip(w, row)) % 2
-                                 for w in filt.vectors()))
-        filt.read((members,))
-        assert filt.rows == greedy_spanning_rows(tuples[:k + 1], g.n, 2), k
-        _assert_live_kernel_is_exact(filt, GF2)
-    assert widest >= 3
-    assert len(filt.rows) > 1
+def test_selected_row_leaves_every_failing_vector():
+    # on both graphs some MIS fails three kernel vectors or more at once,
+    # so its row is eliminated from two vectors or more besides the pivot:
+    # by XOR over GF(2), and by one lane-wide add-and-reduce per vertex over
+    # an odd prime.  The filter must match the oracle and stay exact after
+    # every MIS.  The odd primes give lanes of 8, 32 and 128 bits, the last
+    # one wider than any lane vectors() reads in one cast
+    for g in (RESIDUES_AGREE, figure6_composite()):
+        tuples = enumerate_mis(g).sets
+        for p in (2, 3, 5, 65521, 2**61 - 1):
+            filt = wcspace._RowFilter(tuples[0], g.n, p)
+            widest = 0
+            for k, members in enumerate(tuples[1:], 1):
+                row = wcspace._difference_row(members, tuples[0], g.n)
+                widest = max(widest, sum(
+                    sum(a * b for a, b in zip(w, row)) % p != 0
+                    for w in filt.vectors()))
+                filt.read((members,))
+                assert filt.rows == greedy_spanning_rows(tuples[:k + 1], g.n,
+                                                         p), (g, p, k)
+                _assert_live_kernel_is_exact(filt, FieldSpec(p))
+            assert widest >= 3, (g, p)
+            assert len(filt.rows) > 1, (g, p)
 
 
 FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec(5),)
@@ -423,9 +429,12 @@ def test_integral_rationals_are_ints_at_the_library_interface():
 
 def _assert_live_kernel_is_exact(filt, field):
     # every live vector is orthogonal to every selected row (mod p over
-    # GF(p)), and the live vectors are independent
+    # GF(p), where its entries are residues), and the live vectors are
+    # independent
     p = filt.p
     live = filt.vectors()
+    if p:
+        assert all(0 <= x < p for w in live for x in w)
     for w in live:
         for row in filt.rows:
             dot = sum(a * b for a, b in zip(w, row))
@@ -806,6 +815,11 @@ def test_certified_space_closes_on_sierpinski_6_over_gf2():
     sg = sierpinski(6)
     assert sg.graph.n == 366
     _assert_gasket_certificate(sg, GF2)
+
+
+def test_certified_space_closes_on_sierpinski_6_over_gf3():
+    sg = sierpinski(6)
+    _assert_gasket_certificate(sg, GF3)
 
 
 def test_certified_space_equals_the_enumerated_space():

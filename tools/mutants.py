@@ -12,16 +12,25 @@ pass.  The exit status is 1 if it fails, if any mutant survived or if an
 Standard library only.
 
 Not on the list, because it survives and is not shown equivalent: the odd-p
-slot one bit short at construction, `(n * (p - 1)).bit_length()` without
-the `+ 1`.  A witness must overflow a digit.  The short slot's half-width
+lane one bit short at construction,
+`max(8, 1 << ((n * (p - 1)).bit_length() - 1).bit_length())`, the least
+power of two (at least 8) not below bit_length(n(p - 1)) in place of the
+least one above it.  The two differ only where bit_length(n(p - 1)) is 8,
+16, 32 or 64, n(p - 1) in 128..255 for instance, and there a digit must
+overflow to witness it.  The short lane's half-width
 2**(bitlen(n(p - 1)) - 1) still exceeds n(p - 1)/2, and a digit is at most
-(p - 1) times the independence number alpha, so an overflow needs
-alpha > n/2.  No witness showed on the connected graphs among 3000 seeded
-G(n, q) draws (n 3 to 11, p = 3 and 5), on stars with up to 13 leaves, on
-821 spider and sparse-tree cases at p = 3, 5 and 7, or on 300 more graphs
-(spiders of 2 to 8 legs of length 1 or 2, and random recursive trees on 4
-to 13 vertices) at each of p = 3, 5 and 7, each compared row for row with
-the greedy oracle.
+(p - 1) times the independence number alpha, so an overflow needs alpha >
+n/2.  The lane reduction also needs 2**(width - 1) >= p, and the short lane
+breaks that only at n = 1, where no filter reads a MIS.  No witness showed
+on 450 seeded random trees and spiders with alpha > n/2 and at most 30000
+MISs, where the two widths differ (p = 3, 5 and 7; n 64 to 90, 32 to 63 and
+22 to 42), each compared row for row with the unmutated filter.  Before the
+width was rounded, no witness showed on the connected graphs among 3000
+seeded G(n, q) draws (n 3 to 11, p = 3 and 5), on stars with up to 13
+leaves, on 821 spider and sparse-tree cases at p = 3, 5 and 7, or on 300
+more graphs (spiders of 2 to 8 legs of length 1 or 2, and random recursive
+trees on 4 to 13 vertices) at each of p = 3, 5 and 7, each compared row for
+row with the greedy oracle.
 """
 
 from __future__ import annotations
@@ -59,8 +68,16 @@ MUTANTS = (
            "others = (x ^ low) & -(x ^ low)", WCSPACE_TESTS),
     # odd p: a digit that is a nonzero multiple of p fails its vector
     Mutant("slot-mod-p-dropped", WCSPACE,
-           "if not p or d % p]",
-           "if not p or d]", WCSPACE_TESTS),
+           "_slot_digits(diff, width) if d % p]",
+           "_slot_digits(diff, width) if d]", WCSPACE_TESTS),
+    # odd p: a lane left at p or above after the add is not brought back
+    Mutant("lanes-not-reduced", WCSPACE,
+           "packed[v] = y - (((y + lift) & high) >> top) * p",
+           "packed[v] = y", WCSPACE_TESTS),
+    # odd p: the pivot's lane is not cleared, so its vector stays packed
+    Mutant("lanes-pivot-kept", WCSPACE,
+           "for i, gi in others) - (a << shift)",
+           "for i, gi in others)", WCSPACE_TESTS),
     # the rationals: a slot is widened one bit too late
     Mutant("slot-width-one-bit-short", WCSPACE,
            "if l1 >> (width - 1):",
