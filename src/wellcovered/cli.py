@@ -18,9 +18,9 @@ from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        corpus_graph, corpus_names, complete, cycle,
                        figure2_family, path, scs_compose, scs_split,
                        sierpinski)
-from .graph import (EdgeListParseError, Graph, GraphError, format_edge_list,
-                    is_chordal, is_sccg, parse_edge_list, save_graph,
-                    simplicial_report)
+from .graph import (EdgeListParseError, Graph, GraphError, _decimal,
+                    format_edge_list, is_chordal, is_sccg, parse_edge_list,
+                    save_graph, simplicial_report)
 from .harness import run_suite, suite_passed, summary_table
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, NotSccgError,
@@ -54,9 +54,11 @@ def _field_list(tokens: list[str] | None) -> tuple[FieldSpec, ...]:
 
 
 def _int_at_least(low: int):
-    """argparse type: an int no smaller than low."""
+    """argparse type: an int no smaller than low, in ASCII decimal digits
+    after an optional '-' (graph._decimal's rule; the sign lets a negative
+    value reach the message below)."""
     def parse(token: str) -> int:
-        value = int(token)
+        value = -_decimal(token[1:]) if token[:1] == "-" else _decimal(token)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
         return value
@@ -194,64 +196,89 @@ def _add_common(p: argparse.ArgumentParser, fields: bool = True) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
-def _build_parser() -> _Parser:
+def _add_corpus(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", metavar="DIR",
+                   help="directory searched for corpus graph files")
+
+
+def _add_gen(sub) -> None:
+    p = sub.add_parser("gen",
+                       help="generate a graph file (or the whole corpus)")
+    p.add_argument("family",
+                   help="complete|path|cycle|sierpinski|figure1|figure2|"
+                        "figure6-g1|figure6-g2|figure6|corpus|<corpus name>")
+    p.add_argument("param", nargs="?", type=int,
+                   help="size parameter where the family takes one")
+    p.add_argument("-o", "--out", help="output file (default: stdout)")
+    p.add_argument("--corpus", metavar="DIR",
+                   help="target directory for 'gen corpus'")
+
+
+def _add_wcdim(sub) -> None:
+    p = sub.add_parser("wcdim", help="well-covered dimension per field")
+    p.add_argument("graph", help="edge-list file or corpus name")
+    _add_common(p)
+    _add_corpus(p)
+
+
+def _add_classify(sub) -> None:
+    p = sub.add_parser("classify",
+                       help="chordal / SCCG / well-covered / splittable")
+    p.add_argument("graph", help="edge-list file or corpus name")
+    _add_common(p, fields=False)
+    _add_corpus(p)
+
+
+def _add_mis(sub) -> None:
+    p = sub.add_parser("mis", help="count or list maximal independent sets")
+    p.add_argument("graph", help="edge-list file or corpus name")
+    p.add_argument("--mode", choices=("count", "list"), default="count")
+    _add_common(p, fields=False)
+    _add_corpus(p)
+
+
+def _add_compose(sub) -> None:
+    p = sub.add_parser("compose", help="simplicial clique sum of two graphs")
+    p.add_argument("g1", help="first edge-list file or corpus name")
+    p.add_argument("g2", help="second edge-list file or corpus name")
+    p.add_argument("--glue", action="append", required=True,
+                   metavar="U2:U1",
+                   help="map g2 vertex U2 to g1 vertex U1, repeatable")
+    p.add_argument("-o", "--out", help="write the composite here")
+    _add_common(p)
+    _add_corpus(p)
+
+
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("suite", nargs="?", default="default",
+                   choices=("default", "full"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; checks always run "
+                        "serially")
+    p.add_argument("--random-count", type=_int_at_least(0), default=120,
+                   help="random connected graphs in the sweep")
+    _add_common(p)
+
+
+# each subcommand's parser, in the order the top-level help lists them
+_SUBCOMMANDS = {"gen": _add_gen, "wcdim": _add_wcdim,
+                "classify": _add_classify, "mis": _add_mis,
+                "compose": _add_compose, "verify": _add_verify}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser.  Where command names a subcommand, only that
+    subcommand is registered, as argparse builds every parser it is given;
+    otherwise (--help, an unknown or missing command) all of them are."""
     top = _Parser(prog="wellcovered",
                   description="well-covered spaces of finite simple graphs")
     sub = top.add_subparsers(dest="command", required=True,
-                         parser_class=_Parser)
-
-    p_gen = sub.add_parser("gen",
-                           help="generate a graph file (or the whole corpus)")
-    p_gen.add_argument("family",
-                       help="complete|path|cycle|sierpinski|figure1|figure2|"
-                            "figure6-g1|figure6-g2|figure6|corpus|<corpus name>")
-    p_gen.add_argument("param", nargs="?", type=int,
-                       help="size parameter where the family takes one")
-    p_gen.add_argument("-o", "--out", help="output file (default: stdout)")
-    p_gen.add_argument("--corpus", metavar="DIR",
-                       help="target directory for 'gen corpus'")
-
-    p_dim = sub.add_parser("wcdim",
-                           help="well-covered dimension per field")
-    p_dim.add_argument("graph", help="edge-list file or corpus name")
-    _add_common(p_dim)
-
-    p_cls = sub.add_parser("classify",
-                           help="chordal / SCCG / well-covered / splittable")
-    p_cls.add_argument("graph", help="edge-list file or corpus name")
-    _add_common(p_cls, fields=False)
-
-    p_mis = sub.add_parser("mis",
-                           help="count or list maximal independent sets")
-    p_mis.add_argument("graph", help="edge-list file or corpus name")
-    p_mis.add_argument("--mode", choices=("count", "list"), default="count")
-    _add_common(p_mis, fields=False)
-
-    p_comp = sub.add_parser("compose",
-                            help="simplicial clique sum of two graphs")
-    p_comp.add_argument("g1", help="first edge-list file or corpus name")
-    p_comp.add_argument("g2", help="second edge-list file or corpus name")
-    p_comp.add_argument("--glue", action="append", required=True,
-                        metavar="U2:U1",
-                        help="map g2 vertex U2 to g1 vertex U1, repeatable")
-    p_comp.add_argument("-o", "--out", help="write the composite here")
-    _add_common(p_comp)
-
-    for p in (p_dim, p_cls, p_mis, p_comp):
-        p.add_argument("--corpus", metavar="DIR",
-                       help="directory searched for corpus graph files")
-
-    p_ver = sub.add_parser("verify",
-                           help="run a verification suite")
-    p_ver.add_argument("suite", nargs="?", default="default",
-                       choices=("default", "full"))
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; checks always run "
-                            "serially")
-    p_ver.add_argument("--random-count", type=_int_at_least(0), default=120,
-                       help="random connected graphs in the sweep")
-    _add_common(p_ver)
+                             parser_class=_Parser)
+    for name, add in _SUBCOMMANDS.items():
+        if command not in _SUBCOMMANDS or command == name:
+            add(sub)
     return top
 
 
@@ -444,7 +471,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         handler = {

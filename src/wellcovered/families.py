@@ -7,10 +7,9 @@ same Graph with the same vertex numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .graph import (Graph, components, contains_simplicial_vertex,
+from .graph import (Graph, _Record, components, contains_simplicial_vertex,
                     simplicial_report)
 
 SIERPINSKI_MAX_ORDER = 7
@@ -59,18 +58,28 @@ def star(leaves: int) -> Graph:
 
 # --- Sierpinski gasket graphs -----------------------------------------------
 
-@dataclass(frozen=True)
-class SierpinskiGraph:
+class SierpinskiGraph(_Record):
     """Sierpinski gasket graph of a given order with geometric bookkeeping.
 
     corners are the three outer triangle vertices; corner_cliques are the
     three simplicial corner triangles (the whole triangle itself at order 1).
     """
 
+    __slots__ = ("order", "graph", "corners", "corner_cliques")
+
     order: int
     graph: Graph
     corners: tuple[int, int, int]
     corner_cliques: tuple[frozenset, frozenset, frozenset]
+
+    def __init__(self, order: int, graph: Graph,
+                 corners: tuple[int, int, int],
+                 corner_cliques: tuple[frozenset, frozenset, frozenset]
+                 ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "corner_cliques", corner_cliques)
 
 
 def _sierpinski_lattice(order: int) -> tuple[set, set]:
@@ -203,12 +212,13 @@ def diamond() -> Graph:
 
 # --- simplicial clique sums ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ScsSpec:
+class ScsSpec(_Record):
     """Recipe for a clique sum: the glue mapping sends each shared g2
     vertex to its g1 counterpart, stored as its sorted (g2, g1) pairs.  The
     glued set must be a simplicial clique of both parts and of the
     composite."""
+
+    __slots__ = ("g1", "g2", "glue")
 
     g1: Graph
     g2: Graph
@@ -219,19 +229,29 @@ class ScsSpec:
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "glue", tuple(sorted(glue.items())))
 
+    def __reduce__(self):
+        return ScsSpec, (self.g1, self.g2, self.glue_map())
+
     def glue_map(self) -> dict[int, int]:
         return dict(self.glue)
 
 
-@dataclass(frozen=True)
-class ScsComposition:
+class ScsComposition(_Record):
     """A composed clique sum with provenance: the composite keeps g1's
     labels, and position i of g2_to_composite is the composite label of
     g2's vertex i."""
 
+    __slots__ = ("graph", "shared", "g2_to_composite")
+
     graph: Graph
     shared: frozenset
     g2_to_composite: tuple[int, ...]
+
+    def __init__(self, graph: Graph, shared: frozenset,
+                 g2_to_composite: tuple[int, ...]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "shared", shared)
+        object.__setattr__(self, "g2_to_composite", g2_to_composite)
 
 
 def scs_compose(spec: ScsSpec) -> ScsComposition:

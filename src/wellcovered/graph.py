@@ -9,7 +9,7 @@ sets build their frozensets from the masks when called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -163,6 +163,49 @@ class Graph:
         return all(bits & ~self._masks[v] == 1 << v for v in s)
 
 
+class _Record:
+    """Base of the package's immutable value records.
+
+    A record lists its fields in __slots__ and sets each one in __init__
+    with object.__setattr__, as Graph does; assigning or deleting a field
+    afterwards raises AttributeError.  Two records are equal iff they are of
+    the same class and their fields are equal, and a record hashes as its
+    fields do.  Each class reads its fields through one operator.attrgetter,
+    built with the class, so that equality and hashing run in C.  copy and
+    pickle rebuild a record by calling its class with its fields in order.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit u of entry v set iff u and v are
     adjacent), built once when the graph is."""
@@ -178,8 +221,7 @@ def relabel(g: Graph, mapping: Sequence[int] | dict) -> Graph:
     return Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges])
 
 
-@dataclass(frozen=True)
-class SimplicialReport:
+class SimplicialReport(_Record):
     """Simplicial structure of a graph.
 
     cliques holds the distinct maximal cliques N[v] over simplicial v,
@@ -187,9 +229,18 @@ class SimplicialReport:
     lying in at least two of those cliques.
     """
 
+    __slots__ = ("simplicial_vertices", "cliques", "connection_set")
+
     simplicial_vertices: frozenset
     cliques: tuple[frozenset, ...]
     connection_set: frozenset
+
+    def __init__(self, simplicial_vertices: frozenset,
+                 cliques: tuple[frozenset, ...],
+                 connection_set: frozenset) -> None:
+        object.__setattr__(self, "simplicial_vertices", simplicial_vertices)
+        object.__setattr__(self, "cliques", cliques)
+        object.__setattr__(self, "connection_set", connection_set)
 
     @property
     def sc(self) -> int:
@@ -306,7 +357,7 @@ def _decimal(token: str) -> int:
     ValueError, though int() would read a sign, an underscore or a
     non-ASCII digit."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(token)
+        raise ValueError(f"not ASCII decimal digits: {token!r}")
     return int(token)
 
 

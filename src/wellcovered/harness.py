@@ -11,15 +11,14 @@ the suite records the numbers verbatim instead of asserting agreement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from functools import wraps
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .families import (ScsSpec, ScsValidationError, figure6_spec, named_corpus,
                        scs_compose, sierpinski, triangle_pendant_spec)
-from .graph import (DisconnectedGraphError, Graph, is_chordal, is_sccg,
-                    simplicial_report)
+from .graph import (DisconnectedGraphError, Graph, _Record, is_chordal,
+                    is_sccg, simplicial_report)
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ, span_equal
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, enumerate_mis, is_mis,
                   sccg_mis_count_formula, scs_mis_count, swap_pairs)
@@ -31,8 +30,7 @@ REPORT_ONLY_CHECKS = frozenset({"mis_structure", "mis_count"})
 _SELECTION_CAP = 10**6  # guard for the exhaustive sum-selection search
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of one check on one input: holds, fails, or not_applicable.
 
     A fails verdict always carries witness data sufficient to re-run the
@@ -40,11 +38,22 @@ class Verdict:
     that did not hold.
     """
 
+    __slots__ = ("check_id", "graph_ids", "status", "details", "witness")
+
     check_id: str
     graph_ids: tuple[str, ...]
     status: str
-    details: dict = dc_field(default_factory=dict)
-    witness: dict | None = None
+    details: dict
+    witness: dict | None
+
+    def __init__(self, check_id: str, graph_ids: tuple[str, ...], status: str,
+                 details: dict | None = None,
+                 witness: dict | None = None) -> None:
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "graph_ids", graph_ids)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "details", {} if details is None else details)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> dict:
         return {

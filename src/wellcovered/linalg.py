@@ -15,9 +15,10 @@ span_basis reads the same basis off any vectors spanning that space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence
+
+from .graph import _decimal, _Record
 
 _MAX_PRIME = 2**61
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -47,8 +48,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Record):
     """An exact coefficient field: GF(p) for a prime p, or the rationals
     where p is None.
 
@@ -56,24 +56,28 @@ class FieldSpec:
     read p to pick the reduction, modulo p over GF(p) and fraction-free
     over the rationals."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p is not None:
-            if not (2 <= self.p < _MAX_PRIME):
-                raise ValueError(f"prime modulus out of range: {self.p}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+    p: int | None
+
+    def __init__(self, p: int | None = None) -> None:
+        if p is not None:
+            if not (2 <= p < _MAX_PRIME):
+                raise ValueError(f"prime modulus out of range: {p}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def parse(cls, token: str) -> "FieldSpec":
-        """Parse a CLI field token: 'q' or 'gf:<p>'."""
+        """Parse a CLI field token: 'q' or 'gf:<p>', p in ASCII decimal
+        digits."""
         t = token.strip().lower()
         if t == "q":
             return cls()
         if t.startswith("gf:"):
             try:
-                return cls(int(t[3:]))
+                return cls(_decimal(t[3:]))
             except ValueError as exc:
                 raise ValueError(f"bad field token {token!r}: {exc}") from None
         raise ValueError(f"bad field token {token!r} (expected 'q' or 'gf:<p>')")

@@ -31,12 +31,11 @@ as its ascending tuple of members, in canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import (Graph, _members, adjacency_masks, is_sccg,
+from .graph import (Graph, _members, _Record, adjacency_masks, is_sccg,
                     simplicial_report)
 
 DEFAULT_MIS_CAP = 10**6
@@ -62,8 +61,7 @@ def is_mis(g: Graph, vs: Iterable[int]) -> bool:
     return all(bool(adj[v] & bits) != (v in s) for v in g.vertices)
 
 
-@dataclass(frozen=True)
-class MisList:
+class MisList(_Record):
     """All maximal independent sets of a graph, each stored once as its
     ascending member tuple, in canonical (lexicographic) order.  Iterating
     yields each set as a frozenset, built on the fly.
@@ -71,8 +69,15 @@ class MisList:
     enumerate_mis builds it for callers that publish or re-read the sets in
     canonical order; a single pass in any order needs no list (iter_mis)."""
 
+    __slots__ = ("graph", "sets")
+
     graph: Graph
     sets: tuple[tuple[int, ...], ...]
+
+    def __init__(self, graph: Graph,
+                 sets: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "sets", sets)
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -396,16 +401,24 @@ def _connection_walk(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
                 stack.append((members + (v,), j + 1, closed | adj[v] | 1 << v))
 
 
-@dataclass(frozen=True)
-class SccgCountBreakdown:
+class SccgCountBreakdown(_Record):
     """Terms of the closed-form MIS count for a simplicial-clique-covered
     graph under one reading of the clique sizes:
     total = i_count + product_term + sum_term."""
+
+    __slots__ = ("i_count", "product_term", "sum_term", "total")
 
     i_count: int
     product_term: int
     sum_term: int
     total: int
+
+    def __init__(self, i_count: int, product_term: int, sum_term: int,
+                 total: int) -> None:
+        object.__setattr__(self, "i_count", i_count)
+        object.__setattr__(self, "product_term", product_term)
+        object.__setattr__(self, "sum_term", sum_term)
+        object.__setattr__(self, "total", total)
 
 
 def sccg_mis_count_formula(
@@ -457,13 +470,19 @@ def sccg_mis_count_formula(
             reading(prod(s for _, _, s in cliques), sum_simplicial))
 
 
-@dataclass(frozen=True)
-class SharedCliqueMisCount:
+class SharedCliqueMisCount(_Record):
     """Sum over shared-clique vertices of (#MISs of G1 through v) times
     (#MISs of G2 through v)."""
 
+    __slots__ = ("total", "per_vertex")
+
     total: int
     per_vertex: tuple[tuple[int, int, int], ...]  # (g1 label, l_i, m_i)
+
+    def __init__(self, total: int,
+                 per_vertex: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "per_vertex", per_vertex)
 
 
 def scs_mis_count(g1: Graph, g2: Graph, glue: Mapping[int, int],

@@ -75,7 +75,6 @@ order of the MISs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice
 from math import gcd
@@ -84,7 +83,7 @@ from random import Random
 from struct import calcsize
 from typing import Iterable, Sequence
 
-from .graph import Graph, adjacency_masks, simplicial_report
+from .graph import Graph, _Record, adjacency_masks, simplicial_report
 from .linalg import FieldSpec, QQ, span_basis
 # bench/spans.py traces nullspace_basis under this module's name
 from .linalg import nullspace_basis  # noqa: F401
@@ -94,8 +93,7 @@ from .mis import (DEFAULT_MIS_CAP, MisList, count_mis, iter_mis,
 from .mis import enumerate_mis  # noqa: F401
 
 
-@dataclass(frozen=True)
-class WcSpace:
+class WcSpace(_Record):
     """Basis of the well-covered space over one field.
 
     Every basis vector is a tuple of ints: residues in 0..p-1 over GF(p),
@@ -104,10 +102,19 @@ class WcSpace:
     well_covered_spaces are the only constructors.
     """
 
+    __slots__ = ("graph", "field", "basis", "mis_count")
+
     graph: Graph
     field: FieldSpec
     basis: tuple[tuple[int, ...], ...]
     mis_count: int
+
+    def __init__(self, graph: Graph, field: FieldSpec,
+                 basis: tuple[tuple[int, ...], ...], mis_count: int) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "mis_count", mis_count)
 
     @property
     def dimension(self) -> int:

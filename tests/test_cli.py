@@ -377,6 +377,62 @@ def test_negative_random_count_is_usage_error(capsys):
     assert err == "usage error: argument --random-count: invalid int value: 'x'\n"
 
 
+def test_field_primes_and_counts_are_ascii_decimal(capsys):
+    # the edge-list rule: no space, sign, underscore, prefix or digit of
+    # another script in a field's prime, and a sign only as a leading '-'
+    # in a count
+    for token in ("gf: 3", "gf:+3", "gf:1_1", "gf:\u0663", "gf:0x3", "gf:1",
+                  "gf:", "gf:3.0"):
+        code, out, err = run_cli(capsys, "wcdim", "k3", "--field", token)
+        assert (code, out) == (3, ""), token
+        assert err.startswith(f"validation error: bad field token {token!r}")
+    for argv in (("mis", "k3", "--mis-cap"), ("wcdim", "k3", "--mis-cap"),
+                 ("verify", "default", "--random-count")):
+        for token in ("0x10", "\u0661\u0660", "+3", "1_0", "-", "-\u0661",
+                      " 5"):
+            code, out, err = run_cli(capsys, *argv, token)
+            assert (code, out) == (1, ""), (argv, token)
+            assert err == f"usage error: argument {argv[-1]}: invalid int " \
+                f"value: {token!r}\n"
+    code, out, _ = run_cli(capsys, "wcdim", "k3", "--field", "GF:03",
+                           "--mis-cap", "007")
+    assert code == 0 and out.startswith("graph k3: wcdim GF(3)=1 ")
+    code, _, err = run_cli(capsys, "mis", "k3", "--mis-cap", "-0")
+    assert (code, err) == (1, "usage error: argument --mis-cap: must be at "
+                              "least 1: 0\n")
+
+
+def test_a_named_command_builds_only_its_own_parser():
+    def commands(parser):
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    full = commands(cli._build_parser())
+    assert list(full) == ["gen", "wcdim", "classify", "mis", "compose",
+                          "verify"]
+    for name in ("bogus", "-h", "--help", "--"):
+        assert list(commands(cli._build_parser(name))) == list(full)
+    for name, parser in full.items():
+        [(only, alone)] = commands(cli._build_parser(name)).items()
+        assert only == name
+        assert alone.format_help() == parser.format_help()
+        assert alone.format_usage() == parser.format_usage()
+
+
+def test_help_and_unknown_commands_list_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{gen,wcdim,classify,mis,compose,verify}" in out
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument command: invalid choice: 'bogus' " \
+        "(choose from 'gen', 'wcdim', 'classify', 'mis', 'compose', " \
+        "'verify')\n"
+
+
 def test_repeated_field_tokens_give_one_report_per_field(capsys):
     code, out, _ = run_cli(capsys, "wcdim", "k3", "--field", "q", "--field", "Q",
                            "--field", "gf:3", "--field", "q", "--json")

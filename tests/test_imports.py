@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, only graph.py
 reads a Graph's private slots, every name the package exports has a caller
-outside the tests, and every name the bench's layer tracing wraps exists.
+outside the tests, every name the bench's layer tracing wraps exists, and
+importing the CLI loads neither dataclasses nor inspect.
 
 The bench keep-alive imports are the exceptions: bench/spans.py traces those
 functions under the importing module's name, so the module imports them
@@ -9,6 +10,8 @@ without calling them.
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import wellcovered
@@ -113,3 +116,16 @@ def test_every_name_the_bench_traces_exists():
     space = wcspace.well_covered_space(enumerate_mis(cycle(4)), wellcovered.QQ)
     assert (space.graph, space.field, space.mis_count) == \
         (cycle(4), wellcovered.QQ, 2)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the two cost about a third of a cold start (with ast, dis and
+    # tokenize); -S keeps the site hooks of the interpreter out of the count
+    src = str(Path(wellcovered.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import wellcovered.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -90,6 +90,12 @@ MUTANTS = (
     Mutant("scs-split-one-component", FAMILIES,
            "clique)) > 1:",
            "clique)) >= 1:", FAMILIES_TESTS),
+    # records compare and hash without their last field: a WcSpace ignores
+    # its mis_count (a one-field FieldSpec keeps its key)
+    Mutant("record-key-drops-last-field", "src/wellcovered/graph.py",
+           "cls._key = attrgetter(*cls.__slots__)",
+           "cls._key = attrgetter(*cls.__slots__[:-1] or cls.__slots__)",
+           "tests/test_records.py"),
 )
 
 
