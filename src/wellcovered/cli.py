@@ -53,12 +53,21 @@ def _field_list(tokens: list[str] | None) -> tuple[FieldSpec, ...]:
     return tuple(dict.fromkeys(FieldSpec.parse(t) for t in tokens))
 
 
+def _int(token: str) -> int:
+    """argparse type: an int in ASCII decimal digits after an optional '-'
+    (graph._decimal's rule), so no '+', '_', space or digit of another
+    script."""
+    return -_decimal(token[1:]) if token[:1] == "-" else _decimal(token)
+
+
+_int.__name__ = "int"  # argparse's message: "invalid int value: ..."
+
+
 def _int_at_least(low: int):
-    """argparse type: an int no smaller than low, in ASCII decimal digits
-    after an optional '-' (graph._decimal's rule; the sign lets a negative
+    """argparse type: _int no smaller than low (the sign lets a negative
     value reach the message below)."""
     def parse(token: str) -> int:
-        value = -_decimal(token[1:]) if token[:1] == "-" else _decimal(token)
+        value = _int(token)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
         return value
@@ -207,7 +216,7 @@ def _add_gen(sub) -> None:
     p.add_argument("family",
                    help="complete|path|cycle|sierpinski|figure1|figure2|"
                         "figure6-g1|figure6-g2|figure6|corpus|<corpus name>")
-    p.add_argument("param", nargs="?", type=int,
+    p.add_argument("param", nargs="?", type=_int,
                    help="size parameter where the family takes one")
     p.add_argument("-o", "--out", help="output file (default: stdout)")
     p.add_argument("--corpus", metavar="DIR",
@@ -253,19 +262,13 @@ def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", nargs="?", default="default",
                    choices=("default", "full"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--threads", type=_int, default=1,
                    help="accepted for compatibility; checks always run "
                         "serially")
     p.add_argument("--random-count", type=_int_at_least(0), default=120,
                    help="random connected graphs in the sweep")
     _add_common(p)
-
-
-# each subcommand's parser, in the order the top-level help lists them
-_SUBCOMMANDS = {"gen": _add_gen, "wcdim": _add_wcdim,
-                "classify": _add_classify, "mis": _add_mis,
-                "compose": _add_compose, "verify": _add_verify}
 
 
 def _build_parser(command: str | None = None) -> _Parser:
@@ -276,7 +279,7 @@ def _build_parser(command: str | None = None) -> _Parser:
                   description="well-covered spaces of finite simple graphs")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
-    for name, add in _SUBCOMMANDS.items():
+    for name, (add, _) in _SUBCOMMANDS.items():
         if command not in _SUBCOMMANDS or command == name:
             add(sub)
     return top
@@ -418,7 +421,7 @@ def _parse_glue(tokens: list[str]) -> dict[int, int]:
     glue: dict[int, int] = {}
     for tok in tokens:
         try:
-            u2, u1 = map(int, tok.split(":"))
+            u2, u1 = map(_decimal, tok.split(":"))
         except ValueError:
             raise _UsageError(f"bad --glue token {tok!r}, expected U2:U1") from None
         if u2 in glue:
@@ -470,20 +473,23 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if suite_passed(report) else EXIT_USAGE
 
 
+# each subcommand's parser builder and handler, in the order the top-level
+# help lists them
+_SUBCOMMANDS = {"gen": (_add_gen, _cmd_gen),
+                "wcdim": (_add_wcdim, _cmd_wcdim),
+                "classify": (_add_classify, _cmd_classify),
+                "mis": (_add_mis, _cmd_mis),
+                "compose": (_add_compose, _cmd_compose),
+                "verify": (_add_verify, _cmd_verify)}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "gen": _cmd_gen,
-            "wcdim": _cmd_wcdim,
-            "classify": _cmd_classify,
-            "mis": _cmd_mis,
-            "compose": _cmd_compose,
-            "verify": _cmd_verify,
-        }[args.command]
+        _, handler = _SUBCOMMANDS[args.command]
         return handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -11,7 +11,6 @@ the suite records the numbers verbatim instead of asserting agreement.
 from __future__ import annotations
 
 import random
-from functools import wraps
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -80,57 +79,44 @@ def _na(check: str, ids: Sequence[str], reason: str,
                    status="not_applicable", details=d)
 
 
-# The MIS lists and spaces of the open run, keyed by (graph, cap) and
-# (graph, field, cap).  The outermost run_suite or check call opens it and
-# drops it when it returns, so within one call each graph is enumerated at
-# most once, and nothing outlives the call.
+# The MIS lists and spaces of the open run, keyed by graph and by (graph,
+# field): a run has one cap, so no key holds it.  Only run_suite opens it,
+# and it drops it when the run returns or raises, so within a run each
+# graph is enumerated at most once and nothing outlives the run.  Outside a
+# run nothing is cached: each check fetches each graph's MIS list once and
+# passes it to _space for every field.
 _cache: dict | None = None
 
 
-def _opens_cache(fn: Callable) -> Callable:
-    """fn opens the run cache if no enclosing call has, and drops it on
-    return."""
-    @wraps(fn)
-    def call(*args, **kwargs):
-        global _cache
-        if _cache is not None:
-            return fn(*args, **kwargs)
-        _cache = {}
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _cache = None
-    return call
-
-
 def _mis(g: Graph, cap: int):
-    key = (g, cap)
-    if key not in _cache:
-        _cache[key] = enumerate_mis(g, cap)
-    return _cache[key]
+    if _cache is None:
+        return enumerate_mis(g, cap)
+    if g not in _cache:
+        _cache[g] = enumerate_mis(g, cap)
+    return _cache[g]
 
 
-def _space(g: Graph, fld: FieldSpec, cap: int):
-    key = (g, fld, cap)
+def _space(mis, fld: FieldSpec):
+    if _cache is None:
+        return well_covered_space(mis, fld)
+    key = (mis.graph, fld)
     if key not in _cache:
-        _cache[key] = well_covered_space(_mis(g, cap), fld)
+        _cache[key] = well_covered_space(mis, fld)
     return _cache[key]
 
 
 # --- per-graph checks ---------------------------------------------------------
 
-@_opens_cache
 def check_lower_bound(g: Graph, graph_id: str,
                       cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """wcdim over the rationals is at least the simplicial clique number."""
     rep = simplicial_report(g)
-    dim = _space(g, QQ, cap).dimension
+    dim = _space(_mis(g, cap), QQ).dimension
     return _holds("lower_bound", [graph_id], dim >= rep.sc,
                   {"wcdim_q": dim, "sc": rep.sc},
                   witness={"wcdim_q": dim, "sc": rep.sc})
 
 
-@_opens_cache
 def check_sccg_dimension(g: Graph, graph_id: str,
                          fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                          cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -138,7 +124,8 @@ def check_sccg_dimension(g: Graph, graph_id: str,
     if not is_sccg(g):
         return _na("sccg_dimension", [graph_id], "not an SCCG")
     rep = simplicial_report(g)
-    dims = {f.label(): _space(g, f, cap).dimension for f in fields}
+    mis = _mis(g, cap)
+    dims = {f.label(): _space(mis, f).dimension for f in fields}
     ok = all(d == rep.sc for d in dims.values())
     return _holds("sccg_dimension", [graph_id], ok,
                   {"sc": rep.sc, "wcdim": dims},
@@ -164,7 +151,6 @@ def _classify_mis(g: Graph, rep, clique_index: dict, m: frozenset) -> str:
     return "neither"
 
 
-@_opens_cache
 def check_mis_structure(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Report-only: every MIS of an SCCG should be either one simplicial
@@ -188,7 +174,6 @@ def check_mis_structure(g: Graph, graph_id: str,
                   witness={"unclassifiable": unclassifiable})
 
 
-@_opens_cache
 def check_mis_count(g: Graph, graph_id: str,
                     cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Report-only: the closed-form MIS count against true enumeration,
@@ -216,7 +201,6 @@ def _constant_on(values: Sequence, vertices: Iterable[int]) -> bool:
     return len(vals) <= 1
 
 
-@_opens_cache
 def check_weighting_lemmas(g: Graph, graph_id: str,
                            cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Every basis weighting of an SCCG is constant on each clique residual,
@@ -225,7 +209,7 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
     if not is_sccg(g):
         return _na("weighting_lemmas", [graph_id], "not an SCCG")
     rep = simplicial_report(g)
-    space = _space(g, QQ, cap)
+    space = _space(_mis(g, cap), QQ)
     for b_index, w in enumerate(space.basis):
         for clique in rep.cliques:
             residual = clique - rep.connection_set
@@ -259,7 +243,6 @@ def check_weighting_lemmas(g: Graph, graph_id: str,
                   {"basis_size": space.dimension, "sc": rep.sc})
 
 
-@_opens_cache
 def check_neighbor_swap(g: Graph, graph_id: str,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Whenever two MISs differ in a single vertex, every basis weighting
@@ -267,7 +250,7 @@ def check_neighbor_swap(g: Graph, graph_id: str,
 
     The pairs come from mis.swap_pairs, which counts one search state per
     edge and lists no MIS; the space's MIS list is the only one read."""
-    space = _space(g, QQ, cap)
+    space = _space(_mis(g, cap), QQ)
     pairs = swap_pairs(g, cap)
     for u, v in pairs:
         for b_index, w in enumerate(space.basis):
@@ -283,7 +266,6 @@ def check_neighbor_swap(g: Graph, graph_id: str,
 
 # --- clique-sum checks ---------------------------------------------------------
 
-@_opens_cache
 def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                             cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Composite MISs are exactly the unions of part MISs meeting in one
@@ -329,7 +311,6 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
                   witness={"composite_mis": len(mis_c), "composed_pairs": composed})
 
 
-@_opens_cache
 def check_scs_count(spec: ScsSpec, spec_id: str,
                     cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Composite MIS count equals the sum over shared vertices of the product
@@ -346,7 +327,6 @@ def check_scs_count(spec: ScsSpec, spec_id: str,
                   details, witness=details)
 
 
-@_opens_cache
 def check_scs_dimension(spec: ScsSpec, spec_id: str,
                         fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                         cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -357,12 +337,11 @@ def check_scs_dimension(spec: ScsSpec, spec_id: str,
     except ScsValidationError as exc:
         return _na("scs_dimension", [spec_id], f"invalid clique sum: {exc}")
     gc = comp.graph
+    mis = [_mis(g, cap) for g in (spec.g1, spec.g2, gc)]
     details: dict = {"per_field": {}}
     ok = True
     for f in fields:
-        d1 = _space(spec.g1, f, cap).dimension
-        d2 = _space(spec.g2, f, cap).dimension
-        dc = _space(gc, f, cap).dimension
+        d1, d2, dc = (_space(m, f).dimension for m in mis)
         details["per_field"][f.label()] = {"g1": d1, "g2": d2, "composite": dc}
         ok = ok and dc == d1 + d2 - 1
     mixed = (is_sccg(spec.g1) and is_chordal(spec.g2)) or \
@@ -378,7 +357,6 @@ def check_scs_dimension(spec: ScsSpec, spec_id: str,
 
 # --- family checks --------------------------------------------------------------
 
-@_opens_cache
 def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                      cap: int = DEFAULT_MIS_CAP) -> Verdict:
     """Sierpinski gasket graphs have wcdim 1 at order 1 and 3 afterwards;
@@ -398,7 +376,7 @@ def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
     for c in sg.corner_cliques:
         outside -= c
     for f in fields:
-        space = _space(sg.graph, f, cap)
+        space = _space(mis, f)
         details["wcdim"][f.label()] = space.dimension
         if space.dimension != expected:
             return _holds("sierpinski", ids, False, details, witness=details)
@@ -421,7 +399,6 @@ def check_sierpinski(order: int, fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
     return _holds("sierpinski", ids, True, details)
 
 
-@_opens_cache
 def check_path_cycle_citations(n: int,
                                fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
                                cap: int = DEFAULT_MIS_CAP) -> Verdict:
@@ -433,11 +410,12 @@ def check_path_cycle_citations(n: int,
     details: dict = {"n": n, "path_wcdim": {}, "cycle_wcdim": {}}
     ok = True
     pg = families.path(n)
-    for f in fields:
-        space = _space(pg, f, cap)
+    mis = _mis(pg, cap)
+    spaces = {f: _space(mis, f) for f in fields}
+    for f, space in spaces.items():
         details["path_wcdim"][f.label()] = space.dimension
         ok = ok and space.dimension == 2
-    q_space = _space(pg, QQ, cap)
+    q_space = spaces[QQ] if QQ in spaces else _space(mis, QQ)
     ends = [indicator_weighting(pg, {0, 1}),
             indicator_weighting(pg, {n - 2, n - 1})]
     span_ok = span_equal(q_space.basis_vectors(), [list(e) for e in ends], QQ,
@@ -445,9 +423,9 @@ def check_path_cycle_citations(n: int,
     details["path_basis_is_end_edges"] = span_ok
     ok = ok and span_ok
     if n >= 8:
-        cg = families.cycle(n)
+        mis = _mis(families.cycle(n), cap)
         for f in fields:
-            space = _space(cg, f, cap)
+            space = _space(mis, f)
             details["cycle_wcdim"][f.label()] = space.dimension
             ok = ok and space.dimension == 0
     return _holds("path_cycle_citations", ids, ok, details, witness=details)
@@ -497,73 +475,57 @@ def default_scs_specs() -> dict[str, ScsSpec]:
             "figure6_pair": figure6_spec()}
 
 
-Task = tuple[str, tuple[str, ...], Callable[[], Verdict]]
-
-
-def _suite_tasks(suite: str, seed: int, fields: tuple[FieldSpec, ...],
-                 cap: int, random_count: int) -> list[Task]:
-    if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r} (one of {SUITE_NAMES})")
-    corpus = named_corpus()
-    if suite == "default":
-        corpus.pop("sierpinski_4", None)
-    sierpinski_orders = (1, 2, 3, 4) if suite == "full" else (1, 2, 3)
-
-    tasks: list[Task] = []
-    for name in sorted(corpus):
-        g = corpus[name]
-        for check_id, fn in _GRAPH_CHECKS:
-            if fn is check_sccg_dimension:
-                call = (lambda g=g, name=name, fn=fn: fn(g, name, fields, cap))
-            else:
-                call = (lambda g=g, name=name, fn=fn: fn(g, name, cap))
-            tasks.append((check_id, (name,), call))
-    for spec_id, spec in sorted(default_scs_specs().items()):
-        for check_id, fn in _SPEC_CHECKS:
-            if fn is check_scs_dimension:
-                call = (lambda s=spec, i=spec_id, fn=fn: fn(s, i, fields, cap))
-            else:
-                call = (lambda s=spec, i=spec_id, fn=fn: fn(s, i, cap))
-            tasks.append((check_id, (spec_id,), call))
-    for order in sierpinski_orders:
-        tasks.append(("sierpinski", (f"sierpinski_{order}",),
-                      lambda o=order: check_sierpinski(o, fields, cap)))
-    for n in range(5, 13):
-        tasks.append(("path_cycle_citations", (f"n_{n}",),
-                      lambda n=n: check_path_cycle_citations(n, fields, cap)))
-    for name, g in random_connected_graphs(random_count, seed):
-        tasks.append(("lower_bound", (name,),
-                      lambda g=g, name=name: check_lower_bound(g, name, cap)))
-        tasks.append(("neighbor_swap", (name,),
-                      lambda g=g, name=name: check_neighbor_swap(g, name, cap)))
-    return tasks
-
-
-def _run_task(task: Task) -> Verdict:
-    check_id, ids, call = task
-    try:
-        return call()
-    except MisCapExceededError as exc:
-        return Verdict(check_id=check_id, graph_ids=ids,
-                       status="not_applicable", details={"reason": str(exc)})
-    except Exception as exc:  # a crashed check must surface, not abort the suite
-        return Verdict(check_id=check_id, graph_ids=ids,
-                       status="fails", details={"error": repr(exc)},
-                       witness={"error": repr(exc)})
-
-
-@_opens_cache
 def run_suite(suite: str = "default", seed: int = 0,
               fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
               cap: int = DEFAULT_MIS_CAP, random_count: int = 120) -> dict:
     """Run a named suite and assemble an order-normalized report.
 
     The report is a plain JSON-ready dict with verdicts sorted by check id
-    and inputs.  Checks run serially.  The MIS lists and spaces cached
-    during the run are released when it returns.
+    and inputs.  Checks run serially.  A check that exceeds the MIS cap is
+    not_applicable, and one that raises fails with the exception's repr.
+    The MIS lists and spaces cached during the run are released when it
+    returns or raises.
     """
-    tasks = _suite_tasks(suite, seed, tuple(fields), cap, random_count)
-    verdicts = [_run_task(t) for t in tasks]
+    global _cache
+    if suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r} (one of {SUITE_NAMES})")
+    fields = tuple(fields)
+    verdicts: list[Verdict] = []
+
+    def run(check_id: str, ids: tuple[str, ...], fn: Callable, *args) -> None:
+        try:
+            verdicts.append(fn(*args))
+        except MisCapExceededError as exc:
+            verdicts.append(Verdict(check_id, ids, "not_applicable",
+                                    {"reason": str(exc)}))
+        except Exception as exc:  # a crashed check must surface, not abort the suite
+            verdicts.append(Verdict(check_id, ids, "fails", {"error": repr(exc)},
+                                    {"error": repr(exc)}))
+
+    _cache = {}
+    try:
+        corpus = named_corpus()
+        if suite == "default":
+            corpus.pop("sierpinski_4", None)
+        for name in sorted(corpus):
+            for check_id, fn in _GRAPH_CHECKS:
+                extra = (fields,) if fn is check_sccg_dimension else ()
+                run(check_id, (name,), fn, corpus[name], name, *extra, cap)
+        for spec_id, spec in sorted(default_scs_specs().items()):
+            for check_id, fn in _SPEC_CHECKS:
+                extra = (fields,) if fn is check_scs_dimension else ()
+                run(check_id, (spec_id,), fn, spec, spec_id, *extra, cap)
+        for order in (1, 2, 3, 4) if suite == "full" else (1, 2, 3):
+            run("sierpinski", (f"sierpinski_{order}",), check_sierpinski,
+                order, fields, cap)
+        for n in range(5, 13):
+            run("path_cycle_citations", (f"n_{n}",),
+                check_path_cycle_citations, n, fields, cap)
+        for name, g in random_connected_graphs(random_count, seed):
+            run("lower_bound", (name,), check_lower_bound, g, name, cap)
+            run("neighbor_swap", (name,), check_neighbor_swap, g, name, cap)
+    finally:
+        _cache = None
     verdicts.sort(key=lambda v: (v.check_id, v.graph_ids))
     counts = {"holds": 0, "fails": 0, "not_applicable": 0}
     asserting_failures = []

@@ -402,6 +402,33 @@ def test_field_primes_and_counts_are_ascii_decimal(capsys):
                               "least 1: 0\n")
 
 
+def test_sizes_seeds_and_glue_indices_are_ascii_decimal(capsys):
+    # the count rule with no bound: ASCII digits after an optional '-'
+    for argv in (("gen", "path"), ("verify", "--random-count", "0", "--seed"),
+                 ("verify", "--random-count", "0", "--threads")):
+        for token in ("\u0663", "1_0", "+3", "0x3", "-", " 3"):
+            code, out, err = run_cli(capsys, *argv, token)
+            assert (code, out) == (1, ""), (argv, token)
+            name = "param" if argv[0] == "gen" else argv[-1]
+            assert err == f"usage error: argument {name}: invalid int " \
+                f"value: {token!r}\n"
+    for glue, bad in ((("0:0", "1:1", "2:2_0"), "2:2_0"),
+                      (("0:0", "1:+1", "2:2"), "1:+1"),
+                      (("\u0660:0", "1:1", "2:2"), "\u0660:0"),
+                      (("0:0", "1:1", "2:-2"), "2:-2")):
+        argv = [arg for token in glue for arg in ("--glue", token)]
+        code, out, err = run_cli(capsys, "compose", "k3", "k3", *argv)
+        assert (code, out) == (1, ""), glue
+        assert err == f"usage error: bad --glue token {bad!r}, expected " \
+            "U2:U1\n"
+    assert run_cli(capsys, "gen", "path", "-3")[0] == 3
+    assert run_cli(capsys, "gen", "path", "03")[1] == \
+        run_cli(capsys, "gen", "path", "3")[1]
+    code, out, _ = run_cli(capsys, "verify", "--random-count", "0", "--seed",
+                           "-1", "--threads", "-2", "--json")
+    assert code == 0 and json.loads(out)["seed"] == -1
+
+
 def test_a_named_command_builds_only_its_own_parser():
     def commands(parser):
         sub = next(a for a in parser._actions

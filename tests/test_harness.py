@@ -4,6 +4,8 @@ import json
 import weakref
 from collections import Counter
 
+import pytest
+
 from wellcovered import harness, wcspace
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
                                   figure6_spec, path, sierpinski,
@@ -18,6 +20,7 @@ from wellcovered.harness import (REPORT_ONLY_CHECKS,
                                  check_sierpinski, check_weighting_lemmas,
                                  random_connected_graphs, run_suite,
                                  suite_passed, summary_table)
+from wellcovered.linalg import QQ, FieldSpec
 from wellcovered.mis import enumerate_mis, is_mis
 from wellcovered.wcspace import wcdim, well_covered_space
 
@@ -190,10 +193,12 @@ def test_run_suite_output_is_deterministic():
 
 
 def _track_cached_results(monkeypatch):
-    """Weak references to every MIS list and space the harness builds, and
-    the number of times it enumerates each graph."""
+    """Weak references to every MIS list and space the harness builds, the
+    number of times it enumerates each graph, and the number of spaces it
+    builds for each (graph, field)."""
     made: list[weakref.ref] = []
     enumerated: Counter = Counter()
+    built: Counter = Counter()
 
     def mis(g, cap):
         enumerated[g] += 1
@@ -202,17 +207,18 @@ def _track_cached_results(monkeypatch):
         return out
 
     def space(mis, fld):
+        built[mis.graph, fld] += 1
         out = well_covered_space(mis, fld)
         made.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(harness, "enumerate_mis", mis)
     monkeypatch.setattr(harness, "well_covered_space", space)
-    return made, enumerated
+    return made, enumerated, built
 
 
 def test_run_suite_releases_its_caches(monkeypatch):
-    made, enumerated = _track_cached_results(monkeypatch)
+    made, enumerated, _ = _track_cached_results(monkeypatch)
     run_suite("default", seed=1, random_count=5)
     gc.collect()
     assert made and set(enumerated.values()) == {1}
@@ -221,13 +227,67 @@ def test_run_suite_releases_its_caches(monkeypatch):
 
 
 def test_direct_check_call_releases_its_cache(monkeypatch):
-    made, enumerated = _track_cached_results(monkeypatch)
+    made, enumerated, _ = _track_cached_results(monkeypatch)
     g = sierpinski(3).graph
     assert check_neighbor_swap(g, "s3").status == "holds"
     gc.collect()
     # the space reads one MIS list
     assert enumerated == {g: 1} and len(made) == 2
     assert all(ref() is None for ref in made)
+    assert harness._cache is None
+
+
+def test_a_run_builds_one_space_per_graph_and_field_it_reads(monkeypatch):
+    # every space a check reads was built over the field it asked for, so
+    # the run cache keeps the fields of one graph apart
+    _, _, built = _track_cached_results(monkeypatch)
+    asked, wrong = set(), []
+    read = harness._space
+
+    def space(mis, fld):
+        out = read(mis, fld)
+        asked.add((mis.graph, fld))
+        if (out.graph, out.field) != (mis.graph, fld):
+            wrong.append((fld, out.field))
+        return out
+
+    monkeypatch.setattr(harness, "_space", space)
+    assert suite_passed(run_suite("default", seed=1, random_count=5))
+    assert not wrong
+    assert set(built) == asked and set(built.values()) == {1}
+    assert {fld for _, fld in asked} == {QQ, FieldSpec(2), FieldSpec(3)}
+
+
+def test_a_direct_check_enumerates_each_graph_it_reads_once(monkeypatch):
+    # outside a run nothing is cached: each check reads one MIS list per
+    # graph for all fields, and one space per (graph, field)
+    _, enumerated, built = _track_cached_results(monkeypatch)
+    calls = ((check_sccg_dimension, figure1(), "figure1"),
+             (check_scs_dimension, figure6_spec(), "figure6_pair"),
+             (check_sierpinski, 3),
+             (check_path_cycle_citations, 8))
+    for check, *args in calls:
+        enumerated.clear()
+        built.clear()
+        assert check(*args).status == "holds", check.__name__
+        assert enumerated and set(enumerated.values()) == {1}, check.__name__
+        assert set(built.values()) == {1}, check.__name__
+        assert len(built) == 3 * len(enumerated), check.__name__
+    assert harness._cache is None
+
+
+def test_run_suite_drops_its_cache_when_it_raises(monkeypatch):
+    opened = []
+
+    def broken(count, seed):
+        opened.append(harness._cache)
+        raise RuntimeError("sampler failed")
+
+    monkeypatch.setattr(harness, "random_connected_graphs", broken)
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        run_suite("default", seed=1, random_count=5)
+    # the corpus checks ran in the open cache before the sampler raised
+    assert len(opened) == 1 and opened[0]
     assert harness._cache is None
 
 

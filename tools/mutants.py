@@ -96,6 +96,20 @@ MUTANTS = (
            "cls._key = attrgetter(*cls.__slots__)",
            "cls._key = attrgetter(*cls.__slots__[:-1] or cls.__slots__)",
            "tests/test_records.py"),
+    # the run cache keys a space by its graph alone: a graph's first space
+    # is read back over every other field
+    Mutant("run-cache-drops-the-field", "src/wellcovered/harness.py",
+           "key = (mis.graph, fld)",
+           "key = (mis.graph, QQ)", "tests/test_harness.py"),
+    # the count allows one completion past the cap before it raises
+    Mutant("count-cap-one-late", "src/wellcovered/mis.py",
+           "if total > cap:",
+           "if total > cap + 1:", "tests/test_mis.py"),
+    # a vertex is simplicial when one neighbor's closed neighborhood covers
+    # its own, not every neighbor's
+    Mutant("simplicial-any-neighbor", "src/wellcovered/graph.py",
+           "all(closed[v] & ~closed[u] == 0",
+           "any(closed[v] & ~closed[u] == 0", "tests/test_graph.py"),
 )
 
 
