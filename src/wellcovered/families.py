@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .graph import (Graph, _Record, components, contains_simplicial_vertex,
-                    simplicial_report)
+from .graph import (Graph, _reach, _Record, adjacency_masks,
+                    contains_simplicial_vertex, simplicial_report)
 
 SIERPINSKI_MAX_ORDER = 7
 FAMILY_MAX_K = 64
@@ -316,8 +316,12 @@ def scs_split(g: Graph) -> frozenset | None:
     parts.  Every component of g - C has a neighbour in C, so each part is
     connected, and no edge joins the two sides.
     """
+    masks = adjacency_masks(g)
     for clique in simplicial_report(g).cliques:
-        if len(components(g, set(g.vertices) - clique)) > 1:
+        rest = (1 << g.n) - 1 - sum(1 << v for v in clique)
+        # the rest falls apart when a flood fill from its lowest vertex
+        # misses part of it
+        if rest and _reach(masks, rest & -rest, rest) != rest:
             return clique
     return None
 

@@ -4,7 +4,9 @@ Graphs are simple, connected, undirected, with vertices 0..n-1.  Everything
 here is a pure function of (n, edges); graph values are safe to share and
 hash.  A graph holds its adjacency in one form, an int bitmask of
 neighbours per vertex (adjacency_masks); the queries that return vertex
-sets build their frozensets from the masks when called.
+sets build their frozensets from the masks when called.  One simplicial
+test on those masks (_simplicial) serves both the simplicial report and
+chordality, which peels simplicial vertices until none is left.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+def _simplicial(masks: Sequence[int], among: int, keep: int) -> int:
+    """The vertices of among that are simplicial in the subgraph induced on
+    keep, as a bitmask.  v is simplicial there when every neighbour u of v
+    in keep is adjacent to all of N[v] & keep, that is when N[v] & keep
+    less N(u) is u alone."""
+    out = 0
+    for v in _members(among):
+        closed = (masks[v] | 1 << v) & keep
+        if all(closed & ~masks[u] == 1 << u for u in _members(closed ^ 1 << v)):
+            out |= 1 << v
+    return out
+
+
 def _reach(masks: Sequence[int], start: int, keep: int) -> int:
     """The vertices of keep joined to the bitmask start by paths inside
     keep, start included: one flood fill over the neighbour masks."""
@@ -67,10 +82,10 @@ class Graph:
     have the same vertex count and the same edge set.
 
     The graph stores its adjacency once, as per-vertex neighbour bitmasks in
-    the _masks slot (see adjacency_masks); neighbors() and the other set
-    queries read them.  It memoises its simplicial_report in the _simplicial
-    slot, set on first use.  Both live exactly as long as the graph object,
-    and neither takes part in equality or hashing.
+    the _masks slot (see adjacency_masks); the set queries read them.  It
+    memoises its simplicial_report in the _simplicial slot, set on first
+    use.  Both live exactly as long as the graph object, and neither takes
+    part in equality or hashing.
     """
 
     __slots__ = ("n", "edges", "_hash", "_masks", "_simplicial")
@@ -128,10 +143,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return frozenset(_members(self._masks[v]))
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise VertexRangeError(f"vertex {v} out of range for n={self.n}")
@@ -142,15 +153,9 @@ class Graph:
             self._check_vertex(v)
         return s
 
-    def neighborhood(self, vs: Iterable[int]) -> frozenset:
-        """Open neighborhood N(S): vertices adjacent to some vertex of S."""
-        out = 0
-        for v in self._check_subset(vs):
-            out |= self._masks[v]
-        return frozenset(_members(out))
-
     def closed_neighborhood(self, vs: Iterable[int]) -> frozenset:
-        """Closed neighborhood N[S] = N(S) plus S itself."""
+        """Closed neighborhood N[S]: S and every vertex adjacent to some
+        vertex of S."""
         out = 0
         for v in self._check_subset(vs):
             out |= self._masks[v] | 1 << v
@@ -277,15 +282,13 @@ def simplicial_report(g: Graph) -> SimplicialReport:
 
 
 def _simplicial_report(g: Graph) -> SimplicialReport:
-    closed = [m | 1 << v for v, m in enumerate(g._masks)]
-    # N[v] is a clique iff every neighbour u of v is adjacent to all of it,
-    # that is iff N[v] is a subset of N[u]
-    simp = [v for v in g.vertices
-            if all(closed[v] & ~closed[u] == 0 for u in _members(g._masks[v]))]
-    # distinct cliques in order of their first simplicial vertex, then
+    masks = g._masks
+    everything = (1 << g.n) - 1
+    simp = _members(_simplicial(masks, everything, everything))
+    # distinct cliques N[v] in order of their first simplicial vertex, then
     # stably sorted by their smallest vertex
     cliques = [frozenset(_members(c)) for c in
-               sorted(dict.fromkeys(closed[v] for v in simp),
+               sorted(dict.fromkeys(masks[v] | 1 << v for v in simp),
                       key=lambda c: c & -c)]
     seen: frozenset = frozenset()
     connection: frozenset = frozenset()
@@ -301,46 +304,30 @@ def _simplicial_report(g: Graph) -> SimplicialReport:
 
 def is_sccg(g: Graph) -> bool:
     """True iff the simplicial cliques are nonempty and cover every vertex."""
-    rep = simplicial_report(g)
-    if rep.sc == 0:
-        return False
-    covered: set[int] = set()
-    for c in rep.cliques:
-        covered |= c
-    return len(covered) == g.n
-
-
-def _lex_bfs_order(g: Graph) -> list[int]:
-    # O(n^2) label-based lexicographic BFS; ample for desk-scale graphs.
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    order: list[int] = []
-    remaining = set(g.vertices)
-    for step in range(g.n, 0, -1):
-        v = max(remaining, key=lambda u: (labels[u], -u))
-        remaining.discard(v)
-        order.append(v)
-        for w in _members(g._masks[v]):
-            if w in remaining:
-                labels[w].append(step)
-    return order
+    return len(frozenset().union(*simplicial_report(g).cliques)) == g.n
 
 
 def is_chordal(g: Graph) -> bool:
     """True iff the graph has no induced cycle of length at least 4.
 
-    Uses lexicographic BFS followed by the standard perfect elimination
-    ordering check on the reversed visit order.
+    Simplicial peeling: a graph is chordal exactly when deleting simplicial
+    vertices empties it (Fulkerson and Gross, 1965).  Each round deletes
+    every simplicial vertex of the remaining graph and re-tests only the
+    neighbours of the vertices just deleted, since no other vertex's
+    closed neighbourhood changed; a round that deletes nothing leaves a
+    graph with no simplicial vertex, which is not chordal.
     """
-    order = _lex_bfs_order(g)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [u for u in _members(g._masks[v]) if position[u] < position[v]]
-        if not earlier:
-            continue
-        parent = max(earlier, key=lambda u: position[u])
-        for u in earlier:
-            if u != parent and not g._masks[parent] >> u & 1:
-                return False
+    masks = g._masks
+    keep = test = (1 << g.n) - 1
+    while keep:
+        gone = _simplicial(masks, test, keep)
+        if not gone:
+            return False
+        keep ^= gone
+        test = 0
+        for v in _members(gone):
+            test |= masks[v]
+        test &= keep
     return True
 
 
@@ -410,19 +397,3 @@ def load_graph(path: str) -> Graph:
 def save_graph(g: Graph, path: str, comments: Sequence[str] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_edge_list(g, comments))
-
-
-def components(g: Graph, vs: Iterable[int]) -> list[frozenset]:
-    """Connected components of the subgraph induced on the given vertices.
-
-    Returned in increasing order of their smallest member.
-    """
-    keep = sum(1 << v for v in g._check_subset(vs))
-    out: list[frozenset] = []
-    while keep:
-        # the lowest vertex left starts the next component
-        comp = _reach(g._masks, keep & -keep, keep)
-        keep ^= comp
-        out.append(frozenset(_members(comp)))
-    return out
-

@@ -292,12 +292,15 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
     mis2 = _mis(g2, cap)
     composite_sets = set(mis_c)
     composed = 0
+    # each g2 MIS is mapped into composite labels once, not once per g1 MIS
+    mapped2 = [(b, frozenset(comp.g2_to_composite[v] for v in b))
+               for b in mis2]
     for a in mis1:
-        for b in mis2:
-            mapped_b = frozenset(comp.g2_to_composite[v] for v in b)
-            ia = a & comp.shared
-            ib = mapped_b & comp.shared
-            if len(ia) == 1 and ia == ib:
+        ia = a & comp.shared
+        if len(ia) != 1:
+            continue
+        for b, mapped_b in mapped2:
+            if ia == mapped_b & comp.shared:
                 composed += 1
                 if (a | mapped_b) not in composite_sets:
                     return _holds(

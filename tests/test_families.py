@@ -1,11 +1,12 @@
 import importlib.resources as resources
 import json
+import random
 from hashlib import sha256
 
 import pytest
 
-from wellcovered.graph import (adjacency_masks, format_edge_list, is_chordal,
-                               is_sccg, parse_edge_list, relabel,
+from wellcovered.graph import (Graph, adjacency_masks, format_edge_list,
+                               is_chordal, is_sccg, parse_edge_list, relabel,
                                simplicial_report, simplicial_vertices)
 from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
                                   ScsValidationError, complete,
@@ -18,6 +19,7 @@ from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
 from wellcovered.harness import random_connected_graphs
 
 from oracles import induced_subgraph, scs_splits, split_to_spec
+from strategies import random_k_tree
 
 
 def test_standard_families():
@@ -284,6 +286,47 @@ def test_star_and_kn_split_behaviour():
     # 39 components around {0, 1}: the splitting clique is found without
     # building any of the 2^38 - 1 groupings
     assert scs_split(star(40)) == {0, 1}
+
+
+def _with_pendant_clique(rng, n, k):
+    """A seeded connected G(n, p) graph, then a (k+1)-clique hung from one
+    random vertex x by k new vertices n..n+k-1, each simplicial."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(u, v) for v in range(n) for u in range(v)
+              if rng.random() < 0.08]
+    x = rng.randrange(n)
+    clique = [x] + list(range(n, n + k))
+    edges += [(u, v) for i, v in enumerate(clique) for u in clique[:i]]
+    return Graph(n + k, edges), clique
+
+
+def test_scs_split_matches_the_oracle_past_64_vertices():
+    # k >= 2: the components a tree's cliques leave make the oracle's
+    # groupings run to 10**5 on a 75-vertex 1-tree sum
+    rng = random.Random(64)
+    seen = set()
+    for _ in range(12):
+        k = rng.randint(2, 4)
+        g1 = random_k_tree(rng, k, rng.randint(35, 45))
+        g2, clique2 = _with_pendant_clique(rng, rng.randint(32, 40), k)
+        simp = sorted(simplicial_report(g1).simplicial_vertices)
+        v = rng.choice(simp)
+        clique1 = sorted(g1.closed_neighborhood([v]))
+        clique1.remove(v)
+        rng.shuffle(clique1)
+        # g2's simplicial clique[1] goes onto g1's simplicial v
+        glue = dict(zip(clique2, [clique1[0], v] + clique1[1:]))
+        comp = scs_compose(ScsSpec(g1, g2, glue)).graph
+        assert comp.n > 64
+        perm = list(range(comp.n))
+        rng.shuffle(perm)
+        for g in (comp, relabel(comp, perm), g2):
+            splits = scs_splits(g)
+            found = scs_split(g)
+            assert found == (splits[0].shared if splits else None)
+            seen.add((g is g2, found is None))
+    # the composites split, and the second parts both split and do not
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # sha256 of every split scs_splits gives on corpus graphs with n <= 15

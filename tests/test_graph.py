@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 
 from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
-                               Graph, SelfLoopError, VertexRangeError,
-                               adjacency_masks, components,
-                               contains_simplicial_vertex, format_edge_list,
-                               is_chordal, is_sccg, parse_edge_list, relabel,
-                               simplicial_report, simplicial_vertices)
+                               Graph, SelfLoopError, VertexRangeError, _reach,
+                               adjacency_masks, contains_simplicial_vertex,
+                               format_edge_list, is_chordal, is_sccg,
+                               parse_edge_list, relabel, simplicial_report,
+                               simplicial_vertices)
 from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
 
-from oracles import (adjacency, has_long_induced_cycle, simplicial_cliques_naive,
-                     simplicial_vertices_naive)
-from strategies import connected_graphs
+from oracles import (adjacency, components_naive, has_long_induced_cycle,
+                     simplicial_cliques_naive, simplicial_vertices_naive)
+from strategies import connected_graphs, random_k_tree
 
 
 def test_build_k3():
@@ -81,26 +81,32 @@ def test_graph_is_immutable():
         g.n = 5
 
 
+def _mask(vs) -> int:
+    return sum(1 << v for v in vs)
+
+
 def test_neighborhood_k3():
     g = complete(3)
-    assert g.neighborhood([0]) == {1, 2}
+    assert adjacency_masks(g)[0] == _mask({1, 2})
     assert g.closed_neighborhood([0]) == {0, 1, 2}
 
 
 def test_neighborhood_path_interior():
     g = path(5)
-    assert g.neighborhood([2]) == {1, 3}
+    assert adjacency_masks(g)[2] == _mask({1, 3})
 
 
 def test_neighborhood_figure1_hub():
     # vertex 2 is the transcription's v3; degree six
     g = figure1()
-    assert g.neighborhood([2]) == {0, 1, 3, 4, 6, 7}
+    assert adjacency_masks(g)[2] == _mask({0, 1, 3, 4, 6, 7})
 
 
 def test_neighborhood_rejects_out_of_range():
     with pytest.raises(VertexRangeError):
-        path(3).neighborhood([7])
+        path(3).closed_neighborhood([7])
+    with pytest.raises(VertexRangeError):
+        path(3).closed_neighborhood([-1])
 
 
 def test_closed_neighborhood_checks_its_set_once(monkeypatch):
@@ -204,8 +210,7 @@ def test_graph_copies_and_pickles_to_an_equal_graph():
         for twin in (copy.copy(g), copy.deepcopy(g),
                      pickle.loads(pickle.dumps(g))):
             assert twin == g and hash(twin) == hash(g), name
-            assert [twin.neighbors(v) for v in twin.vertices] == \
-                [g.neighbors(v) for v in g.vertices], name
+            assert adjacency_masks(twin) == adjacency_masks(g), name
             # rebuilt through the constructor: the memo is not carried over
             assert twin._simplicial is None, name
 
@@ -252,10 +257,11 @@ def test_simplicial_report_c8_empty():
 def test_simplicial_report_cliques_are_maximal():
     for name, g in named_corpus().items():
         rep = simplicial_report(g)
+        masks = adjacency_masks(g)
         for c in rep.cliques:
             assert g.is_clique(c), name
             outside = set(g.vertices) - c
-            assert not any(c <= g.neighbors(v) for v in outside), name
+            assert not any(_mask(c) & ~masks[v] == 0 for v in outside), name
 
 
 def test_connection_set_membership_counts():
@@ -307,6 +313,29 @@ def test_is_chordal_agrees_with_induced_cycle_search():
             assert is_chordal(g) == (not has_long_induced_cycle(g.n, g.edges)), name
 
 
+def test_random_k_trees_are_chordal_until_a_long_cycle_closes():
+    # past the oracle's reach: k-trees are chordal, and a new path u-x-y-w
+    # between non-adjacent u and w closes, with a shortest u-w path, a
+    # chordless cycle of length at least 5
+    rng = random.Random(29)
+    for k in (1, 2, 3, 4):
+        for n in (k + 1, 40, 150, 400):
+            g = random_k_tree(rng, k, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                assert is_chordal(h), (k, n)
+                masks = adjacency_masks(h)
+                u = rng.randrange(n)
+                far = [w for w in h.vertices if not (masks[u] | 1 << u) >> w & 1]
+                if not far:
+                    continue  # K_{k+1}: no non-adjacent pair
+                w = rng.choice(far)
+                x, y = n, n + 1
+                longer = Graph(n + 2, h.edges + ((u, x), (x, y), (y, w)))
+                assert not is_chordal(longer), (k, n, u, w)
+
+
 def test_is_sccg():
     assert is_sccg(figure1())
     assert is_sccg(complete(4))
@@ -323,25 +352,6 @@ def test_relabel_identity_and_permutation():
     assert relabel(h, perm) == g
 
 
-def test_components():
-    g = figure1()
-    comps = components(g, set(g.vertices) - {2})
-    assert [sorted(c) for c in comps] == [[0, 1], [3, 4, 5, 6, 7, 8, 9]]
-
-
-def _components_naive(adj, keep):
-    out = []
-    for v in sorted(keep):
-        if not any(v in c for c in out):
-            comp, stack = {v}, [v]
-            while stack:
-                for w in adj[stack.pop()] & keep - comp:
-                    comp.add(w)
-                    stack.append(w)
-            out.append(comp)
-    return out
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(connected_graphs(max_n=10))
 def test_set_queries_match_the_edge_list(g):
@@ -349,14 +359,15 @@ def test_set_queries_match_the_edge_list(g):
     rng = random.Random(g.n * 1000 + len(g.edges))
     masks = adjacency_masks(g)
     for v in g.vertices:
-        assert g.neighbors(v) == adj[v] and masks[v].bit_count() == len(adj[v])
-        assert all((masks[v] >> u & 1) == (u in adj[v]) for u in g.vertices)
+        assert masks[v] == _mask(adj[v])
     for _ in range(10):
         s = {v for v in g.vertices if rng.random() < 0.5}
-        assert g.neighborhood(s) == set().union(*(adj[v] for v in s))
         assert g.closed_neighborhood(s) == s.union(*(adj[v] for v in s))
         assert g.is_clique(s) == all(u in adj[v] for u in s for v in s if u != v)
-        assert components(g, s) == _components_naive(adj, s)
+        # the flood fill from the lowest vertex of s is its first component
+        keep = _mask(s)
+        reached = _reach(masks, keep & -keep, keep)
+        assert reached == (_mask(components_naive(adj, s)[0]) if s else 0)
 
 
 # --- edge-list format ---------------------------------------------------------

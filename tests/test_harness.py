@@ -8,7 +8,7 @@ import pytest
 
 from wellcovered import harness, wcspace
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
-                                  figure6_spec, path, sierpinski,
+                                  figure6_spec, path, scs_compose, sierpinski,
                                   triangle_pendant_spec, vertex_bowtie)
 from wellcovered.harness import (REPORT_ONLY_CHECKS,
                                  check_lower_bound,
@@ -124,6 +124,45 @@ def test_scs_checks_invalid_spec_is_not_applicable():
     assert check_scs_mis_structure(bad, "p5xp5").status == "not_applicable"
     assert check_scs_count(bad, "p5xp5").status == "not_applicable"
     assert check_scs_dimension(bad, "p5xp5").status == "not_applicable"
+
+
+def _composite_mis_edited(monkeypatch, spec, edit):
+    """Monkeypatch harness._mis so that the composite's MIS list comes back
+    through edit(list), and every other graph's unchanged."""
+    composite = scs_compose(spec).graph
+    real = harness._mis
+
+    def mis(g, cap):
+        sets = real(g, cap)
+        return edit(list(sets)) if g == composite else sets
+
+    monkeypatch.setattr(harness, "_mis", mis)
+
+
+def test_scs_mis_structure_fails_compose_on_a_lost_composite_mis(monkeypatch):
+    spec = figure6_spec()
+    comp = scs_compose(spec)
+    lost = []
+    _composite_mis_edited(monkeypatch, spec,
+                          lambda sets: lost.append(sets.pop()) or sets)
+    v = check_scs_mis_structure(spec, "f6")
+    assert v.status == "fails" and v.witness["direction"] == "compose"
+    m1, m2 = frozenset(v.witness["m1"]), frozenset(v.witness["m2"])
+    assert is_mis(spec.g1, m1) and is_mis(spec.g2, m2)
+    union = m1 | {comp.g2_to_composite[u] for u in m2}
+    assert is_mis(comp.graph, union) and [union] == lost
+
+
+def test_scs_mis_structure_fails_decompose_on_a_gained_non_mis(monkeypatch):
+    spec = figure6_spec()
+    comp = scs_compose(spec)
+    first = enumerate_mis(comp.graph).sets[0]
+    gained = frozenset(first[1:])
+    _composite_mis_edited(monkeypatch, spec, lambda sets: sets + [gained])
+    v = check_scs_mis_structure(spec, "f6")
+    assert v.status == "fails" and v.witness["direction"] == "decompose"
+    witness = frozenset(v.witness["mis"])
+    assert witness == gained and not is_mis(comp.graph, witness)
 
 
 def test_scs_degenerate_full_overlap():

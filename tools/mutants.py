@@ -56,6 +56,7 @@ class Mutant(NamedTuple):
 
 WCSPACE, WCSPACE_TESTS = "src/wellcovered/wcspace.py", "tests/test_wcspace.py"
 FAMILIES, FAMILIES_TESTS = "src/wellcovered/families.py", "tests/test_families.py"
+GRAPH, GRAPH_TESTS = "src/wellcovered/graph.py", "tests/test_graph.py"
 
 MUTANTS = (
     # GF(2): the pivot's support no longer flips the failing slots
@@ -86,13 +87,21 @@ MUTANTS = (
     Mutant("listed-path-skips-a-mis", WCSPACE,
            "islice(mis.sets, 1, None)",
            "islice(mis.sets, 2, None)", WCSPACE_TESTS),
+    # the certificate accepts a sampled kernel one vector above sc
+    Mutant("certified-space-accepts-sc-plus-one", WCSPACE,
+           "if len(filters[p].kernel) > rep.sc:",
+           "if len(filters[p].kernel) > rep.sc + 1:", WCSPACE_TESTS),
+    # the sampler no longer checks that a drawn set is independent
+    Mutant("sampler-independence-dropped", WCSPACE,
+           "or chosen & dominated",
+           "or 0", WCSPACE_TESTS),
     # a clique whose removal leaves one component counts as splitting
     Mutant("scs-split-one-component", FAMILIES,
-           "clique)) > 1:",
-           "clique)) >= 1:", FAMILIES_TESTS),
+           "if rest and _reach(masks, rest & -rest, rest) != rest:",
+           "if rest:", FAMILIES_TESTS),
     # records compare and hash without their last field: a WcSpace ignores
     # its mis_count (a one-field FieldSpec keeps its key)
-    Mutant("record-key-drops-last-field", "src/wellcovered/graph.py",
+    Mutant("record-key-drops-last-field", GRAPH,
            "cls._key = attrgetter(*cls.__slots__)",
            "cls._key = attrgetter(*cls.__slots__[:-1] or cls.__slots__)",
            "tests/test_records.py"),
@@ -107,9 +116,19 @@ MUTANTS = (
            "if total > cap + 1:", "tests/test_mis.py"),
     # a vertex is simplicial when one neighbor's closed neighborhood covers
     # its own, not every neighbor's
-    Mutant("simplicial-any-neighbor", "src/wellcovered/graph.py",
-           "all(closed[v] & ~closed[u] == 0",
-           "any(closed[v] & ~closed[u] == 0", "tests/test_graph.py"),
+    Mutant("simplicial-any-neighbor", GRAPH,
+           "all(closed & ~masks[u] == 1 << u",
+           "any(closed & ~masks[u] == 1 << u", GRAPH_TESTS),
+    # the simplicial test reads a vertex's neighbours outside keep, so a
+    # neighbour already peeled away still counts
+    Mutant("simplicial-reads-outside-keep", GRAPH,
+           "closed = (masks[v] | 1 << v) & keep",
+           "closed = masks[v] | 1 << v", GRAPH_TESTS),
+    # chordal peeling re-tests every remaining vertex but the neighbours of
+    # the vertices just deleted, the only ones whose status can change
+    Mutant("peeling-skips-deleted-neighbours", GRAPH,
+           "test &= keep",
+           "test = keep & ~test", GRAPH_TESTS),
 )
 
 
