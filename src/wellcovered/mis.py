@@ -366,14 +366,15 @@ def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
     """A maximal independent set grown greedily in a random vertex order.
 
     adj holds the neighbor bitmasks of graph.adjacency_masks.  Every vertex,
-    in an order shuffled by rng, joins the set unless a member is adjacent
-    to it; the members come back in the order they joined.
+    in increasing order of a random 32-bit key (ties by label) from one
+    rng.randbytes draw, joins the set unless a member is adjacent to it;
+    the members come back in the order they joined.
     """
-    order = list(range(len(adj)))
-    rng.shuffle(order)
-    free = (1 << len(adj)) - 1
+    n = len(adj)
+    keys = memoryview(rng.randbytes(4 * n)).cast("I").tolist()
+    free = (1 << n) - 1
     members = []
-    for v in order:
+    for v in sorted(range(n), key=keys.__getitem__):
         if free >> v & 1:
             members.append(v)
             free &= ~adj[v]

@@ -26,11 +26,12 @@ kind of field.  Over GF(2) a slot is one bit and a difference is a parity,
 so the XOR of the packed bits over the MIS and the base MIS is exactly the
 set of failing vectors, no digit is decoded, and the pivot is XORed into
 each of them.  Over GF(p), p odd, the packed slots are the kernel: each
-holds a residue, the digits of an unequal sum are re-tested modulo p,
-because a difference that is a nonzero multiple of p is zero in the field,
-and the elimination is one lane-wide add-and-reduce per vertex in the
-pivot's support.  Over the rationals the kernel vectors are coprime integer
-lists, eliminated fraction-free, and the slots widen as they grow.  The row
+holds a residue, the digits of an unequal sum are decoded all at once, by
+one cast of its lanes, and re-tested modulo p, because a difference that
+is a nonzero multiple of p is zero in the field, and the elimination is one
+lane-wide add-and-reduce per vertex in the pivot's support.  Over the
+rationals the kernel vectors are coprime integer lists, eliminated
+fraction-free, and the slots widen as they grow.  The row
 space only grows, so the final kernel satisfies every MIS: the selection is
 exact over every field and needs no verification pass.
 
@@ -44,8 +45,11 @@ the filter is finished.  A sampling phase first feeds every prime-field
 filter the same seeded random greedy MISs, each checked to be independent
 and dominating before it is read; the first sample is the base.  It stops
 when every filter is finished, or after a fixed run of samples that select
-no row.  The rationals are certified from a prime: the difference rows are
-integer rows, so their rank over Q is at least their rank modulo p.  A
+no row.  The samples come in rounds, each live filter reading a round in
+one call, and a round is never longer than the samples read one at a time
+would run before stopping, so the rounds read the same samples.  The
+rationals are certified from a prime: the difference rows are integer rows,
+so their rank over Q is at least their rank modulo p.  A
 GF(p) filter at its floor has rows of rank n - sc, so the dimension over Q
 is at most sc, hence exactly sc, and the space is the span of the clique
 indicators; no rational filter is built.  With no prime field asked for,
@@ -151,10 +155,35 @@ def _slot_digits(diff: int, width: int):
         yield shift // width, d
 
 
-# vectors() decoding: a memoryview cast format for each lane width it
-# reads natively, and the byte map from GF(2) bit characters to entries.
+# Lane decoding: a memoryview cast format for each lane width read
+# natively, and the byte map from GF(2) bit characters to entries.
 _LANES = {8 * calcsize(code): code for code in "BHIQ"}
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lanes(x: int, width: int, count: int) -> list[int]:
+    """The count lowest width-bit lanes of the non-negative int x, lowest
+    first: one memoryview cast where the width has a native format, and
+    int.from_bytes slices otherwise (a width of 128 bits, say)."""
+    step = width // 8
+    if width in _LANES:
+        return memoryview(x.to_bytes(step * count, sys.byteorder)) \
+            .cast(_LANES[width]).tolist()
+    raw = x.to_bytes(step * count, "little")
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, step * count, step)]
+
+
+def _lane_digits(diff: int, width: int, count: int) -> list[int]:
+    """The count lowest digits of diff in balanced base 2**width, lowest
+    first, where diff has no digit above them.  Each digit lies in
+    [-half, half), half = 2**(width-1), so diff plus half in every lane holds
+    each digit plus half in its own lane, with no borrow between lanes, and
+    one _lanes cast reads them all."""
+    half = 1 << (width - 1)
+    halves = half * (((1 << (count * width)) - 1) // ((1 << width) - 1))
+    return [d - half for d in _lanes(diff + halves, width, count)]
+
 
 # MISs taken from the stream at a time.  Each row filter reads a block in
 # one tight loop; a block this size makes the per-block calls negligible and
@@ -195,15 +224,15 @@ class _RowFilter:
     Over GF(p), p odd (_read_lanes), the packed slots are the kernel: slot
     i of packed[v] holds w_i[v] as a residue in 0..p-1, and kernel is the
     set of live slot ids.  n * (p - 1) bounds every digit, so a width with
-    2**(width-1) above it keeps digits exact; a digit fails unless p
-    divides it.  With g_i the failing digits and j the pivot's slot, each
-    other failing w_i becomes w_i + t_i * w_j, t_i = -g_i / g_j mod p, and
-    w_j becomes zero: for each vertex v with a = w_j[v] nonzero,
-    packed[v] gains sum of (a * t_i mod p) << (i * width), less
-    a << (j * width), built once per distinct a.  Every slot is then in
-    0..2p-2, and one lane-wide step takes p off each slot at p or above:
-    adding 2**(width-1) - p to every slot sets its top bit exactly then,
-    which needs 2**(width-1) >= p.
+    2**(width-1) above it keeps digits exact, and _lane_digits decodes all
+    n of them in one cast; a digit fails unless p divides it.  With g_i the
+    failing digits and j the pivot's slot, each other failing w_i becomes
+    w_i + t_i * w_j, t_i = -g_i / g_j mod p, and w_j becomes zero: for
+    each vertex v with a = w_j[v] nonzero, packed[v] gains sum of
+    (a * t_i mod p) << (i * width), less a << (j * width), built once per
+    distinct a.  Every slot is then in 0..2p-2, and one lane-wide step
+    takes p off each slot at p or above: adding 2**(width-1) - p to every
+    slot sets its top bit exactly then, which needs 2**(width-1) >= p.
 
     Over the rationals (_read_slots) kernel maps a slot i to w_i as a list
     of coprime ints.  A row has entries in {-1, 0, 1}, so a vector's L1
@@ -213,7 +242,7 @@ class _RowFilter:
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
-                 "base", "rows")
+                 "base", "rows", "last")
 
     def __init__(self, first: tuple[int, ...], n: int, p: int | None,
                  floor: int = 0) -> None:
@@ -234,6 +263,7 @@ class _RowFilter:
         # over GF(2) these bits are distinct, so their sum is their XOR
         self.base = sum(map(self.packed.__getitem__, first))
         self.rows: list[list[int]] = []
+        self.last = -1
 
     def vectors(self) -> list[list[int]]:
         """The live kernel vectors, as int lists over every field."""
@@ -243,16 +273,10 @@ class _RowFilter:
         if not self.p:
             return list(self.kernel.values())
         live = sorted(self.kernel)
-        step = self.width // 8
-        size = step * (max(live, default=-1) + 1)
-        if self.width in _LANES:  # each vertex's lanes in one cast
-            lanes = list(zip(*(memoryview(x.to_bytes(size, sys.byteorder))
-                               .cast(_LANES[self.width]).tolist()
-                               for x in self.packed)))
-            return [list(lanes[i]) for i in live]
-        raw = [x.to_bytes(size, "little") for x in self.packed]
-        return [[int.from_bytes(b[i * step:(i + 1) * step], "little")
-                 for b in raw] for i in live]
+        count = max(live, default=-1) + 1
+        lanes = list(zip(*(_lanes(x, self.width, count)
+                           for x in self.packed)))
+        return [list(lanes[i]) for i in live]
 
     def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
         """Read MISs in order, selecting each row not yet spanned.  True once
@@ -264,6 +288,8 @@ class _RowFilter:
         space over this field.  The kernel always contains that space, so a
         kernel of floor vectors is the space itself, and every later row is
         spanned.  With floor 0 the filter finishes when the kernel empties.
+        Over GF(p), last is then the index, among the MISs this call read,
+        of the last one whose row was selected, or -1 where none was.
         """
         if self.p == 2:
             self._read_xor(mis)
@@ -279,10 +305,12 @@ class _RowFilter:
         n, first, kernel, rows = self.n, self.first, self.kernel, self.rows
         floor, packed, base = self.floor, self.packed, self.base
         get = packed.__getitem__
-        for members in mis:
+        last = -1
+        for t, members in enumerate(mis):
             x = reduce(xor, map(get, members), base)
             if not x:
                 continue
+            last = t
             rows.append(_difference_row(members, first, n))
             low = x & -x
             w = kernel.pop(low.bit_length() - 1)
@@ -298,7 +326,7 @@ class _RowFilter:
             base = reduce(xor, map(get, first), 0)
             if len(kernel) == floor:
                 break
-        self.base = base
+        self.base, self.last = base, last
 
     def _read_lanes(self, mis: Iterable[tuple[int, ...]]) -> None:
         """read over an odd prime: a digit fails unless p divides it, and a
@@ -312,13 +340,16 @@ class _RowFilter:
         mask, top = (1 << width) - 1, width - 1
         ones = ((1 << (n * width)) - 1) // mask
         lift, high = ((1 << top) - p) * ones, ones << top
-        for members in mis:
+        last = -1
+        for t, members in enumerate(mis):
             diff = sum(map(get, members)) - base
             if not diff:
                 continue
-            failing = [(i, d) for i, d in _slot_digits(diff, width) if d % p]
+            failing = [(i, d) for i, d in
+                       enumerate(_lane_digits(diff, width, n)) if d % p]
             if not failing:
                 continue
+            last = t
             rows.append(_difference_row(members, first, n))
             (j, gj), *others = failing
             kernel.remove(j)
@@ -335,7 +366,7 @@ class _RowFilter:
             base = sum(map(get, first))
             if len(kernel) == floor:
                 break
-        self.base = base
+        self.base, self.last = base, last
 
     def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
         """read over the rationals, on packed digit slots that widen as the
@@ -403,8 +434,8 @@ _STALL = 32
 # for with them.  Its filter certifies the rational space only when it
 # finishes, so the prime is never a source of error.  A large prime makes a
 # rank that drops modulo p unlikely, and a small one keeps the packed slots
-# narrow: on Sierpinski order 6 this one certifies Q in 11 s of CPU where
-# 2**31 - 1 takes 17 s (CPython 3.11, one x86_64 core).
+# narrow: on Sierpinski order 6 this one certifies Q in 4.9 s of CPU where
+# 2**31 - 1 takes 8.9 s (CPython 3.11, one x86_64 core, one run each).
 _Q_PRIME = 65521
 
 
@@ -412,6 +443,17 @@ def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
     """Sampling phase: one row filter per prime, each over GF(p) with the
     given floor, fed seeded random greedy MISs until every filter is
     finished or _STALL samples in a row select no row in any live filter.
+
+    The samples are drawn in rounds, and each live filter reads a whole
+    round in one read call.  A round has k samples, the least of the
+    largest gap len(kernel) - floor over the live filters and _STALL minus
+    the current stall.  Read one at a time, the samples could not stop
+    sooner: a filter selects at most one row per sample, and the stall
+    grows by at most one per sample.  After a round the stall is the run of
+    its samples after the last that selected a row in some filter,
+    k - 1 - last, or the stall before it plus k where none did, exactly as
+    one sample per read counts it.  So the samples, the selected rows and
+    the stopping point are those of one sample per read.
 
     Every sample is checked to be independent and dominating before it is
     read; a sampler that breaks this raises RuntimeError.  The first sample
@@ -442,14 +484,14 @@ def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
     samples = [draw()]
     filters = {p: _RowFilter(samples[0], g.n, p, floor) for p in primes}
     live = [filt for filt in filters.values() if len(filt.kernel) > floor]
-    selected = stall = 0
+    stall = 0
     while live and stall < _STALL:
-        members = draw()
-        samples.append(members)
-        live = [filt for filt in live if not filt.read((members,))]
-        total = sum(len(filt.rows) for filt in filters.values())
-        stall = 0 if total > selected else stall + 1
-        selected = total
+        k = min(max(len(filt.kernel) for filt in live) - floor, _STALL - stall)
+        batch = [draw() for _ in range(k)]
+        samples += batch
+        reading, live = live, [filt for filt in live if not filt.read(batch)]
+        last = max(filt.last for filt in reading)
+        stall = stall + k if last < 0 else k - 1 - last
     return samples, filters
 
 

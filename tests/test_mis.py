@@ -18,8 +18,9 @@ from wellcovered.families import (complete, cycle, figure1, figure2_family,
 from wellcovered.harness import check_mis_count, random_connected_graphs
 from wellcovered.mis import (MisCapExceededError, MisList, NotSccgError,
                              SharedCliqueMisCount, count_mis, enumerate_mis,
-                             is_mis, iter_mis, sccg_mis_count_formula,
-                             scs_mis_count, swap_pairs)
+                             is_mis, iter_mis, random_greedy_mis,
+                             sccg_mis_count_formula, scs_mis_count,
+                             swap_pairs)
 
 import oracles
 from oracles import all_mis_powerset
@@ -38,6 +39,17 @@ def test_is_mis_basics():
 def test_is_mis_figure1_hub_selection():
     # v3, v6, v9 of the transcription: a MIS through a non-simplicial vertex
     assert is_mis(figure1(), {2, 5, 8})
+
+
+def test_random_greedy_reaches_every_mis():
+    # the vertex order comes from rng: 64 seeded draws reach every MIS,
+    # K_{1,3}'s centre alone included (probability 1/4 per draw)
+    for g in (cycle(5), path(4), star(3)):
+        adj = adjacency_masks(g)
+        rng = random.Random(0)
+        drawn = [random_greedy_mis(adj, rng) for _ in range(64)]
+        assert all(is_mis(g, members) for members in drawn), g
+        assert set(map(frozenset, drawn)) == set(enumerate_mis(g)), g
 
 
 def test_enumerate_c4():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from wellcovered.graph import DisconnectedGraphError, Graph, \
-    is_chordal, relabel, simplicial_report
+    adjacency_masks, is_chordal, relabel, simplicial_report
 from wellcovered.families import (complete, cycle, figure1,
                                   figure6_composite, named_corpus, path,
                                   sierpinski, star)
@@ -318,16 +318,24 @@ def test_spanning_rows_match_greedy_oracle(g):
 
 
 def _record_digits(monkeypatch) -> list:
-    """Record (width, digits) for every packed-sum difference decoded."""
+    """Record (width, digits) for every packed-sum difference decoded, the
+    digits as the (slot, digit) pairs of its nonzero digits: one at a time
+    over the rationals, a whole lane list at once over an odd prime."""
     calls = []
-    decode = wcspace._slot_digits
+    decode, decode_lanes = wcspace._slot_digits, wcspace._lane_digits
 
     def spy(diff, width):
         digits = list(decode(diff, width))
         calls.append((width, digits))
         return iter(digits)
 
+    def spy_lanes(diff, width, count):
+        digits = decode_lanes(diff, width, count)
+        calls.append((width, [(i, d) for i, d in enumerate(digits) if d]))
+        return digits
+
     monkeypatch.setattr(wcspace, "_slot_digits", spy)
+    monkeypatch.setattr(wcspace, "_lane_digits", spy_lanes)
     return calls
 
 
@@ -723,6 +731,19 @@ def test_rationals_read_the_stream_where_gf2_stays_open(monkeypatch):
     assert built == [2]
 
 
+def test_one_finished_prime_certifies_the_rationals_while_gf2_stays_open(
+        monkeypatch):
+    g = _random_7_graphs()["random_7_017_n11_p0.7"]
+    built = _spy_built_filters(monkeypatch)
+    fed = _count_streamed_reads(monkeypatch)
+    q, gf2, gf3 = well_covered_spaces(g, (QQ, GF2, GF3))
+    assert (q.dimension, gf2.dimension, gf3.dimension) == (0, 1, 0)
+    # GF(3) reaches its floor, so no rational filter is built, and only
+    # the GF(2) filter reads the stream
+    assert built == [2, 3]
+    assert set(fed) == {2}
+
+
 FIELD_SETS = ((QQ,), (QQ, GF2), (GF2, QQ, GF3), FOUR_FIELDS)
 
 
@@ -845,3 +866,73 @@ def test_a_filter_born_at_its_floor_draws_no_sample():
     for field in DEFAULT_FIELDS:
         assert certified_space(Graph(1, []), field) == \
             (((1,),), ((0,),), (frozenset({0}),)), field
+
+
+def _sampled_one_at_a_time(g, primes, floor):
+    """The sampling phase as one sample per read: each filter reads one
+    sample at a time, and the stall counter restarts at every sample that
+    selects a row in some filter.  _sampled_filters reads rounds of samples
+    and must stop at the same sample, with the same filters."""
+    adj = adjacency_masks(g)
+    rng = random.Random(wcspace._SAMPLE_SEED)
+    samples = [random_greedy_mis(adj, rng)]
+    filters = {p: wcspace._RowFilter(samples[0], g.n, p, floor)
+               for p in primes}
+    live = [filt for filt in filters.values() if len(filt.kernel) > floor]
+    selected = stall = 0
+    while live and stall < wcspace._STALL:
+        samples.append(random_greedy_mis(adj, rng))
+        live = [filt for filt in live if not filt.read(samples[-1:])]
+        total = sum(len(filt.rows) for filt in filters.values())
+        stall = 0 if total > selected else stall + 1
+        selected = total
+    return samples, filters
+
+
+def _s4_relabellings(count):
+    sg = sierpinski(4)
+    graphs = []
+    for seed in range(count):
+        perm = list(range(sg.graph.n))
+        random.Random(f"s4:{seed}").shuffle(perm)
+        graphs.append(relabel(sg.graph, perm))
+    return graphs
+
+
+def test_sampling_rounds_match_one_sample_at_a_time():
+    graphs = list(named_corpus().values()) + _s4_relabellings(5)
+    graphs += [sierpinski(5).graph]
+    graphs += [g for _, g in random_connected_graphs(200, 29, max_n=12)]
+    stalled = 0
+    for primes in ((2, 3), (65521,), (3,), (2, 3, 5)):
+        for g in graphs:
+            sc = simplicial_report(g).sc
+            samples, filters = wcspace._sampled_filters(g, primes, sc)
+            ref_samples, ref_filters = _sampled_one_at_a_time(g, primes, sc)
+            # the same samples, so the same stopping point
+            assert samples == ref_samples, (g, primes)
+            for p in primes:
+                filt, ref = filters[p], ref_filters[p]
+                assert filt.rows == ref.rows, (g, p)
+                assert filt.kernel == ref.kernel, (g, p)
+                assert filt.packed == ref.packed, (g, p)
+            stalled += any(len(filt.kernel) > sc
+                           for filt in filters.values())
+    # many of the graphs stall, so the stall rule itself is compared
+    assert stalled >= 100, stalled
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_lane_digits_equal_the_slot_digits(width):
+    rng = random.Random(width)
+    half = 1 << (width - 1)
+    for count in (1, 2, 5, 40):
+        for _ in range(50):
+            digits = [rng.choice((0, 0, 1, -1, -half, half - 1,
+                                  rng.randrange(-half, half)))
+                      for _ in range(count)]
+            diff = sum(d << (i * width) for i, d in enumerate(digits))
+            lanes = wcspace._lane_digits(diff, width, count)
+            assert lanes == digits, (width, digits)
+            assert [(i, d) for i, d in enumerate(lanes) if d] == \
+                list(wcspace._slot_digits(diff, width)), (width, digits)

@@ -7,9 +7,12 @@ Each mutant is applied alone to a copy of src/ and tests/ in a temporary
 directory, and `python -m pytest -x -q <its test file>` runs there, one
 process at a time.  A mutant is killed when pytest fails and survives when
 it passes; the unmutated copy runs every named test file first and must
-pass.  The exit status is 1 if it fails, if any mutant survived or if an
-`old` string no longer occurs exactly once in its file, and 0 otherwise.
-Standard library only.
+pass.  A mutant can also make the code loop forever (a sampling round that
+draws no sample, say), so each mutant's pytest run gets three times the
+wall time of the unmutated run of every named test file: past that the
+child is killed and the mutant reported as "killed (timed out)".  The exit status is 1 if the
+unmutated run fails, if any mutant survived or if an `old` string no longer
+occurs exactly once in its file, and 0 otherwise.  Standard library only.
 
 Not on the list, because it survives and is not shown equivalent: the odd-p
 lane one bit short at construction,
@@ -40,6 +43,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +61,7 @@ class Mutant(NamedTuple):
 WCSPACE, WCSPACE_TESTS = "src/wellcovered/wcspace.py", "tests/test_wcspace.py"
 FAMILIES, FAMILIES_TESTS = "src/wellcovered/families.py", "tests/test_families.py"
 GRAPH, GRAPH_TESTS = "src/wellcovered/graph.py", "tests/test_graph.py"
+MIS, MIS_TESTS = "src/wellcovered/mis.py", "tests/test_mis.py"
 
 MUTANTS = (
     # GF(2): the pivot's support no longer flips the failing slots
@@ -69,8 +74,8 @@ MUTANTS = (
            "others = (x ^ low) & -(x ^ low)", WCSPACE_TESTS),
     # odd p: a digit that is a nonzero multiple of p fails its vector
     Mutant("slot-mod-p-dropped", WCSPACE,
-           "_slot_digits(diff, width) if d % p]",
-           "_slot_digits(diff, width) if d]", WCSPACE_TESTS),
+           "enumerate(_lane_digits(diff, width, n)) if d % p]",
+           "enumerate(_lane_digits(diff, width, n)) if d]", WCSPACE_TESTS),
     # odd p: a lane left at p or above after the add is not brought back
     Mutant("lanes-not-reduced", WCSPACE,
            "packed[v] = y - (((y + lift) & high) >> top) * p",
@@ -95,6 +100,18 @@ MUTANTS = (
     Mutant("sampler-independence-dropped", WCSPACE,
            "or chosen & dominated",
            "or 0", WCSPACE_TESTS),
+    # a sampling round is not capped by the stall run left, so it draws
+    # past the sample where one sample per read would have stopped
+    Mutant("round-overdraws", WCSPACE,
+           "k = min(max(len(filt.kernel) for filt in live) - floor, "
+           "_STALL - stall)",
+           "k = max(len(filt.kernel) for filt in live) - floor",
+           WCSPACE_TESTS),
+    # a rational filter is built while any prime filter is open, not only
+    # where none reached its floor to certify the rationals
+    Mutant("rational-filter-wrong-condition", WCSPACE,
+           "if rationals and len(live) == len(filters):",
+           "if rationals and live:", WCSPACE_TESTS),
     # a clique whose removal leaves one component counts as splitting
     Mutant("scs-split-one-component", FAMILIES,
            "if rest and _reach(masks, rest & -rest, rest) != rest:",
@@ -111,9 +128,17 @@ MUTANTS = (
            "key = (mis.graph, fld)",
            "key = (mis.graph, QQ)", "tests/test_harness.py"),
     # the count allows one completion past the cap before it raises
-    Mutant("count-cap-one-late", "src/wellcovered/mis.py",
-           "if total > cap:",
-           "if total > cap + 1:", "tests/test_mis.py"),
+    Mutant("count-cap-one-late", MIS, "if total > cap:",
+           "if total > cap + 1:", MIS_TESTS),
+    # the D scan stops at a candidate of two vertices, not one, so a state
+    # may branch more ways than it must
+    Mutant("branch-scan-stops-at-two", MIS, "if k < 2:", "if k <= 2:",
+           MIS_TESTS),
+    # the greedy sampler ignores rng and takes the vertices in label
+    # order, so every sample is the same MIS
+    Mutant("sampler-order-ignores-rng", MIS,
+           "for v in sorted(range(n), key=keys.__getitem__):",
+           "for v in range(n):", MIS_TESTS),
     # a vertex is simplicial when one neighbor's closed neighborhood covers
     # its own, not every neighbor's
     Mutant("simplicial-any-neighbor", GRAPH,
@@ -137,9 +162,11 @@ def occurrences(mutant: Mutant) -> int:
     return (REPO / mutant.path).read_text(encoding="utf-8").count(mutant.old)
 
 
-def tests_fail(tests: list[str], mutant: Mutant | None = None) -> bool:
-    """True when the test files fail on a copy with the mutant applied (it
-    is killed); with no mutant, on an unmutated copy."""
+def run_tests(tests: list[str], mutant: Mutant | None = None,
+              timeout: float | None = None) -> str:
+    """"passed" or "failed" for the test files on a copy with the mutant
+    applied (with no mutant, on an unmutated copy), or "timed out" when
+    pytest runs past timeout seconds and is killed."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         for part in ("src", "tests"):
             shutil.copytree(REPO / part, Path(tmp) / part,
@@ -150,20 +177,29 @@ def tests_fail(tests: list[str], mutant: Mutant | None = None) -> bool:
             target.write_text(text.replace(mutant.old, mutant.new),
                               encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *tests],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-    return done.returncode != 0
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                 "no:cacheprovider", *tests],
+                cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=timeout)
+        except subprocess.TimeoutExpired:  # the child has been killed
+            return "timed out"
+    return "failed" if done.returncode else "passed"
+
+
+VERDICTS = {"failed": "killed", "timed out": "killed (timed out)",
+            "passed": "survived"}
 
 
 def main() -> int:
     # a copy that fails unmutated would count every mutant as killed
     tests = sorted({mutant.tests for mutant in MUTANTS})
-    if tests_fail(tests):
+    start = time.monotonic()
+    if run_tests(tests) != "passed":
         print(f"{' '.join(tests)} fails without a mutant; nothing was run")
         return 1
+    timeout = 3 * (time.monotonic() - start)
     status = 0
     for mutant in MUTANTS:
         if occurrences(mutant) != 1:
@@ -171,10 +207,9 @@ def main() -> int:
                   f"{occurrences(mutant)} times in {mutant.path}")
             status = 1
             continue
-        killed = tests_fail([mutant.tests], mutant)
-        print(f"{mutant.name}: {'killed' if killed else 'survived'}",
-              flush=True)
-        status |= not killed
+        outcome = run_tests([mutant.tests], mutant, timeout)
+        print(f"{mutant.name}: {VERDICTS[outcome]}", flush=True)
+        status |= outcome == "passed"
     return status
 
 
