@@ -19,8 +19,8 @@ from .families import (ScsSpec, ScsValidationError, corpus_comments,
                        figure2_family, path, scs_compose, scs_split,
                        sierpinski)
 from .graph import (EdgeListParseError, Graph, GraphError, _decimal,
-                    format_edge_list, is_chordal, is_sccg, parse_edge_list,
-                    save_graph, simplicial_report)
+                    _read_text, format_edge_list, is_chordal, is_sccg,
+                    parse_edge_list, save_graph, simplicial_report)
 from .harness import run_suite, suite_passed, summary_table
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, NotSccgError,
@@ -88,8 +88,7 @@ def _load_graph_arg(spec: str, corpus_dir: str | None) -> tuple[Graph, str]:
         file_path = corpus_dir and os.path.join(corpus_dir, graph_id + ".g")
         if not (file_path and os.path.exists(file_path)):
             return corpus_graph(graph_id), graph_id
-    with open(file_path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read()), graph_id
+    return parse_edge_list(_read_text(file_path)), graph_id
 
 
 # the stdlib encoder _write_json matches byte for byte; it encodes the

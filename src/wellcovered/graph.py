@@ -389,9 +389,23 @@ def format_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The text of an edge-list file.  A byte sequence that is not UTF-8
+    raises EdgeListParseError naming the line of its first byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the byte, and one character on the byte's line,
+        # split as parse_edge_list splits lines
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise EdgeListParseError(
+            len(lines), f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(path))
 
 
 def save_graph(g: Graph, path: str, comments: Sequence[str] = ()) -> None:

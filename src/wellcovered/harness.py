@@ -6,6 +6,11 @@ witness that can be re-verified from the primitive operations alone.  Two
 checks (mis_structure, mis_count) are report-only: the counting statements
 they test are known to disagree with enumeration on some corpus graphs, so
 the suite records the numbers verbatim instead of asserting agreement.
+
+The checks read a MIS list through its sets, the ascending member tuples,
+and test a MIS on bitmasks: mis_structure classifies each one with a single
+per-clique test (_classify_mis), scs_mis_structure compares composite MISs
+as masks, and its decompose direction asks is_mis of each part.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 from .families import (ScsSpec, ScsValidationError, figure6_spec, named_corpus,
                        scs_compose, sierpinski, triangle_pendant_spec)
-from .graph import (DisconnectedGraphError, Graph, _Record, is_chordal,
-                    is_sccg, simplicial_report)
+from .graph import (DisconnectedGraphError, Graph, _Record, adjacency_masks,
+                    is_chordal, is_sccg, simplicial_report)
 from .linalg import DEFAULT_FIELDS, FieldSpec, QQ, span_equal
 from .mis import (DEFAULT_MIS_CAP, MisCapExceededError, enumerate_mis, is_mis,
                   sccg_mis_count_formula, scs_mis_count, swap_pairs)
@@ -132,23 +137,32 @@ def check_sccg_dimension(g: Graph, graph_id: str,
                   witness={"sc": rep.sc, "wcdim": dims})
 
 
-def _classify_mis(g: Graph, rep, clique_index: dict, m: frozenset) -> str:
-    simp = rep.simplicial_vertices
-    seed = m & rep.connection_set
-    if not seed:
-        if m <= simp and len(m) == rep.sc and \
-                len({clique_index[v] for v in m}) == rep.sc:
-            return "one-per-clique"
+def _mask(vs: Iterable[int]) -> int:
+    return sum(1 << v for v in vs)
+
+
+def _classify_mis(adj: Sequence[int], simp: int, conn: int,
+                  cliques: Sequence[int], members: Iterable[int]) -> str:
+    """The kind of a MIS of an SCCG, from the bitmasks of the simplicial
+    vertices, the connection set and the simplicial cliques: its seed is
+    its part in the connection set, and its rest the other members.
+
+    Every simplicial vertex lies in exactly one simplicial clique, so both
+    kinds are one condition: the rest is simplicial, and each clique meets
+    it in one vertex if N[seed] leaves the clique uncovered and in none
+    otherwise.  With an empty seed every clique is uncovered: one
+    simplicial vertex per clique.  The kind is seeded exactly when the seed
+    is not empty."""
+    closed = rest = 0  # N[seed], empty exactly when the seed is
+    for v in members:
+        if conn >> v & 1:
+            closed |= adj[v] | 1 << v
+        else:
+            rest |= 1 << v
+    if rest & ~simp or any((rest & c).bit_count() != bool(c & ~closed)
+                           for c in cliques):
         return "neither"
-    rest = m - seed
-    if not rest <= simp:
-        return "neither"
-    closed = g.closed_neighborhood(seed)
-    uncovered = {i for i, c in enumerate(rep.cliques) if not c <= closed}
-    picked = [clique_index[v] for v in rest]
-    if len(set(picked)) == len(picked) and set(picked) == uncovered:
-        return "seeded"
-    return "neither"
+    return "seeded" if closed else "one-per-clique"
 
 
 def check_mis_structure(g: Graph, graph_id: str,
@@ -159,15 +173,15 @@ def check_mis_structure(g: Graph, graph_id: str,
     if not is_sccg(g):
         return _na("mis_structure", [graph_id], "not an SCCG")
     rep = simplicial_report(g)
-    clique_index = {v: i for i, c in enumerate(rep.cliques)
-                    for v in c & rep.simplicial_vertices}
+    masks = (adjacency_masks(g), _mask(rep.simplicial_vertices),
+             _mask(rep.connection_set), list(map(_mask, rep.cliques)))
     counts = {"one-per-clique": 0, "seeded": 0, "neither": 0}
     unclassifiable = []
-    for m in _mis(g, cap):
-        kind = _classify_mis(g, rep, clique_index, m)
+    for m in _mis(g, cap).sets:
+        kind = _classify_mis(*masks, m)
         counts[kind] += 1
         if kind == "neither":
-            unclassifiable.append(sorted(m))
+            unclassifiable.append(list(m))
     ok = counts["neither"] == 0
     return _holds("mis_structure", [graph_id], ok,
                   {"counts": counts},
@@ -275,34 +289,33 @@ def check_scs_mis_structure(spec: ScsSpec, spec_id: str,
     except ScsValidationError as exc:
         return _na("scs_mis_structure", [spec_id], f"invalid clique sum: {exc}")
     # the composite keeps g1's labels, so only g2's vertices are mapped
-    back2 = {c: i for i, c in enumerate(comp.g2_to_composite)}
+    to_c = comp.g2_to_composite
+    back2 = {c: i for i, c in enumerate(to_c)}
     g1, g2, gc = spec.g1, spec.g2, comp.graph
-    v2 = set(comp.g2_to_composite)
+    shared = _mask(comp.shared)
     mis_c = _mis(gc, cap)
-    for m in mis_c:
-        inter = m & comp.shared
-        m1 = frozenset(v for v in m if v < g1.n)
-        m2 = frozenset(back2[v] for v in m if v in v2)
+    for m in mis_c.sets:
+        inter = [v for v in m if shared >> v & 1]
+        m1 = [v for v in m if v < g1.n]
+        m2 = [back2[v] for v in m if v in back2]
         if len(inter) != 1 or not is_mis(g1, m1) or not is_mis(g2, m2):
             return _holds("scs_mis_structure", [spec_id], False,
                           {"composite_mis": len(mis_c)},
                           witness={"direction": "decompose", "mis": sorted(m),
                                    "shared_overlap": sorted(inter)})
-    mis1 = _mis(g1, cap)
-    mis2 = _mis(g2, cap)
-    composite_sets = set(mis_c)
+    composite_sets = set(map(_mask, mis_c.sets))
     composed = 0
     # each g2 MIS is mapped into composite labels once, not once per g1 MIS
-    mapped2 = [(b, frozenset(comp.g2_to_composite[v] for v in b))
-               for b in mis2]
-    for a in mis1:
-        ia = a & comp.shared
-        if len(ia) != 1:
+    mapped2 = [(b, _mask(to_c[v] for v in b)) for b in _mis(g2, cap).sets]
+    for a in _mis(g1, cap).sets:
+        mask_a = _mask(a)
+        ia = mask_a & shared
+        if ia.bit_count() != 1:
             continue
         for b, mapped_b in mapped2:
-            if ia == mapped_b & comp.shared:
+            if ia == mapped_b & shared:
                 composed += 1
-                if (a | mapped_b) not in composite_sets:
+                if mask_a | mapped_b not in composite_sets:
                     return _holds(
                         "scs_mis_structure", [spec_id], False,
                         {"composite_mis": len(mis_c)},

@@ -27,13 +27,19 @@ search without the memo and yields each MIS once, as its member tuple in
 the graph's own labels, in search order; single-pass consumers hold no
 list.  enumerate_mis sorts the stream into a MisList, each MIS stored once
 as its ascending tuple of members, in canonical order.
+
+A MIS has one stored form, its member tuple, and is tested as a bitmask:
+_maximal_independent folds the members into one mask of chosen vertices
+and one of their neighbors, and is the only maximal-independence test.
+is_mis calls it on a checked vertex set, and the sampler of
+wcspace._sampled_filters on every random greedy MIS it draws.
 """
 
 from __future__ import annotations
 
 from math import prod
 from random import Random
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .graph import (Graph, _members, _Record, adjacency_masks, is_sccg,
                     simplicial_report)
@@ -53,18 +59,30 @@ class NotSccgError(ValueError):
     """The operation needs the simplicial cliques to cover the graph."""
 
 
+def _maximal_independent(adj: Sequence[int],
+                         members: Collection[int]) -> bool:
+    """True iff the members, vertices of the graph whose neighbor masks are
+    adj, are distinct, independent and dominating: a maximal independent
+    set.  No member may be a neighbor of a member, and every vertex must be
+    a member or a neighbor of one."""
+    chosen = dominated = 0
+    for v in members:
+        chosen |= 1 << v
+        dominated |= adj[v]
+    return (chosen.bit_count() == len(members) and not chosen & dominated
+            and chosen | dominated == (1 << len(adj)) - 1)
+
+
 def is_mis(g: Graph, vs: Iterable[int]) -> bool:
     """True iff the set is independent and no outside vertex can be added:
     exactly the vertices outside it have a neighbour in it."""
-    s = g._check_subset(vs)
-    adj, bits = adjacency_masks(g), sum(1 << v for v in s)
-    return all(bool(adj[v] & bits) != (v in s) for v in g.vertices)
+    return _maximal_independent(adjacency_masks(g), g._check_subset(vs))
 
 
 class MisList(_Record):
     """All maximal independent sets of a graph, each stored once as its
-    ascending member tuple, in canonical (lexicographic) order.  Iterating
-    yields each set as a frozenset, built on the fly.
+    ascending member tuple, in canonical (lexicographic) order: the only
+    stored form of a MIS.  A reader that tests sets builds their bitmasks.
 
     enumerate_mis builds it for callers that publish or re-read the sets in
     canonical order; a single pass in any order needs no list (iter_mis)."""
@@ -81,9 +99,6 @@ class MisList(_Record):
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def __iter__(self):
-        return map(frozenset, self.sets)
 
 
 def _branch_set(adj: Sequence[int], u: int, d: int) -> int:

@@ -42,17 +42,17 @@ each clique has a simplicial vertex in no other, so the clique indicators
 are sc independent well-covered weightings.  The kernel always contains the
 well-covered space, so once it is down to sc vectors it is that space, and
 the filter is finished.  A sampling phase first feeds every prime-field
-filter the same seeded random greedy MISs, each checked to be independent
-and dominating before it is read; the first sample is the base.  It stops
-when every filter is finished, or after a fixed run of samples that select
-no row.  The samples come in rounds, each live filter reading a round in
-one call, and a round is never longer than the samples read one at a time
-would run before stopping, so the rounds read the same samples.  The
+filter the same seeded random greedy MISs, each checked by is_mis's test,
+mis._maximal_independent, before it is read; the first sample is the base.
+It stops when every filter is finished, or after a fixed run of samples
+that select no row.  The samples come in rounds, each live filter reading a
+round in one call, and a round is never longer than the samples read one at
+a time would run before stopping, so the rounds read the same samples.  The
 rationals are certified from a prime: the difference rows are integer rows,
-so their rank over Q is at least their rank modulo p.  A
-GF(p) filter at its floor has rows of rank n - sc, so the dimension over Q
-is at most sc, hence exactly sc, and the space is the span of the clique
-indicators; no rational filter is built.  With no prime field asked for,
+so their rank over Q is at least their rank modulo p.  A GF(p) filter at
+its floor has rows of rank n - sc, so the dimension over Q is at most sc,
+hence exactly sc, and the space is the span of the clique indicators; no
+rational filter is built.  With no prime field asked for,
 one fixed internal prime is sampled for this alone.  Where no prime filter
 finishes, a rational filter is built on the first sample and joins the
 others; it reads no sample, since on the corpus and on some 900 random
@@ -91,8 +91,8 @@ from .graph import Graph, _Record, adjacency_masks, simplicial_report
 from .linalg import FieldSpec, QQ, span_basis
 # bench/spans.py traces nullspace_basis under this module's name
 from .linalg import nullspace_basis  # noqa: F401
-from .mis import (DEFAULT_MIS_CAP, MisList, count_mis, iter_mis,
-                  random_greedy_mis)
+from .mis import (DEFAULT_MIS_CAP, MisList, _maximal_independent, count_mis,
+                  iter_mis, random_greedy_mis)
 # bench/spans.py traces enumerate_mis under this module's name
 from .mis import enumerate_mis  # noqa: F401
 
@@ -130,16 +130,6 @@ class WcSpace(_Record):
 
     def basis_vectors(self) -> list[list[int]]:
         return [list(w) for w in self.basis]
-
-
-def _difference_row(members: tuple[int, ...], first: tuple[int, ...],
-                    n: int) -> list[int]:
-    row = [0] * n
-    for v in members:
-        row[v] += 1
-    for v in first:
-        row[v] -= 1
-    return row
 
 
 def _slot_digits(diff: int, width: int):
@@ -196,7 +186,9 @@ class _RowFilter:
     row of a MIS against the base MIS first is selected exactly when it is
     not in the span of the rows selected before it, over GF(p), or over the
     rationals when p is None.  The filter is finished when the kernel is
-    down to floor vectors (see read).
+    down to floor vectors (see read).  It never builds a difference row, as
+    the packed sums test each MIS's row; selected holds the member tuples
+    of the MISs whose rows were selected, in order.
 
     The live vectors w_i span the kernel of the rows selected so far,
     starting from the identity.  They are packed into one int per vertex,
@@ -242,7 +234,7 @@ class _RowFilter:
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
-                 "base", "rows", "last")
+                 "base", "selected", "last")
 
     def __init__(self, first: tuple[int, ...], n: int, p: int | None,
                  floor: int = 0) -> None:
@@ -262,7 +254,7 @@ class _RowFilter:
         self.packed = [1 << (v * self.width) for v in range(n)]
         # over GF(2) these bits are distinct, so their sum is their XOR
         self.base = sum(map(self.packed.__getitem__, first))
-        self.rows: list[list[int]] = []
+        self.selected: list[tuple[int, ...]] = []
         self.last = -1
 
     def vectors(self) -> list[list[int]]:
@@ -302,7 +294,7 @@ class _RowFilter:
     def _read_xor(self, mis: Iterable[tuple[int, ...]]) -> None:
         """read over GF(2): a MIS's packed XOR with the base is the set of
         failing slots, and the pivot's support flips them all."""
-        n, first, kernel, rows = self.n, self.first, self.kernel, self.rows
+        first, kernel, selected = self.first, self.kernel, self.selected
         floor, packed, base = self.floor, self.packed, self.base
         get = packed.__getitem__
         last = -1
@@ -311,7 +303,7 @@ class _RowFilter:
             if not x:
                 continue
             last = t
-            rows.append(_difference_row(members, first, n))
+            selected.append(members)
             low = x & -x
             w = kernel.pop(low.bit_length() - 1)
             others = x ^ low
@@ -332,8 +324,8 @@ class _RowFilter:
         """read over an odd prime: a digit fails unless p divides it, and a
         selected row costs one add-and-reduce per vertex in the pivot's
         support."""
-        p, n, first, kernel, rows = self.p, self.n, self.first, self.kernel, \
-            self.rows
+        p, n, first, kernel, selected = self.p, self.n, self.first, \
+            self.kernel, self.selected
         floor, packed, width, base = self.floor, self.packed, self.width, \
             self.base
         get = packed.__getitem__
@@ -350,7 +342,7 @@ class _RowFilter:
             if not failing:
                 continue
             last = t
-            rows.append(_difference_row(members, first, n))
+            selected.append(members)
             (j, gj), *others = failing
             kernel.remove(j)
             shift, neg_inv = j * width, -pow(gj, -1, p)
@@ -371,7 +363,8 @@ class _RowFilter:
     def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
         """read over the rationals, on packed digit slots that widen as the
         vectors grow."""
-        n, first, kernel, rows = self.n, self.first, self.kernel, self.rows
+        n, first, kernel, selected = self.n, self.first, self.kernel, \
+            self.selected
         floor, packed, width, base = self.floor, self.packed, self.width, \
             self.base
         get = packed.__getitem__
@@ -379,7 +372,7 @@ class _RowFilter:
             diff = sum(map(get, members)) - base
             if not diff:
                 continue
-            rows.append(_difference_row(members, first, n))
+            selected.append(members)
             (j, gw), *others = _slot_digits(diff, width)
             w = kernel.pop(j)
             deltas = {j: list(map(neg, w))}
@@ -455,27 +448,21 @@ def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
     one sample per read counts it.  So the samples, the selected rows and
     the stopping point are those of one sample per read.
 
-    Every sample is checked to be independent and dominating before it is
-    read; a sampler that breaks this raises RuntimeError.  The first sample
-    is the base of every difference row.  Returns the samples and the
-    filters keyed by their prime; a filter is finished when its kernel is
-    down to the floor.  The difference rows are integer rows, so their rank
-    over Q is at least their rank modulo p: a prime filter at its floor sc
-    leaves the rational space at most sc dimensions, and the clique
+    Every sample is checked by mis._maximal_independent, is_mis's test,
+    before it is read; a sample that fails it raises RuntimeError.  The
+    first sample is the base of every difference row.  Returns the samples
+    and the filters keyed by their prime; a filter is finished when its
+    kernel is down to the floor.  The difference rows are integer rows, so
+    their rank over Q is at least their rank modulo p: a prime filter at its
+    floor sc leaves the rational space at most sc dimensions, and the clique
     indicators give it at least sc.
     """
     adj = adjacency_masks(g)
-    full = (1 << g.n) - 1
     rng = Random(_SAMPLE_SEED)
 
     def draw() -> tuple[int, ...]:
         members = random_greedy_mis(adj, rng)
-        chosen = dominated = 0
-        for v in members:
-            chosen |= 1 << v
-            dominated |= adj[v]
-        if (chosen.bit_count() != len(members) or chosen & dominated
-                or chosen | dominated != full):
+        if not _maximal_independent(adj, members):
             raise RuntimeError(
                 f"sampled set {sorted(members)} is not a maximal independent "
                 "set")

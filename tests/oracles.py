@@ -154,6 +154,17 @@ def rref_fraction_elimination(rows, p: int | None = None):
     return rows, len(pivot_cols), pivot_cols
 
 
+def difference_row(members, first, n: int) -> list[int]:
+    """The constraint row of a MIS against the base MIS first: its
+    indicator minus first's."""
+    row = [0] * n
+    for v in members:
+        row[v] += 1
+    for v in first:
+        row[v] -= 1
+    return row
+
+
 def greedy_spanning_rows(tuples, n: int, p: int | None = None) -> list[list[int]]:
     """Difference rows (MIS k minus MIS 0) kept in order exactly when row k
     raises the rank of the rows kept before it.
@@ -164,11 +175,7 @@ def greedy_spanning_rows(tuples, n: int, p: int | None = None) -> list[list[int]
     kept: list[list[int]] = []
     echelon: list[tuple[int, list[int]]] = []
     for m in tuples[1:]:
-        row = [0] * n
-        for v in m:
-            row[v] += 1
-        for v in tuples[0]:
-            row[v] -= 1
+        row = difference_row(m, tuples[0], n)
         if p is None:
             if rref_fraction_elimination(kept + [row])[1] > len(kept):
                 kept.append(row)
@@ -190,14 +197,7 @@ def nullspace_basis_elimination(n: int, edges, p: int | None = None) -> list[lis
     system's nullspace, by Gauss-Jordan over Fraction when p is None, over
     GF(p) otherwise."""
     mis = all_mis_powerset(n, edges)
-    rows = []
-    for m in mis[1:]:
-        row = [0] * n
-        for v in m:
-            row[v] += 1
-        for v in mis[0]:
-            row[v] -= 1
-        rows.append(row)
+    rows = [difference_row(m, mis[0], n) for m in mis[1:]]
     rows, _, pivot_cols = rref_fraction_elimination(rows, p)
     return free_column_basis(rows, pivot_cols, n, p)
 
@@ -346,6 +346,18 @@ def scs_splits(g: Graph) -> list[Split]:
     return out
 
 
+def first_splitting_clique(g: Graph) -> frozenset | None:
+    """The first simplicial clique, in order of smallest vertex, whose
+    removal leaves more than one component, or None where none does: the
+    shared clique of scs_splits' first split, found without groupings."""
+    adj = adjacency(g.n, g.edges)
+    cliques, _ = simplicial_cliques_naive(g.n, g.edges)
+    for clique in sorted(cliques, key=min):
+        if len(components_naive(adj, set(range(g.n)) - clique)) > 1:
+            return clique
+    return None
+
+
 def split_to_spec(split: Split) -> ScsSpec:
     """The recipe that re-composes a split's graph, up to relabelling: each
     shared vertex of part2 is glued to the same vertex of part1."""
@@ -353,3 +365,27 @@ def split_to_spec(split: Split) -> ScsSpec:
     back2 = {orig: i for i, orig in enumerate(split.part2_vertices)}
     return ScsSpec(split.part1, split.part2,
                    {back2[v]: back1[v] for v in split.shared})
+
+
+def classify_mis_frozensets(g: Graph, rep, clique_index: dict,
+                            m: frozenset) -> str:
+    """The kind of a MIS of an SCCG, by two branches on frozensets: the
+    classifier check_mis_structure used before it read bitmasks.
+    clique_index maps each simplicial vertex to the index of its clique in
+    rep.cliques."""
+    simp = rep.simplicial_vertices
+    seed = m & rep.connection_set
+    if not seed:
+        if m <= simp and len(m) == rep.sc and \
+                len({clique_index[v] for v in m}) == rep.sc:
+            return "one-per-clique"
+        return "neither"
+    rest = m - seed
+    if not rest <= simp:
+        return "neither"
+    closed = g.closed_neighborhood(seed)
+    uncovered = {i for i, c in enumerate(rep.cliques) if not c <= closed}
+    picked = [clique_index[v] for v in rest]
+    if len(set(picked)) == len(picked) and set(picked) == uncovered:
+        return "seeded"
+    return "neither"

@@ -155,7 +155,7 @@ def test_criterion_07_scs_mis_law():
         # the composite keeps g1's labels
         v2 = set(comp.g2_to_composite)
         back2 = {c: i for i, c in enumerate(comp.g2_to_composite)}
-        for m in mis_c:
+        for m in map(frozenset, mis_c.sets):
             m1 = frozenset(v for v in m if v < spec.g1.n)
             m2 = frozenset(back2[v] for v in m if v in v2)
             ok = ok and len(m & comp.shared) == 1

@@ -142,6 +142,16 @@ def test_wcdim_non_ascii_or_signed_indices_exit_code(tmp_path, capsys):
         assert code == 2 and f"line {line}" in err and not out, text
 
 
+def test_wcdim_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence: the format is UTF-8 text, so the
+    # file is malformed, and the one error line names the line of the byte
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"n 3\n0 1\n1 \xff2\n")
+    code, out, err = run_cli(capsys, "wcdim", str(bad))
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("parse error: line 3")
+
+
 def test_corpus_names_read_the_corpus_directory_first(tmp_path, capsys):
     (tmp_path / "p5.g").write_text("n 3\n0 zero\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "wcdim", "p5", "--corpus", str(tmp_path))

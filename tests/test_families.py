@@ -18,7 +18,8 @@ from wellcovered.families import (FAMILY_MAX_K, SIERPINSKI_MAX_ORDER, ScsSpec,
                                   triangle_pendant_spec, vertex_bowtie)
 from wellcovered.harness import random_connected_graphs
 
-from oracles import induced_subgraph, scs_splits, split_to_spec
+from oracles import (first_splitting_clique, induced_subgraph, scs_splits,
+                     split_to_spec)
 from strategies import random_k_tree
 
 
@@ -301,12 +302,13 @@ def _with_pendant_clique(rng, n, k):
 
 
 def test_scs_split_matches_the_oracle_past_64_vertices():
-    # k >= 2: the components a tree's cliques leave make the oracle's
-    # groupings run to 10**5 on a 75-vertex 1-tree sum
+    # the oracle builds no groupings, so 1-trees, whose cliques leave many
+    # components, are drawn too
     rng = random.Random(64)
-    seen = set()
+    seen, ks = set(), set()
     for _ in range(12):
-        k = rng.randint(2, 4)
+        k = rng.randint(1, 4)
+        ks.add(k)
         g1 = random_k_tree(rng, k, rng.randint(35, 45))
         g2, clique2 = _with_pendant_clique(rng, rng.randint(32, 40), k)
         simp = sorted(simplicial_report(g1).simplicial_vertices)
@@ -321,12 +323,12 @@ def test_scs_split_matches_the_oracle_past_64_vertices():
         perm = list(range(comp.n))
         rng.shuffle(perm)
         for g in (comp, relabel(comp, perm), g2):
-            splits = scs_splits(g)
             found = scs_split(g)
-            assert found == (splits[0].shared if splits else None)
+            assert found == first_splitting_clique(g)
             seen.add((g is g2, found is None))
     # the composites split, and the second parts both split and do not
     assert seen == {(False, False), (True, False), (True, True)}
+    assert ks == {1, 2, 3, 4}
 
 
 # sha256 of every split scs_splits gives on corpus graphs with n <= 15

@@ -10,8 +10,8 @@ from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
                                Graph, SelfLoopError, VertexRangeError, _reach,
                                adjacency_masks, contains_simplicial_vertex,
                                format_edge_list, is_chordal, is_sccg,
-                               parse_edge_list, relabel, simplicial_report,
-                               simplicial_vertices)
+                               load_graph, parse_edge_list, relabel,
+                               simplicial_report, simplicial_vertices)
 from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
 
@@ -414,6 +414,20 @@ def test_parse_reads_ascii_decimal_digits_only(text, line):
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list(text)
     assert err.value.line == line
+
+
+def test_load_graph_names_the_line_of_a_non_utf8_byte(tmp_path):
+    target = tmp_path / "g.g"
+    target.write_bytes(b"# caf\xc3\xa9\r\nn 3\r\n0 1\r\n1 2\r\n")
+    assert load_graph(str(target)) == path(3)
+    for data, line in ((b"\xff\nn 2\n0 1\n", 1),
+                       (b"n 3\n0 1\n1 \xff2\n", 3),
+                       (b"n 3\r\n0 1\r\n# caf\xc3\n", 3),  # cut short
+                       (b"n 3\r0 1\r1 2\r\xfe\r", 4)):
+        target.write_bytes(data)
+        with pytest.raises(EdgeListParseError) as err:
+            load_graph(str(target))
+        assert err.value.line == line, data
 
 
 def test_parse_reads_leading_zeros_as_decimal():

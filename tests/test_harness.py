@@ -8,7 +8,8 @@ import pytest
 
 from wellcovered import harness, wcspace
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
-                                  figure6_spec, path, scs_compose, sierpinski,
+                                  figure6_spec, named_corpus, path,
+                                  scs_compose, sierpinski,
                                   triangle_pendant_spec, vertex_bowtie)
 from wellcovered.harness import (REPORT_ONLY_CHECKS,
                                  check_lower_bound,
@@ -20,9 +21,12 @@ from wellcovered.harness import (REPORT_ONLY_CHECKS,
                                  check_sierpinski, check_weighting_lemmas,
                                  random_connected_graphs, run_suite,
                                  suite_passed, summary_table)
+from wellcovered.graph import adjacency_masks, is_sccg, simplicial_report
 from wellcovered.linalg import QQ, FieldSpec
-from wellcovered.mis import enumerate_mis, is_mis
+from wellcovered.mis import MisList, enumerate_mis, is_mis
 from wellcovered.wcspace import wcdim, well_covered_space
+
+from oracles import classify_mis_frozensets
 
 
 def test_lower_bound_examples():
@@ -64,6 +68,29 @@ def test_mis_structure_verdicts():
 
     assert check_mis_structure(complete(4), "k4").status == "holds"
     assert check_mis_structure(cycle(8), "c8").status == "not_applicable"
+
+
+def test_mask_classifier_matches_the_frozenset_one():
+    # every MIS of every corpus SCCG and of the SCCGs among 2400 seeded
+    # random graphs gets the kind the two-branch frozenset classifier gives
+    graphs = list(named_corpus().values())
+    for seed in range(40):
+        graphs += [g for _, g in random_connected_graphs(60, seed, max_n=11)]
+    graphs = [g for g in graphs if is_sccg(g)]
+    kinds = Counter()
+    for g in graphs:
+        rep = simplicial_report(g)
+        clique_index = {v: i for i, c in enumerate(rep.cliques)
+                        for v in c & rep.simplicial_vertices}
+        masks = (adjacency_masks(g), harness._mask(rep.simplicial_vertices),
+                 harness._mask(rep.connection_set),
+                 list(map(harness._mask, rep.cliques)))
+        for m in enumerate_mis(g).sets:
+            want = classify_mis_frozensets(g, rep, clique_index, frozenset(m))
+            assert harness._classify_mis(*masks, m) == want, (g, m)
+            kinds[want] += 1
+    assert (len(graphs), sum(kinds.values())) == (572, 2501)
+    assert set(kinds) == {"one-per-clique", "seeded", "neither"}
 
 
 def test_mis_count_verdicts():
@@ -128,13 +155,16 @@ def test_scs_checks_invalid_spec_is_not_applicable():
 
 def _composite_mis_edited(monkeypatch, spec, edit):
     """Monkeypatch harness._mis so that the composite's MIS list comes back
-    through edit(list), and every other graph's unchanged."""
+    through edit(list of its member tuples), and every other graph's
+    unchanged."""
     composite = scs_compose(spec).graph
     real = harness._mis
 
     def mis(g, cap):
         sets = real(g, cap)
-        return edit(list(sets)) if g == composite else sets
+        if g != composite:
+            return sets
+        return MisList(g, tuple(edit(list(sets.sets))))
 
     monkeypatch.setattr(harness, "_mis", mis)
 
@@ -150,19 +180,19 @@ def test_scs_mis_structure_fails_compose_on_a_lost_composite_mis(monkeypatch):
     m1, m2 = frozenset(v.witness["m1"]), frozenset(v.witness["m2"])
     assert is_mis(spec.g1, m1) and is_mis(spec.g2, m2)
     union = m1 | {comp.g2_to_composite[u] for u in m2}
-    assert is_mis(comp.graph, union) and [union] == lost
+    assert is_mis(comp.graph, union) and [union] == list(map(frozenset, lost))
 
 
 def test_scs_mis_structure_fails_decompose_on_a_gained_non_mis(monkeypatch):
     spec = figure6_spec()
     comp = scs_compose(spec)
     first = enumerate_mis(comp.graph).sets[0]
-    gained = frozenset(first[1:])
+    gained = first[1:]
     _composite_mis_edited(monkeypatch, spec, lambda sets: sets + [gained])
     v = check_scs_mis_structure(spec, "f6")
     assert v.status == "fails" and v.witness["direction"] == "decompose"
     witness = frozenset(v.witness["mis"])
-    assert witness == gained and not is_mis(comp.graph, witness)
+    assert witness == frozenset(gained) and not is_mis(comp.graph, witness)
 
 
 def test_scs_degenerate_full_overlap():

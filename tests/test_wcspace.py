@@ -22,8 +22,9 @@ from wellcovered.wcspace import (certified_space, indicator_weighting,
                                  is_well_covered, wcdim, well_covered_space,
                                  well_covered_spaces, wcspace_report)
 
-from oracles import _coprime_integers, greedy_spanning_rows, \
-    nullspace_basis_elimination, wcdim_fraction_elimination
+from oracles import _coprime_integers, difference_row, \
+    greedy_spanning_rows, nullspace_basis_elimination, \
+    wcdim_fraction_elimination
 from strategies import connected_graphs
 
 
@@ -38,7 +39,12 @@ def _constant_sum(w, field, mis):
 def _constraint_rows(g, mis):
     """The full difference system: MIS k minus MIS 0 for every k > 0."""
     first, *rest = mis.sets
-    return [wcspace._difference_row(m, first, g.n) for m in rest]
+    return [difference_row(m, first, g.n) for m in rest]
+
+
+def _selected_rows(filt):
+    """The difference rows of the MISs the filter selected, in order."""
+    return [difference_row(m, filt.first, filt.n) for m in filt.selected]
 
 
 def test_constraint_matrix_single_mis():
@@ -226,7 +232,7 @@ def test_clique_indicator_membership_on_corpus_sccgs():
         rep = simplicial_report(g)
         space = well_covered_space(mis, QQ)
         for c in rep.cliques:
-            if all(len(m & c) == 1 for m in mis):
+            if all(len(m & c) == 1 for m in map(frozenset, mis.sets)):
                 ind = indicator_weighting(g, c)
                 assert _constant_sum(ind, QQ, mis), name
                 assert span_equal(space.basis_vectors(),
@@ -313,7 +319,7 @@ def _list_filter(mis, n, p):
 def test_spanning_rows_match_greedy_oracle(g):
     tuples = enumerate_mis(g).sets
     for p in (None, 2, 3, 5, 7, 65521):
-        got = _list_filter(tuples, g.n, p).rows
+        got = _selected_rows(_list_filter(tuples, g.n, p))
         assert got == greedy_spanning_rows(tuples, g.n, p), p
 
 
@@ -344,7 +350,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
     tuples = enumerate_mis(RESIDUES_AGREE).sets
     for p in (2, 3, 5):
         calls.clear()
-        rows = _list_filter(tuples, RESIDUES_AGREE.n, p).rows
+        rows = _selected_rows(_list_filter(tuples, RESIDUES_AGREE.n, p))
         if p != 2:  # GF(2) reads parities by XOR and decodes no digits
             assert any(d and all(x % p == 0 for _, x in d)
                        for _, d in calls), p
@@ -354,7 +360,7 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
 def test_slot_width_grows_with_rational_vectors(monkeypatch):
     calls = _record_digits(monkeypatch)
     tuples = enumerate_mis(WIDTH_GROWS).sets
-    rows = _list_filter(tuples, WIDTH_GROWS.n, None).rows
+    rows = _selected_rows(_list_filter(tuples, WIDTH_GROWS.n, None))
     assert [w for w, _ in calls] == [2, 4, 4, 4]
     assert rows == greedy_spanning_rows(tuples, WIDTH_GROWS.n)
 
@@ -367,7 +373,7 @@ def test_pass_stops_when_the_kernel_empties():
                     if len(greedy_spanning_rows(tuples[:k + 1], g.n, p)) == g.n)
         assert full < len(tuples) - 1
         unread = iter(tuples)
-        rows = _list_filter(unread, g.n, p).rows
+        rows = _selected_rows(_list_filter(unread, g.n, p))
         assert len(rows) == g.n, p
         assert next(unread) == tuples[full + 1], p
 
@@ -385,16 +391,16 @@ def test_selected_row_leaves_every_failing_vector():
             filt = wcspace._RowFilter(tuples[0], g.n, p)
             widest = 0
             for k, members in enumerate(tuples[1:], 1):
-                row = wcspace._difference_row(members, tuples[0], g.n)
+                row = difference_row(members, tuples[0], g.n)
                 widest = max(widest, sum(
                     sum(a * b for a, b in zip(w, row)) % p != 0
                     for w in filt.vectors()))
                 filt.read((members,))
-                assert filt.rows == greedy_spanning_rows(tuples[:k + 1], g.n,
-                                                         p), (g, p, k)
+                assert _selected_rows(filt) == greedy_spanning_rows(
+                    tuples[:k + 1], g.n, p), (g, p, k)
                 _assert_live_kernel_is_exact(filt, FieldSpec(p))
             assert widest >= 3, (g, p)
-            assert len(filt.rows) > 1, (g, p)
+            assert len(filt.selected) > 1, (g, p)
 
 
 FOUR_FIELDS = DEFAULT_FIELDS + (FieldSpec(5),)
@@ -444,7 +450,7 @@ def _assert_live_kernel_is_exact(filt, field):
     if p:
         assert all(0 <= x < p for w in live for x in w)
     for w in live:
-        for row in filt.rows:
+        for row in _selected_rows(filt):
             dot = sum(a * b for a, b in zip(w, row))
             assert (dot % p if p else dot) == 0
     assert rank_of_rows(live, field, filt.n) == len(live)
@@ -883,7 +889,7 @@ def _sampled_one_at_a_time(g, primes, floor):
     while live and stall < wcspace._STALL:
         samples.append(random_greedy_mis(adj, rng))
         live = [filt for filt in live if not filt.read(samples[-1:])]
-        total = sum(len(filt.rows) for filt in filters.values())
+        total = sum(len(filt.selected) for filt in filters.values())
         stall = 0 if total > selected else stall + 1
         selected = total
     return samples, filters
@@ -913,7 +919,7 @@ def test_sampling_rounds_match_one_sample_at_a_time():
             assert samples == ref_samples, (g, primes)
             for p in primes:
                 filt, ref = filters[p], ref_filters[p]
-                assert filt.rows == ref.rows, (g, p)
+                assert filt.selected == ref.selected, (g, p)
                 assert filt.kernel == ref.kernel, (g, p)
                 assert filt.packed == ref.packed, (g, p)
             stalled += any(len(filt.kernel) > sc

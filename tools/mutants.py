@@ -62,6 +62,7 @@ WCSPACE, WCSPACE_TESTS = "src/wellcovered/wcspace.py", "tests/test_wcspace.py"
 FAMILIES, FAMILIES_TESTS = "src/wellcovered/families.py", "tests/test_families.py"
 GRAPH, GRAPH_TESTS = "src/wellcovered/graph.py", "tests/test_graph.py"
 MIS, MIS_TESTS = "src/wellcovered/mis.py", "tests/test_mis.py"
+HARNESS, HARNESS_TESTS = "src/wellcovered/harness.py", "tests/test_harness.py"
 
 MUTANTS = (
     # GF(2): the pivot's support no longer flips the failing slots
@@ -96,10 +97,16 @@ MUTANTS = (
     Mutant("certified-space-accepts-sc-plus-one", WCSPACE,
            "if len(filters[p].kernel) > rep.sc:",
            "if len(filters[p].kernel) > rep.sc + 1:", WCSPACE_TESTS),
-    # the sampler no longer checks that a drawn set is independent
-    Mutant("sampler-independence-dropped", WCSPACE,
-           "or chosen & dominated",
-           "or 0", WCSPACE_TESTS),
+    # the shared maximal-independence test drops its independence clause,
+    # so the sampler passes a drawn set holding two adjacent vertices
+    Mutant("sampler-independence-dropped", MIS,
+           "== len(members) and not chosen & dominated",
+           "== len(members)", WCSPACE_TESTS),
+    # the shared maximal-independence test drops its domination clause, so
+    # is_mis accepts an independent set that a vertex could still join
+    Mutant("mis-domination-dropped", MIS,
+           "\n            and chosen | dominated == (1 << len(adj)) - 1)",
+           ")", MIS_TESTS),
     # a sampling round is not capped by the stall run left, so it draws
     # past the sample where one sample per read would have stopped
     Mutant("round-overdraws", WCSPACE,
@@ -122,11 +129,15 @@ MUTANTS = (
            "cls._key = attrgetter(*cls.__slots__)",
            "cls._key = attrgetter(*cls.__slots__[:-1] or cls.__slots__)",
            "tests/test_records.py"),
+    # the MIS classifier wants a vertex in every simplicial clique, the
+    # ones N[seed] already covers included, so no seeded MIS is seeded
+    Mutant("classifier-covered-clique-needs-a-vertex", HARNESS,
+           "!= bool(c & ~closed)", "!= 1", HARNESS_TESTS),
     # the run cache keys a space by its graph alone: a graph's first space
     # is read back over every other field
-    Mutant("run-cache-drops-the-field", "src/wellcovered/harness.py",
+    Mutant("run-cache-drops-the-field", HARNESS,
            "key = (mis.graph, fld)",
-           "key = (mis.graph, QQ)", "tests/test_harness.py"),
+           "key = (mis.graph, QQ)", HARNESS_TESTS),
     # the count allows one completion past the cap before it raises
     Mutant("count-cap-one-late", MIS, "if total > cap:",
            "if total > cap + 1:", MIS_TESTS),
