@@ -72,15 +72,6 @@ class SierpinskiGraph(_Record):
     corners: tuple[int, int, int]
     corner_cliques: tuple[frozenset, frozenset, frozenset]
 
-    def __init__(self, order: int, graph: Graph,
-                 corners: tuple[int, int, int],
-                 corner_cliques: tuple[frozenset, frozenset, frozenset]
-                 ) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "corner_cliques", corner_cliques)
-
 
 def _sierpinski_lattice(order: int) -> tuple[set, set]:
     verts = {(0, 0), (2, 0), (1, 1)}
@@ -225,9 +216,7 @@ class ScsSpec(_Record):
     glue: tuple[tuple[int, int], ...]
 
     def __init__(self, g1: Graph, g2: Graph, glue: Mapping[int, int]) -> None:
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "glue", tuple(sorted(glue.items())))
+        super().__init__(g1, g2, tuple(sorted(glue.items())))
 
     def __reduce__(self):
         return ScsSpec, (self.g1, self.g2, self.glue_map())
@@ -246,12 +235,6 @@ class ScsComposition(_Record):
     graph: Graph
     shared: frozenset
     g2_to_composite: tuple[int, ...]
-
-    def __init__(self, graph: Graph, shared: frozenset,
-                 g2_to_composite: tuple[int, ...]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "shared", shared)
-        object.__setattr__(self, "g2_to_composite", g2_to_composite)
 
 
 def scs_compose(spec: ScsSpec) -> ScsComposition:

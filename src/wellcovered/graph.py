@@ -75,11 +75,79 @@ def _reach(masks: Sequence[int], start: int, keep: int) -> int:
     return comp
 
 
-class Graph:
+class _Record:
+    """Base of the package's immutable values: Graph and the value records.
+
+    A class lists its fields in __slots__; a slot whose name starts with
+    '_' is private state, not a field.  The generic __init__ binds
+    positional and keyword arguments to the fields in slot order, and a
+    missing, extra, unknown or repeated field raises TypeError; a call that
+    gives every field positionally skips that check.  A class with defaults
+    or checks defines its own __init__ and calls super().__init__; Graph
+    validates and sets its slots itself.  Assigning or deleting any slot
+    afterwards raises AttributeError.  Two values are equal iff they are of
+    the same class and their fields are equal, and a value hashes as its
+    fields do.  Each class reads its fields through one
+    operator.attrgetter, built with the class, so that equality and hashing
+    run in C.  copy and pickle rebuild a value by calling its class with
+    its fields in order.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__
+                            if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+        # the slots' own setters, which bypass __setattr__ below
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields) or kwargs.keys() != set(fields[len(args):]):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields "
+                    f"{', '.join(fields)}, each once; got {len(args)} "
+                    f"positional and {sorted(kwargs)}")
+            args += tuple(map(kwargs.__getitem__, fields[len(args):]))
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Graph(_Record):
     """Immutable simple undirected connected graph on vertices 0..n-1.
 
-    Equality and hashing are label-sensitive: two graphs are equal iff they
-    have the same vertex count and the same edge set.
+    A _Record with the fields n and edges.  Equality and hashing are
+    label-sensitive: two graphs are equal iff they have the same vertex
+    count and the same edge set.  __init__ validates its arguments and sets
+    every slot itself; the hash of the fields is computed once there, as
+    hashing edges costs O(m).  copy and pickle rebuild a graph through
+    __init__, and assigning or deleting any slot raises AttributeError.
 
     The graph stores its adjacency once, as per-vertex neighbour bitmasks in
     the _masks slot (see adjacency_masks); the set queries read them.  It
@@ -121,18 +189,6 @@ class Graph:
         object.__setattr__(self, "_hash", hash((n, edges)))
         object.__setattr__(self, "_simplicial", None)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the graph through __init__, without the memo
-        return Graph, (self.n, self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -168,49 +224,6 @@ class Graph:
         return all(bits & ~self._masks[v] == 1 << v for v in s)
 
 
-class _Record:
-    """Base of the package's immutable value records.
-
-    A record lists its fields in __slots__ and sets each one in __init__
-    with object.__setattr__, as Graph does; assigning or deleting a field
-    afterwards raises AttributeError.  Two records are equal iff they are of
-    the same class and their fields are equal, and a record hashes as its
-    fields do.  Each class reads its fields through one operator.attrgetter,
-    built with the class, so that equality and hashing run in C.  copy and
-    pickle rebuild a record by calling its class with its fields in order.
-    """
-
-    __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        cls._key = attrgetter(*cls.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        key = self._key
-        return key(self) == key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__slots__)
-
-
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit u of entry v set iff u and v are
     adjacent), built once when the graph is."""
@@ -239,13 +252,6 @@ class SimplicialReport(_Record):
     simplicial_vertices: frozenset
     cliques: tuple[frozenset, ...]
     connection_set: frozenset
-
-    def __init__(self, simplicial_vertices: frozenset,
-                 cliques: tuple[frozenset, ...],
-                 connection_set: frozenset) -> None:
-        object.__setattr__(self, "simplicial_vertices", simplicial_vertices)
-        object.__setattr__(self, "cliques", cliques)
-        object.__setattr__(self, "connection_set", connection_set)
 
     @property
     def sc(self) -> int:
@@ -295,11 +301,7 @@ def _simplicial_report(g: Graph) -> SimplicialReport:
     for c in cliques:
         connection |= seen & c
         seen |= c
-    return SimplicialReport(
-        simplicial_vertices=frozenset(simp),
-        cliques=tuple(cliques),
-        connection_set=connection,
-    )
+    return SimplicialReport(frozenset(simp), tuple(cliques), connection)
 
 
 def is_sccg(g: Graph) -> bool:
@@ -333,9 +335,9 @@ def is_chordal(g: Graph) -> bool:
 
 # --- edge-list file format -------------------------------------------------
 #
-# UTF-8 text.  Lines starting with '#' are comments.  The first non-comment
-# line is 'n <count>'; every following non-comment line is '<u> <v>' with
-# 0-based indices.  The count and the indices are ASCII decimal digits: no
+# UTF-8 text, after at most one byte-order mark.  Lines starting with '#'
+# are comments.  The first non-comment line is 'n <count>'; every following
+# non-comment line is '<u> <v>' with 0-based indices.  The count and the indices are ASCII decimal digits: no
 # sign, no underscore, no digit of another script.  Duplicate edges are
 # tolerated.  Writers emit edges sorted by (min endpoint, max endpoint).
 
@@ -390,10 +392,11 @@ def format_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of an edge-list file.  A byte sequence that is not UTF-8
-    raises EdgeListParseError naming the line of its first byte."""
+    """The text of an edge-list file, less one leading UTF-8 byte-order
+    mark.  A byte sequence that is not UTF-8 raises EdgeListParseError
+    naming the line of its first byte."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

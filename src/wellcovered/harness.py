@@ -53,11 +53,8 @@ class Verdict(_Record):
     def __init__(self, check_id: str, graph_ids: tuple[str, ...], status: str,
                  details: dict | None = None,
                  witness: dict | None = None) -> None:
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "graph_ids", graph_ids)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "details", {} if details is None else details)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(check_id, graph_ids, status,
+                         {} if details is None else details, witness)
 
     def to_json(self) -> dict:
         return {

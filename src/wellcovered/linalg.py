@@ -66,7 +66,7 @@ class FieldSpec(_Record):
                 raise ValueError(f"prime modulus out of range: {p}")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
+        super().__init__(p)
 
     @classmethod
     def parse(cls, token: str) -> "FieldSpec":

@@ -92,11 +92,6 @@ class MisList(_Record):
     graph: Graph
     sets: tuple[tuple[int, ...], ...]
 
-    def __init__(self, graph: Graph,
-                 sets: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "sets", sets)
-
     def __len__(self) -> int:
         return len(self.sets)
 
@@ -373,8 +368,8 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisList:
     Raises MisCapExceededError as soon as the count passes the cap; output is
     never silently truncated.
     """
-    return MisList(graph=g, sets=tuple(sorted(
-        tuple(sorted(t)) for t in iter_mis(g, cap))))
+    return MisList(g, tuple(sorted(tuple(sorted(t))
+                                   for t in iter_mis(g, cap))))
 
 
 def random_greedy_mis(adj: Sequence[int], rng: Random) -> tuple[int, ...]:
@@ -429,13 +424,6 @@ class SccgCountBreakdown(_Record):
     sum_term: int
     total: int
 
-    def __init__(self, i_count: int, product_term: int, sum_term: int,
-                 total: int) -> None:
-        object.__setattr__(self, "i_count", i_count)
-        object.__setattr__(self, "product_term", product_term)
-        object.__setattr__(self, "sum_term", sum_term)
-        object.__setattr__(self, "total", total)
-
 
 def sccg_mis_count_formula(
         g: Graph) -> tuple[SccgCountBreakdown, SccgCountBreakdown]:
@@ -478,9 +466,8 @@ def sccg_mis_count_formula(
             i_count += 1
 
     def reading(product_term: int, sum_term: int) -> SccgCountBreakdown:
-        return SccgCountBreakdown(i_count=i_count, product_term=product_term,
-                                  sum_term=sum_term,
-                                  total=i_count + product_term + sum_term)
+        return SccgCountBreakdown(i_count, product_term, sum_term,
+                                  i_count + product_term + sum_term)
 
     return (reading(prod(r for _, r, _ in cliques), sum_residual),
             reading(prod(s for _, _, s in cliques), sum_simplicial))
@@ -494,11 +481,6 @@ class SharedCliqueMisCount(_Record):
 
     total: int
     per_vertex: tuple[tuple[int, int, int], ...]  # (g1 label, l_i, m_i)
-
-    def __init__(self, total: int,
-                 per_vertex: tuple[tuple[int, int, int], ...]) -> None:
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "per_vertex", per_vertex)
 
 
 def scs_mis_count(g1: Graph, g2: Graph, glue: Mapping[int, int],

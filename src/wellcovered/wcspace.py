@@ -113,13 +113,6 @@ class WcSpace(_Record):
     basis: tuple[tuple[int, ...], ...]
     mis_count: int
 
-    def __init__(self, graph: Graph, field: FieldSpec,
-                 basis: tuple[tuple[int, ...], ...], mis_count: int) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "mis_count", mis_count)
-
     @property
     def dimension(self) -> int:
         return len(self.basis)

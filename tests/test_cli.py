@@ -152,6 +152,24 @@ def test_wcdim_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("parse error: line 3")
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark: the graph
+    # reads as the same file without it, in every command
+    plain, marked = tmp_path / "plain.g", tmp_path / "marked.g"
+    text = _corpus_text("figure1").encode()
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    for command in ("wcdim", "classify", "mis"):
+        want = run_cli(capsys, command, str(plain), "--json")
+        got = run_cli(capsys, command, str(marked), "--json")
+        assert want[0] == 0 and got == (0, want[1].replace(
+            '"plain.g"', '"marked.g"'), ""), command
+    marked.write_bytes(b"\xef\xbb\xbfn 2\n\xff0 1\n")
+    code, out, err = run_cli(capsys, "wcdim", str(marked))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2: not UTF-8: byte 0xff\n"
+
+
 def test_corpus_names_read_the_corpus_directory_first(tmp_path, capsys):
     (tmp_path / "p5.g").write_text("n 3\n0 zero\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "wcdim", "p5", "--corpus", str(tmp_path))

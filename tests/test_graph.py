@@ -430,6 +430,24 @@ def test_load_graph_names_the_line_of_a_non_utf8_byte(tmp_path):
         assert err.value.line == line, data
 
 
+def test_load_graph_skips_one_leading_byte_order_mark(tmp_path):
+    target = tmp_path / "g.g"
+    for data in (b"\xef\xbb\xbfn 3\n0 1\n1 2\n",
+                 b"\xef\xbb\xbf# path\r\nn 3\r\n0 1\r\n1 2\r\n"):
+        target.write_bytes(data)
+        assert load_graph(str(target)) == path(3), data
+    # a bad byte after the mark is named on its own line, counted from the
+    # start of the file
+    target.write_bytes(b"\xef\xbb\xbfn 3\n0 \xff1\n1 2\n")
+    with pytest.raises(EdgeListParseError,
+                       match="^line 2: not UTF-8: byte 0xff$"):
+        load_graph(str(target))
+    # only one mark is skipped: a second is text, not a header
+    target.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfn 2\n0 1\n")
+    with pytest.raises(EdgeListParseError, match="^line 1: expected"):
+        load_graph(str(target))
+
+
 def test_parse_reads_leading_zeros_as_decimal():
     assert parse_edge_list("n 03\n00 01\n01 002\n") == path(3)
 

@@ -1,9 +1,11 @@
-"""The package's value records: slotted classes on graph._Record.
+"""The package's immutable values: slotted classes on graph._Record.
 
-Each is built positionally or by keyword, is equal exactly to a record of
-its own class with equal fields (and then hashes alike), cannot be
-assigned, and survives copy and pickle.  RECORDS gives each class two field
-tuples that differ in every field.
+Each record is built positionally or by keyword, rejects a missing, extra,
+unknown or repeated field, is equal exactly to a record of its own class
+with equal fields (and then hashes alike), cannot be assigned or deleted,
+and survives copy and pickle.  RECORDS gives each class two field tuples
+that differ in every field; VALUES adds Graph, which takes the same
+equality, immutability and copy tests but validates its own arguments.
 """
 
 import copy
@@ -14,7 +16,7 @@ import pytest
 
 from wellcovered.families import (ScsComposition, ScsSpec, SierpinskiGraph,
                                   complete, cycle, path, star)
-from wellcovered.graph import SimplicialReport
+from wellcovered.graph import Graph, SimplicialReport, _Record
 from wellcovered.harness import Verdict
 from wellcovered.linalg import FieldSpec, QQ
 from wellcovered.mis import MisList, SccgCountBreakdown, SharedCliqueMisCount
@@ -51,6 +53,9 @@ RECORDS = {
               ("mis_count", ("p4", "c4"), "fails", {}, {"set": [0]})),
 }
 
+VALUES = {**RECORDS, Graph: (("n", "edges"), (3, ((0, 1), (1, 2))),
+                             (4, ((0, 1), (0, 2), (0, 3))))}
+
 
 def _args(cls, values):
     # ScsSpec takes its glue as a mapping and stores it as sorted pairs
@@ -61,6 +66,15 @@ def _args(cls, values):
 
 def _make(cls, values):
     return cls(*_args(cls, copy.deepcopy(values)))
+
+
+def _unchecked(cls, values):
+    """A value of cls with these fields, bound by the record binder alone.
+    A graph's vertex count follows from its edges, so no valid Graph
+    differs from another in one field only."""
+    rec = object.__new__(cls)
+    _Record.__init__(rec, *values)
+    return rec
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -85,8 +99,28 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_a_missing_extra_unknown_or_repeated_field_is_a_type_error(cls):
+    names, values, _ = RECORDS[cls]
+    args = _args(cls, values)
+    calls = {"extra": lambda: cls(*args, args[0]),
+             "unknown": lambda: cls(*args, unknown=None),
+             "unknown keyword": lambda: cls(**dict(zip(names, args)),
+                                            unknown=None),
+             "repeated": lambda: cls(*args, **{names[-1]: args[-1]}),
+             "repeated first": lambda: cls(*args[:1], **{names[0]: args[0]})}
+    if cls is not FieldSpec:  # its one field defaults to the rationals
+        calls["missing"] = lambda: cls(**dict(zip(names[1:], args[1:])))
+    for case, call in calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{case} field: no TypeError")
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
 def test_equal_fields_give_equal_records_and_hashes(cls):
-    _, values, _ = RECORDS[cls]
+    _, values, _ = VALUES[cls]
     a, b = _make(cls, values), _make(cls, values)
     assert a is not b and a == b and not a != b
     if cls is Verdict:
@@ -98,28 +132,29 @@ def test_equal_fields_give_equal_records_and_hashes(cls):
         assert {a: 1}[b] == 1
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
 def test_records_differing_in_one_field_are_unequal(cls):
-    names, values, other = RECORDS[cls]
+    names, values, other = VALUES[cls]
     base = _make(cls, values)
+    make = _unchecked if cls is Graph else _make
     for i, name in enumerate(names):
         changed = values[:i] + (other[i],) + values[i + 1:]
-        assert base != _make(cls, changed), name
-        assert not base == _make(cls, changed), name
+        assert base != make(cls, changed), name
+        assert not base == make(cls, changed), name
 
 
 def test_records_of_different_classes_are_never_equal():
-    records = [_make(cls, values) for cls, (_, values, _) in RECORDS.items()]
+    records = [_make(cls, values) for cls, (_, values, _) in VALUES.items()]
     for i, a in enumerate(records):
-        _, values, _ = RECORDS[type(a)]
+        _, values, _ = VALUES[type(a)]
         assert a != values and a != list(values)
         for b in records[i + 1:]:
             assert a != b and b != a
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
 def test_fields_cannot_be_assigned_or_deleted(cls):
-    names, values, other = RECORDS[cls]
+    names, values, other = VALUES[cls]
     rec = _make(cls, values)
     for name, value in zip(names, other):
         with pytest.raises(AttributeError):
@@ -131,9 +166,9 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
     assert rec == _make(cls, values)
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
 def test_copy_and_pickle_give_an_equal_record(cls):
-    _, values, _ = RECORDS[cls]
+    _, values, _ = VALUES[cls]
     rec = _make(cls, values)
     copies = [copy.copy(rec), copy.deepcopy(rec)]
     copies += [pickle.loads(pickle.dumps(rec, protocol))
@@ -143,11 +178,21 @@ def test_copy_and_pickle_give_an_equal_record(cls):
     assert copies[1] is not rec
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
 def test_records_take_weak_references(cls):
-    _, values, _ = RECORDS[cls]
+    _, values, _ = VALUES[cls]
     rec = _make(cls, values)
     assert weakref.ref(rec)() is rec
+
+
+def test_graph_slots_cannot_be_deleted():
+    g = cycle(4)
+    masks = g._masks
+    for name in ("n", "edges", "_masks", "_hash", "_simplicial"):
+        with pytest.raises(AttributeError, match="^Graph is immutable$"):
+            delattr(g, name)
+    assert (g.n, g.edges, g._masks) == (4, cycle(4).edges, masks)
+    assert repr(g) == "Graph(n=4, edges=4)"
 
 
 def test_repr_names_every_field():

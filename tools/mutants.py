@@ -124,11 +124,17 @@ MUTANTS = (
            "if rest and _reach(masks, rest & -rest, rest) != rest:",
            "if rest:", FAMILIES_TESTS),
     # records compare and hash without their last field: a WcSpace ignores
-    # its mis_count (a one-field FieldSpec keeps its key)
+    # its mis_count and a Graph its edges (a one-field FieldSpec keeps its
+    # key)
     Mutant("record-key-drops-last-field", GRAPH,
-           "cls._key = attrgetter(*cls.__slots__)",
-           "cls._key = attrgetter(*cls.__slots__[:-1] or cls.__slots__)",
+           "cls._key = attrgetter(*cls._fields)",
+           "cls._key = attrgetter(*cls._fields[:-1] or cls._fields)",
            "tests/test_records.py"),
+    # the record binder takes more positional values than fields and drops
+    # the surplus
+    Mutant("record-binder-drops-arity-check", GRAPH,
+           "if len(args) > len(fields) or kwargs.keys()",
+           "if kwargs.keys()", "tests/test_records.py"),
     # the MIS classifier wants a vertex in every simplicial clique, the
     # ones N[seed] already covers included, so no seeded MIS is seeded
     Mutant("classifier-covered-clique-needs-a-vertex", HARNESS,
