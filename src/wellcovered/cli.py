@@ -209,9 +209,7 @@ def _add_corpus(p: argparse.ArgumentParser) -> None:
                    help="directory searched for corpus graph files")
 
 
-def _add_gen(sub) -> None:
-    p = sub.add_parser("gen",
-                       help="generate a graph file (or the whole corpus)")
+def _add_gen(p: argparse.ArgumentParser) -> None:
     p.add_argument("family",
                    help="complete|path|cycle|sierpinski|figure1|figure2|"
                         "figure6-g1|figure6-g2|figure6|corpus|<corpus name>")
@@ -222,31 +220,26 @@ def _add_gen(sub) -> None:
                    help="target directory for 'gen corpus'")
 
 
-def _add_wcdim(sub) -> None:
-    p = sub.add_parser("wcdim", help="well-covered dimension per field")
+def _add_wcdim(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="edge-list file or corpus name")
     _add_common(p)
     _add_corpus(p)
 
 
-def _add_classify(sub) -> None:
-    p = sub.add_parser("classify",
-                       help="chordal / SCCG / well-covered / splittable")
+def _add_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="edge-list file or corpus name")
     _add_common(p, fields=False)
     _add_corpus(p)
 
 
-def _add_mis(sub) -> None:
-    p = sub.add_parser("mis", help="count or list maximal independent sets")
+def _add_mis(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="edge-list file or corpus name")
     p.add_argument("--mode", choices=("count", "list"), default="count")
     _add_common(p, fields=False)
     _add_corpus(p)
 
 
-def _add_compose(sub) -> None:
-    p = sub.add_parser("compose", help="simplicial clique sum of two graphs")
+def _add_compose(p: argparse.ArgumentParser) -> None:
     p.add_argument("g1", help="first edge-list file or corpus name")
     p.add_argument("g2", help="second edge-list file or corpus name")
     p.add_argument("--glue", action="append", required=True,
@@ -257,8 +250,7 @@ def _add_compose(sub) -> None:
     _add_corpus(p)
 
 
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run a verification suite")
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", nargs="?", default="default",
                    choices=("default", "full"))
     p.add_argument("--seed", type=_int, default=0)
@@ -270,17 +262,26 @@ def _add_verify(sub) -> None:
     _add_common(p)
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The argument parser.  Where command names a subcommand, only that
-    subcommand is registered, as argparse builds every parser it is given;
-    otherwise (--help, an unknown or missing command) all of them are."""
+def _command_parser(name: str) -> _Parser:
+    """The parser of the subcommand name alone, as the full parser's
+    subparsers action would build it: the same prog, options and help."""
+    p = _Parser(prog=f"wellcovered {name}")
+    _SUBCOMMANDS[name][0](p)
+    return p
+
+
+def _build_parser() -> _Parser:
+    """The full parser, with every subcommand under one subparsers action.
+    main builds it only for a first argument that names no subcommand
+    (--help, an unknown or a missing command), where it prints the help or
+    the usage error; a named subcommand is parsed by its own parser
+    (_command_parser), which writes the same help and errors."""
     top = _Parser(prog="wellcovered",
                   description="well-covered spaces of finite simple graphs")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
-    for name, (add, _) in _SUBCOMMANDS.items():
-        if command not in _SUBCOMMANDS or command == name:
-            add(sub)
+    for name, (add, _, summary) in _SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=summary))
     return top
 
 
@@ -472,24 +473,33 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if suite_passed(report) else EXIT_USAGE
 
 
-# each subcommand's parser builder and handler, in the order the top-level
-# help lists them
-_SUBCOMMANDS = {"gen": (_add_gen, _cmd_gen),
-                "wcdim": (_add_wcdim, _cmd_wcdim),
-                "classify": (_add_classify, _cmd_classify),
-                "mis": (_add_mis, _cmd_mis),
-                "compose": (_add_compose, _cmd_compose),
-                "verify": (_add_verify, _cmd_verify)}
+# each subcommand's parser builder, handler and one-line help, in the
+# order the top-level help lists them
+_SUBCOMMANDS = {
+    "gen": (_add_gen, _cmd_gen,
+            "generate a graph file (or the whole corpus)"),
+    "wcdim": (_add_wcdim, _cmd_wcdim, "well-covered dimension per field"),
+    "classify": (_add_classify, _cmd_classify,
+                 "chordal / SCCG / well-covered / splittable"),
+    "mis": (_add_mis, _cmd_mis, "count or list maximal independent sets"),
+    "compose": (_add_compose, _cmd_compose,
+                "simplicial clique sum of two graphs"),
+    "verify": (_add_verify, _cmd_verify, "run a verification suite"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
+    name = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
-        _, handler = _SUBCOMMANDS[args.command]
-        return handler(args)
+        if name in _SUBCOMMANDS:
+            args = _command_parser(name).parse_args(argv[1:])
+        else:
+            # the full parser prints the help or raises the usage error
+            args = _build_parser().parse_args(argv)
+            name = args.command
+        return _SUBCOMMANDS[name][1](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

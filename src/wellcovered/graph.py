@@ -12,7 +12,7 @@ chordality, which peels simplicial vertices until none is left.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -150,13 +150,17 @@ class Graph(_Record):
     __init__, and assigning or deleting any slot raises AttributeError.
 
     The graph stores its adjacency once, as per-vertex neighbour bitmasks in
-    the _masks slot (see adjacency_masks); the set queries read them.  It
-    memoises its simplicial_report in the _simplicial slot, set on first
-    use.  Both live exactly as long as the graph object, and neither takes
-    part in equality or hashing.
+    the _masks slot (see adjacency_masks); the set queries read them.  Three
+    memo slots start empty and are set on first use through _memoised: its
+    simplicial_report in _simplicial, its MIS engine's numbering and masks
+    (mis._state_masks) in _engine, and its MIS count in _mis_count, recorded
+    once a count or a full search of its MISs completes.  All of them live
+    exactly as long as the graph object, and none takes part in equality,
+    hashing, copy or pickle.
     """
 
-    __slots__ = ("n", "edges", "_hash", "_masks", "_simplicial")
+    __slots__ = ("n", "edges", "_hash", "_masks", "_simplicial", "_engine",
+                 "_mis_count")
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -188,6 +192,8 @@ class Graph(_Record):
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_hash", hash((n, edges)))
         object.__setattr__(self, "_simplicial", None)
+        object.__setattr__(self, "_engine", None)
+        object.__setattr__(self, "_mis_count", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -276,15 +282,21 @@ def contains_simplicial_vertex(g: Graph, vs: Iterable[int]) -> bool:
     return not s.isdisjoint(simplicial_vertices(g))
 
 
+def _memoised(g: Graph, slot: str, build: Callable[[Graph], object]):
+    """The value in g's memo slot (see Graph), set to build(g) when the
+    slot is still empty."""
+    value = getattr(g, slot)
+    if value is None:
+        value = build(g)
+        object.__setattr__(g, slot, value)
+    return value
+
+
 def simplicial_report(g: Graph) -> SimplicialReport:
     """Distinct simplicial cliques, their count, and the connection set.
 
     Computed once per graph object and memoised on it (see Graph)."""
-    rep = g._simplicial
-    if rep is None:
-        rep = _simplicial_report(g)
-        object.__setattr__(g, "_simplicial", rep)
-    return rep
+    return _memoised(g, "_simplicial", _simplicial_report)
 
 
 def _simplicial_report(g: Graph) -> SimplicialReport:

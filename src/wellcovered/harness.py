@@ -260,9 +260,12 @@ def check_neighbor_swap(g: Graph, graph_id: str,
     agrees on the swapped pair.
 
     The pairs come from mis.swap_pairs, which counts one search state per
-    edge and lists no MIS; the space's MIS list is the only one read."""
-    space = _space(_mis(g, cap), QQ)
-    pairs = swap_pairs(g, cap)
+    edge and lists no MIS; the space's MIS list is the only one read.  The
+    pairs are asked of that list's graph, equal to g, which recorded its
+    MIS count when the list was built, so its root is not counted again."""
+    mis = _mis(g, cap)
+    space = _space(mis, QQ)
+    pairs = swap_pairs(mis.graph, cap)
     for u, v in pairs:
         for b_index, w in enumerate(space.basis):
             if w[u] != w[v]:
@@ -332,7 +335,12 @@ def check_scs_count(spec: ScsSpec, spec_id: str,
         comp = scs_compose(spec)
     except ScsValidationError as exc:
         return _na("scs_count", [spec_id], f"invalid clique sum: {exc}")
-    predicted = scs_mis_count(spec.g1, spec.g2, spec.glue_map(), cap=cap)
+    # within a run the parts' MIS lists are cached (scs_mis_structure), and
+    # their graphs have recorded their MIS counts: counted under them, no
+    # part's root is counted again
+    g1, g2 = (_cache[g].graph if _cache is not None and g in _cache else g
+              for g in (spec.g1, spec.g2))
+    predicted = scs_mis_count(g1, g2, spec.glue_map(), cap=cap)
     enumerated = len(_mis(comp.graph, cap))
     details = {"predicted": predicted.total, "enumerated": enumerated,
                "per_vertex": [list(row) for row in predicted.per_vertex]}

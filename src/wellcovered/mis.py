@@ -8,9 +8,12 @@ vertices still waiting for a chosen neighbor.  Each state branches on a set
 that every extension must meet (_branch_set): the undecided neighbors of
 the vertex of D with the fewest, or, once D is empty, the closed undecided
 neighborhood of the lowest undecided vertex.  A graph of more than
-_RENUMBER_ABOVE vertices is renumbered once, in smallest-last order
-(_state_masks), so that the lowest undecided vertex has all its undecided
-neighbors later in the order: at most the graph's degeneracy of them.
+_RENUMBER_ABOVE vertices is renumbered once, in smallest-last order, so
+that the lowest undecided vertex has all its undecided neighbors later in
+the order: at most the graph's degeneracy of them.  Each graph has one
+engine: its numbering and masks (_state_masks) are built on its first query
+and memoised in its _engine slot (see graph.Graph), so every later count or
+search of that graph reads them.
 
 _count_completions counts a state's completions and builds no set.  A
 state's count depends on (U, D) alone, so a memo, cleared whenever it
@@ -28,6 +31,12 @@ the graph's own labels, in search order; single-pass consumers hold no
 list.  enumerate_mis sorts the stream into a MisList, each MIS stored once
 as its ascending tuple of members, in canonical order.
 
+A graph records its MIS count in its _mis_count slot once count_mis counts
+its root or a search runs to its end, enumerate_mis's included.  A later
+count_mis, swap_pairs or scs_mis_count reads that count and compares it with
+its own cap (_root_count) in place of counting the root again, so each
+still raises MisCapExceededError exactly when the total passes the cap.
+
 A MIS has one stored form, its member tuple, and is tested as a bitmask:
 _maximal_independent folds the members into one mask of chosen vertices
 and one of their neighbors, and is the only maximal-independence test.
@@ -41,8 +50,8 @@ from math import prod
 from random import Random
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .graph import (Graph, _members, _Record, adjacency_masks, is_sccg,
-                    simplicial_report)
+from .graph import (Graph, _members, _memoised, _Record, adjacency_masks,
+                    is_sccg, simplicial_report)
 
 DEFAULT_MIS_CAP = 10**6
 
@@ -166,6 +175,14 @@ def _smallest_last(adj: Sequence[int]) -> list[int]:
 def _state_masks(g: Graph) -> tuple[tuple[Sequence[int], list[int],
                                           list[int]],
                                     Sequence[int], Sequence[int]]:
+    """The engine's masks and its numbering of g, built once per graph and
+    memoised in its _engine slot (see Graph)."""
+    return _memoised(g, "_engine", _build_engine)
+
+
+def _build_engine(g: Graph) -> tuple[tuple[Sequence[int], list[int],
+                                           list[int]],
+                                     Sequence[int], Sequence[int]]:
     """The engine's masks and its numbering of g: ((adj, outside, apart),
     label, position).
 
@@ -229,6 +246,7 @@ def iter_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> Iterator[tuple[int, ...]]:
             u ^= low  # excluded from the later branches
             d |= low
             branch ^= low
+    _memoised(g, "_mis_count", lambda _: found)  # the search is complete
 
 
 # Entries the count memo holds before it is cleared.  The states that recur
@@ -309,15 +327,33 @@ def _count_completions(masks: tuple[Sequence[int], list[int], list[int]],
         total += saved
 
 
+def _root_count(g: Graph, memo: dict[int, int], cap: int) -> int:
+    """g's MIS count, over memo where it is counted: the completions of the
+    root state (V, {}), counted once per graph and recorded in its
+    _mis_count slot (see Graph), where a full search also records its
+    length.
+
+    A fresh count raises MisCapExceededError as soon as any state's count
+    passes the cap; a recorded count is compared with this call's cap, so
+    the error is raised exactly when the total passes the cap either way.
+    """
+    mis_count = _memoised(g, "_mis_count", lambda g: _count_completions(
+        _state_masks(g)[0], memo, (1 << g.n) - 1, 0, cap))
+    if mis_count > cap:  # recorded under a larger cap
+        raise MisCapExceededError(cap)
+    return mis_count
+
+
 def count_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> int:
     """Number of maximal independent sets, counted without building one:
-    the completions of the root state (V, {}), over a fresh memo.
+    the completions of the root state (V, {}), over a fresh memo, or the
+    count already recorded on g (_root_count).
 
     Every state's count is a count of distinct MISs, never more than the
     total, so MisCapExceededError is raised as soon as any count passes the
     cap, and exactly when the total does.
     """
-    return _count_completions(_state_masks(g)[0], {}, (1 << g.n) - 1, 0, cap)
+    return _root_count(g, {}, cap)
 
 
 def _state_counter(g: Graph, cap: int):
@@ -325,9 +361,10 @@ def _state_counter(g: Graph, cap: int):
     U and D over the engine's vertex numbers, and outside, where outside[v]
     is ~N[v] over those numbers for g's vertex v.
 
-    The root (V, {}) is counted first, so MisCapExceededError is raised here
-    exactly when count_mis(g, cap) raises it.  A later count is of MISs of
-    g too, so it cannot pass the cap.
+    g's MIS count is taken first (_root_count): read where g has recorded
+    it, and otherwise counted over the same memo.  So MisCapExceededError
+    is raised here exactly when count_mis(g, cap) raises it.  A later count
+    is of MISs of g too, so it cannot pass the cap.
     """
     masks, _, position = _state_masks(g)
     memo, full = {}, (1 << g.n) - 1
@@ -335,7 +372,7 @@ def _state_counter(g: Graph, cap: int):
     def count(u: int, d: int) -> int:
         return _count_completions(masks, memo, u & full, d, cap)
 
-    count(full, 0)
+    _root_count(g, memo, cap)
     return count, [masks[1][i] for i in position]
 
 

@@ -392,15 +392,28 @@ class _RowFilter:
         self.width, self.base = width, base
 
 
-def _basis(g: Graph, field: FieldSpec,
-           filt: _RowFilter | None) -> tuple[tuple[int, ...], ...]:
-    """The reduced echelon basis of the space the filter's live kernel
-    vectors span, read off those vectors by span_basis.  No filter stands
-    for a rational space certified by a prime filter at its floor (see
-    _sampled_filters): the span of the simplicial clique indicators."""
-    if filt is None:
-        vectors = [indicator_weighting(g, c)
-                   for c in simplicial_report(g).cliques]
+def _indicators(g: Graph) -> list[tuple[int, ...]]:
+    """The indicator vectors of g's simplicial cliques."""
+    return [indicator_weighting(g, c) for c in simplicial_report(g).cliques]
+
+
+def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None,
+           indicators: Sequence[tuple[int, ...]]
+           ) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon basis of the well-covered space over the field,
+    read by span_basis off vectors spanning it.
+
+    A filter above its floor spans the space with its live kernel vectors,
+    decoded by vectors().  A filter at its floor reads it off indicators
+    instead: the indicator vectors of the simplicial cliques where the
+    floor is sc, and none where it is 0 (the listed path).  Its kernel is
+    the space, of dimension sc, and holds those sc independent weightings,
+    so they span it.  No filter stands for a rational space certified by a
+    prime filter at its floor (see _sampled_filters), also the indicators'
+    span.  A caller with a floor builds the indicators once (_indicators)
+    for every field it asks for."""
+    if filt is None or len(filt.kernel) == filt.floor:
+        vectors = indicators
     else:
         vectors = filt.vectors()
     return tuple(map(tuple, span_basis(vectors, field, g.n)))
@@ -516,7 +529,9 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
         live = [filt for filt in live if not filt.read(block)]
     if not live:
         count = count_mis(g, cap)
-    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p)), count)
+    indicators = _indicators(g)
+    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p), indicators),
+                         count)
                  for f in fields)
 
 
@@ -545,7 +560,8 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     samples, filters = _sampled_filters(g, (p,), rep.sc)
     if len(filters[p].kernel) > rep.sc:
         return None
-    return _basis(g, field, filters.get(field.p)), tuple(samples), rep.cliques
+    basis = _basis(g, field, filters.get(field.p), _indicators(g))
+    return basis, tuple(samples), rep.cliques
 
 
 def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
@@ -562,7 +578,7 @@ def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
     g = mis.graph
     filt = _RowFilter(mis.sets[0], g.n, field.p)
     filt.read(islice(mis.sets, 1, None))
-    return WcSpace(g, field, _basis(g, field, filt), len(mis))
+    return WcSpace(g, field, _basis(g, field, filt, ()), len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, cap: int = DEFAULT_MIS_CAP) -> int:

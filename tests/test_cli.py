@@ -457,7 +457,7 @@ def test_sizes_seeds_and_glue_indices_are_ascii_decimal(capsys):
     assert code == 0 and json.loads(out)["seed"] == -1
 
 
-def test_a_named_command_builds_only_its_own_parser():
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
     def commands(parser):
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -466,13 +466,38 @@ def test_a_named_command_builds_only_its_own_parser():
     full = commands(cli._build_parser())
     assert list(full) == ["gen", "wcdim", "classify", "mis", "compose",
                           "verify"]
+    made = []  # every subparsers action main constructs
+    init = argparse._SubParsersAction.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", spy)
     for name in ("bogus", "-h", "--help", "--"):
-        assert list(commands(cli._build_parser(name))) == list(full)
+        made.clear()
+        try:
+            assert main([name]) == 1, name
+        except SystemExit as exc:  # the help exits
+            assert exc.code == 0, name
+        [sub] = made
+        assert list(sub.choices) == list(full), name
+    runs = {"gen": ["path", "3"], "wcdim": ["k3"], "classify": ["k3"],
+            "mis": ["k3"], "verify": ["--random-count", "0"],
+            "compose": ["k3", "k3", "--glue", "0:0", "--glue", "1:1",
+                        "--glue", "2:2"]}
     for name, parser in full.items():
-        [(only, alone)] = commands(cli._build_parser(name)).items()
-        assert only == name
+        alone = cli._command_parser(name)
         assert alone.format_help() == parser.format_help()
         assert alone.format_usage() == parser.format_usage()
+        made.clear()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
+        assert main([name, *runs[name]]) == 0, name
+        assert made == [], name
 
 
 def test_help_and_unknown_commands_list_every_subcommand(capsys):

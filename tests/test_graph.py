@@ -14,6 +14,7 @@ from wellcovered.graph import (DisconnectedGraphError, EdgeListParseError,
                                simplicial_report, simplicial_vertices)
 from wellcovered.families import (complete, cycle, figure1, path, sierpinski,
                                   named_corpus)
+from wellcovered.mis import swap_pairs
 
 from oracles import (adjacency, components_naive, has_long_induced_cycle,
                      simplicial_cliques_naive, simplicial_vertices_naive)
@@ -206,13 +207,19 @@ def test_simplicial_report_is_memoised_per_graph():
 
 def test_graph_copies_and_pickles_to_an_equal_graph():
     for name, g in named_corpus().items():
+        blank = Graph(g.n, g.edges)
         simplicial_report(g)
+        swap_pairs(g)  # fills the _engine and _mis_count slots
+        assert g._engine is not None and g._mis_count is not None, name
+        # the memo slots take no part in equality or hashing
+        assert blank == g and hash(blank) == hash(g), name
         for twin in (copy.copy(g), copy.deepcopy(g),
                      pickle.loads(pickle.dumps(g))):
             assert twin == g and hash(twin) == hash(g), name
             assert adjacency_masks(twin) == adjacency_masks(g), name
             # rebuilt through the constructor: the memo is not carried over
             assert twin._simplicial is None, name
+            assert twin._engine is None and twin._mis_count is None, name
 
 
 def test_adjacency_masks_are_built_once_and_rebuilt_by_copies():

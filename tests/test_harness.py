@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from wellcovered import harness, wcspace
+from wellcovered import harness, mis as mis_module, wcspace
 from wellcovered.families import (ScsSpec, complete, cycle, figure1,
                                   figure6_spec, named_corpus, path,
                                   scs_compose, sierpinski,
@@ -343,6 +343,24 @@ def test_a_direct_check_enumerates_each_graph_it_reads_once(monkeypatch):
         assert set(built.values()) == {1}, check.__name__
         assert len(built) == 3 * len(enumerated), check.__name__
     assert harness._cache is None
+
+
+def test_a_run_counts_no_root_state_its_mis_lists_counted(monkeypatch):
+    # every graph whose swap pairs or through counts a run asks for had its
+    # MIS list built earlier in the run, which counted every MIS once and
+    # recorded the total, so the engine never counts a root state (V, {})
+    counted, roots = [], []
+    count = mis_module._count_completions
+
+    def spy(masks, memo, u, d, cap):
+        counted.append(u)
+        if u == (1 << len(masks[0])) - 1 and not d:
+            roots.append(masks[0])
+        return count(masks, memo, u, d, cap)
+
+    monkeypatch.setattr(mis_module, "_count_completions", spy)
+    assert suite_passed(run_suite("default", seed=1))
+    assert counted and roots == []
 
 
 def test_run_suite_drops_its_cache_when_it_raises(monkeypatch):

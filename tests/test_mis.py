@@ -283,6 +283,12 @@ def test_smallest_last_takes_a_least_degree_vertex_each_step():
             left.remove(v)
 
 
+def _fresh(g: Graph) -> Graph:
+    """A graph equal to g with empty memo slots: its queries build its
+    engine and count its root, where g may read what it memoised."""
+    return Graph(g.n, g.edges)
+
+
 def _mis_queries(g: Graph, glue_edge: tuple[int, ...]):
     """count_mis, enumerate_mis's sets, swap_pairs and the through counts
     of scs_mis_count with g glued to itself along glue_edge."""
@@ -335,9 +341,11 @@ def test_state_queries_are_unchanged_by_relabelling_around_the_threshold(
                 assert out.total == through.total
                 assert out.per_vertex == tuple(
                     (perm[v], l, m) for v, l, m in through.per_vertex)
-            # the engine in g's own labels gives the same answers
+            # the engine in g's own labels gives the same answers; a fresh
+            # graph builds that engine, where g would read its memoised one
             monkeypatch.setattr(mis_module, "_RENUMBER_ABOVE", n)
-            assert _mis_queries(g, edge) == (count, sets, pairs, through), g
+            assert _mis_queries(_fresh(g), edge) == \
+                (count, sets, pairs, through), g
             monkeypatch.setattr(mis_module, "_RENUMBER_ABOVE", above)
 
 
@@ -386,7 +394,11 @@ def test_state_queries_are_unchanged_when_the_memo_is_cleared_mid_walk(
                 for g, glue in zip(graphs, glued)]
     monkeypatch.setattr(mis_module, "_COUNT_MEMO", size)
     for g, glue, (k, pairs, through) in zip(graphs, glued, expected):
-        assert (count_mis(g), swap_pairs(g), scs_mis_count(*glue)) == \
+        # fresh graphs count their roots again, where g and the glued pair
+        # would read the counts they recorded above
+        g1, g2, glue_map = glue
+        assert (count_mis(_fresh(g)), swap_pairs(_fresh(g)),
+                scs_mis_count(_fresh(g1), _fresh(g2), glue_map)) == \
             (k, pairs, through), g
         # the memo is cleared while the walk is below the root, so the
         # count rests on the parents saved on the stack alone
@@ -403,6 +415,19 @@ def test_count_raises_exactly_past_the_cap_on_deep_graphs():
         assert count_mis(g, cap=k) == k, spec
         with pytest.raises(MisCapExceededError) as err:
             count_mis(g, cap=k - 1)
+        assert err.value.cap == k - 1, spec
+
+
+def test_the_engine_raises_as_soon_as_a_count_passes_the_cap():
+    # count_mis compares a recorded count with the cap as well, so only a
+    # call to the engine itself shows that the walk stops past the cap
+    for spec in _DEEP_GRAPHS:
+        g = _gnp(*spec)
+        k = count_mis(g)
+        masks, full = mis_module._state_masks(g)[0], (1 << g.n) - 1
+        assert mis_module._count_completions(masks, {}, full, 0, k) == k
+        with pytest.raises(MisCapExceededError) as err:
+            mis_module._count_completions(masks, {}, full, 0, k - 1)
         assert err.value.cap == k - 1, spec
 
 
@@ -717,6 +742,27 @@ def test_scs_mis_count_lists_no_set(monkeypatch):
     monkeypatch.setattr(mis_module, "iter_mis", refuse)
     spec = figure6_spec()
     _assert_through_counts_match_the_oracle(spec.g1, spec.g2, spec.glue_map())
+
+
+def test_a_recorded_mis_count_is_compared_with_each_cap():
+    # a graph records its MIS count once a count or a full search
+    # completes; the queries that read it still raise exactly past the cap
+    for spec in _DEEP_GRAPHS:
+        g = _gnp(*spec)
+        next(iter_mis(g))  # a search stopped early records nothing
+        assert g._mis_count is None, spec
+        k = len(enumerate_mis(g).sets)
+        assert g._mis_count == k and g._engine is not None, spec
+        for query in (count_mis, swap_pairs):
+            with pytest.raises(MisCapExceededError) as err:
+                query(g, cap=k - 1)
+            assert err.value.cap == k - 1, (spec, query)
+        assert count_mis(g, cap=k) == k
+        g1, g2, glue = _self_glued(g, 0)
+        with pytest.raises(MisCapExceededError):
+            scs_mis_count(g1, g2, glue, cap=k - 1)
+        assert scs_mis_count(g1, g2, glue, cap=k) == \
+            scs_mis_count(_fresh(g1), _fresh(g2), glue)
 
 
 def test_state_queries_raise_exactly_when_the_count_passes_the_cap():

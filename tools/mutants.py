@@ -89,6 +89,11 @@ MUTANTS = (
     Mutant("slot-width-one-bit-short", WCSPACE,
            "if l1 >> (width - 1):",
            "if l1 >> width:", WCSPACE_TESTS),
+    # a filter with a floor reads its basis off the clique indicators
+    # while its kernel is still above the floor
+    Mutant("basis-indicators-above-floor", WCSPACE,
+           "if filt is None or len(filt.kernel) == filt.floor:",
+           "if filt is None or filt.floor:", WCSPACE_TESTS),
     # the listed path skips the second MIS: its row is never tested
     Mutant("listed-path-skips-a-mis", WCSPACE,
            "islice(mis.sets, 1, None)",
@@ -147,6 +152,11 @@ MUTANTS = (
     # the count allows one completion past the cap before it raises
     Mutant("count-cap-one-late", MIS, "if total > cap:",
            "if total > cap + 1:", MIS_TESTS),
+    # a MIS count recorded on the graph is returned without the cap check,
+    # so a later query under a smaller cap does not raise
+    Mutant("recorded-count-skips-the-cap", MIS,
+           "    if mis_count > cap:  # recorded under a larger cap\n"
+           "        raise MisCapExceededError(cap)\n", "", MIS_TESTS),
     # the D scan stops at a candidate of two vertices, not one, so a state
     # may branch more ways than it must
     Mutant("branch-scan-stops-at-two", MIS, "if k < 2:", "if k <= 2:",
