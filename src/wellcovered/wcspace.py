@@ -12,26 +12,23 @@ difference rows instead, taking differences against a base MIS: a row is
 selected exactly when it is outside the span of the rows selected before
 it.  A given MIS list is read by one row filter per field, with its first
 MIS as the base.  A filter keeps vectors spanning the kernel of the rows
-selected so far, starting from the identity: coprime integers over the
-rationals, residues over GF(p).  A MIS's difference row already lies in the
-selected row space exactly when every kernel vector has the same sum on
-that MIS as on the base, compared modulo p over GF(p); this holds over
-every field, since a subspace is the annihilator of its annihilator.  The
-kernel vectors are packed side by side into one integer per vertex, in
-slots wide enough that each vector's difference on a MIS is one exact
-digit, so a single integer sum per MIS tests every vector at once.  A MIS
-that fails has its row selected, and one failing kernel vector is used to
-eliminate the new row from the others, then dropped.  There is one path per
-kind of field.  Over GF(2) a slot is one bit and a difference is a parity,
-so the XOR of the packed bits over the MIS and the base MIS is exactly the
-set of failing vectors, no digit is decoded, and the pivot is XORed into
-each of them.  Over GF(p), p odd, the packed slots are the kernel: each
-holds a residue, the digits of an unequal sum are decoded all at once, by
-one cast of its lanes, and re-tested modulo p, because a difference that
-is a nonzero multiple of p is zero in the field, and the elimination is one
-lane-wide add-and-reduce per vertex in the pivot's support.  Over the
-rationals the kernel vectors are coprime integer lists, eliminated
-fraction-free, and the slots widen as they grow.  The row
+selected so far, starting from the identity: integers over the rationals,
+residues over GF(p).  A MIS's difference row already lies in the selected
+row space exactly when every kernel vector has the same sum on that MIS as
+on the base, compared modulo p over GF(p), since a subspace is the
+annihilator of its annihilator.  The kernel vectors are packed side by
+side into one integer per vertex, in slots wide enough that each vector's
+difference on a MIS is one exact digit, so one integer sum per MIS tests
+every vector at once.  A MIS that fails has its row selected, and one
+failing kernel vector, the pivot, eliminates the new row from the others
+and is dropped.  Over GF(2) a slot is one bit, the XOR of the packed bits
+over the MIS and the base is the set of failing vectors, and the pivot is
+XORed into each.  Over GF(p), p odd, the packed slots are the kernel, the
+digits of an unequal sum are decoded by one cast of its lanes and
+re-tested modulo p, and the elimination is one lane-wide add-and-reduce
+per vertex in the pivot's support.  Over the rationals the slots widen as
+the vectors grow; a pivot digit of +-1 costs one multiply-add per vertex in
+the pivot's support, and any other is eliminated fraction-free.  The row
 space only grows, so the final kernel satisfies every MIS: the selection is
 exact over every field and needs no verification pass.
 
@@ -50,30 +47,39 @@ round in one call, and a round is never longer than the samples read one at
 a time would run before stopping, so the rounds read the same samples.  The
 rationals are certified from a prime: the difference rows are integer rows,
 so their rank over Q is at least their rank modulo p.  A GF(p) filter at
-its floor has rows of rank n - sc, so the dimension over Q is at most sc,
-hence exactly sc, and the space is the span of the clique indicators; no
-rational filter is built.  With no prime field asked for,
-one fixed internal prime is sampled for this alone.  Where no prime filter
-finishes, a rational filter is built on the first sample and joins the
-others; it reads no sample, since on the corpus and on some 900 random
-graphs the samples that left every prime filter open never finished it
-either.  The filters not yet
-finished then read the search, streamed a block of MISs at a time so that
-no MIS list is held, until they are.  Where the dimension exceeds sc they
-read it to the end, and its length is the MIS count.  Otherwise the count
-comes from count_mis, which lists no set, and where sampling finished every
-filter the search is never run.  certified_space stops after the sampling
-phase, and returns the space only when its one prime filter reached its
-floor: over the rationals, the filter over the internal prime.
+its floor has rows of rank n - sc, so the dimension over Q is exactly sc,
+and the space is the span of the clique indicators; no rational filter is
+built.  With no prime field asked for, one fixed internal prime is sampled
+for this alone.  Where no prime filter finishes, a rational filter is built
+on the first sample; it reads no sample, since on the corpus and on some
+900 random graphs the samples that left every prime filter open never
+finished it either.  The filters not yet finished then read the search,
+streamed a block of MISs at a time, until they are.  Where the dimension
+exceeds sc they read it to the end, and its length is the MIS count;
+otherwise the count comes from count_mis, which lists no set.
+certified_space stops after the sampling phase, and returns the space only
+when its one prime filter reached its floor.
 
-The basis is then read off each filter's final kernel, which is the
-well-covered space, or off the clique indicators where a prime certified
-the rationals: span_basis returns the free-column basis of the reduced
-echelon form of the constraint rows, from vectors spanning their nullspace,
-so the selected rows are never eliminated a second time.  Each basis
-vector is a tuple of ints.  That basis depends only on the space, so
-neither on which spanning rows were selected, nor on the base, nor on the
-order of the MISs.
+The final kernel is the space, and its live vectors are already its basis,
+so the selected rows are never eliminated a second time.  That basis is
+nullspace_basis's for the constraint rows: one vector per free column of
+their reduced echelon form, zero on every other free column, so it depends
+on neither the rows selected, the base nor the MIS order.  Proof: each live
+vector w_i starts as e_i and stays zero on every other live slot, as an
+update w_i <- g_j w_i - g_i w_j keeps that (w_j[i] = 0), so the live
+vectors are a free-column basis with the live slots as free set F.  The
+echelon form's free set is the set of trailing indices (last nonzero
+entries) of the kernel's vectors; by induction it is F, so w_i is the
+vector of free column i, with trailing index i.  Let J be the failing slots
+of a selected row, with digits g_i nonzero.  The new kernel reaches every
+old trailing index but k = min J: i outside J by w_i, and i in J above k
+by w_i - (g_i / g_k) w_k, while a vector with trailing index k has
+sum a_i g_i = a_k g_k, nonzero.  The pivot is slot k, so F stays the free
+set.  Each basis vector is thus a live vector, normalised by vectors: over
+GF(p) w_i[i] stays 1, as w_i only gains multiples of w_j, and over the
+rationals w_i is divided by its content and signed so its first nonzero
+entry is positive.  Only a rational space certified by a prime has no
+filter, and span_basis reads its basis off the clique indicators.
 """
 
 from __future__ import annotations
@@ -190,12 +196,11 @@ class _RowFilter:
     the differences w_i . row.  Equal packed sums mean every vector is
     constant on the MIS.  A MIS with a failing digit has its row selected:
     the vector with the lowest failing slot is the pivot, it eliminates the
-    new row from the other failing vectors, and it is dropped.  The pivot
-    eliminates the row from every other failing vector before the filter
-    stops at its floor, so the live vectors always span the kernel of the
-    selected rows exactly, and the basis is read off them (see _basis and
-    vectors).  Each kind of field has its own read path, and every path
-    picks the same pivot, so the same rows are selected.
+    new row from the other failing vectors, and it is dropped.  So the live
+    vectors always span the kernel of the selected rows exactly, each is
+    zero on every other live slot, and vectors() reads the basis off them
+    (see the module docstring).  Each kind of field has its own read path,
+    and every path picks the same pivot, so the same rows are selected.
 
     Over GF(2) (_read_xor) the slots are one bit wide and are never summed:
     kernel[i] is an int bitmask whose bit v is w_i[v], packed[v] has bit i
@@ -220,10 +225,13 @@ class _RowFilter:
     slot sets its top bit exactly then, which needs 2**(width-1) >= p.
 
     Over the rationals (_read_slots) kernel maps a slot i to w_i as a list
-    of coprime ints.  A row has entries in {-1, 0, 1}, so a vector's L1
-    norm bounds its digit, and width at least doubles (every vector is
-    re-packed) whenever a vector outgrows it.  The pivot eliminates the row
-    fraction-free, and packed changes only in the slots that changed.
+    of ints.  A row has entries in {-1, 0, 1}, so a vector's L1 norm bounds
+    its digit, and width at least doubles (every vector is re-packed)
+    whenever a vector outgrows it.  A pivot digit g_j of +-1 turns each
+    other failing w_i into w_i - g_i g_j w_j and clears w_j, so packed[v]
+    loses w_j[v] * sum of g_i g_j << (i * width) over the failing slots.
+    Any other pivot eliminates the row fraction-free, dividing each new w_i
+    by its content, and packed changes only in the slots that changed.
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
@@ -251,13 +259,22 @@ class _RowFilter:
         self.last = -1
 
     def vectors(self) -> list[list[int]]:
-        """The live kernel vectors, as int lists over every field."""
-        if self.p == 2:
-            return [list(format(w, f"0{self.n}b")[::-1].encode()
-                         .translate(_BITS)) for w in self.kernel.values()]
-        if not self.p:
-            return list(self.kernel.values())
+        """The live kernel vectors in ascending slot order, as int lists;
+        over the rationals each is divided by its content and signed so its
+        first nonzero entry is positive.  Once the kernel is the well-covered
+        space these are its free-column basis (see the module docstring)."""
         live = sorted(self.kernel)
+        if self.p == 2:
+            return [list(format(self.kernel[i], f"0{self.n}b")[::-1].encode()
+                         .translate(_BITS)) for i in live]
+        if not self.p:
+            vectors = []
+            for w in map(self.kernel.__getitem__, live):
+                content = gcd(*w)
+                if next(filter(None, w)) < 0:
+                    content = -content
+                vectors.append([x // content for x in w])
+            return vectors
         count = max(live, default=-1) + 1
         lanes = list(zip(*(_lanes(x, self.width, count)
                            for x in self.packed)))
@@ -366,12 +383,16 @@ class _RowFilter:
             if not diff:
                 continue
             selected.append(members)
-            (j, gw), *others = _slot_digits(diff, width)
+            (j, gj), *others = failing = list(_slot_digits(diff, width))
             w = kernel.pop(j)
-            deltas = {j: list(map(neg, w))}
-            for i, gu in others:
+            unit = gj * gj == 1
+            deltas = {} if unit else {j: list(map(neg, w))}
+            for i, gi in others:
                 u = kernel[i]
-                new = [gw * a - gu * b for a, b in zip(u, w)]
+                if unit:  # w_i - g_i g_j w_j, with no gcd
+                    kernel[i] = [a - gi * gj * b for a, b in zip(u, w)]
+                    continue
+                new = [gj * a - gi * b for a, b in zip(u, w)]
                 content = gcd(*new)
                 if content > 1:
                     new = [x // content for x in new]
@@ -382,6 +403,11 @@ class _RowFilter:
                 width = max(2 * width, l1.bit_length() + 1)
                 packed[:] = [0] * n
                 deltas = kernel  # re-pack every live vector at the new width
+            elif unit:
+                # slot i loses g_i g_j w_j, and slot j all of w_j: g_j g_j = 1
+                step = sum(gi * gj << (i * width) for i, gi in failing)
+                for v in compress(range(n), w):
+                    packed[v] -= w[v] * step
             for i, delta in deltas.items():
                 shift = i * width
                 for v in compress(range(n), delta):
@@ -392,31 +418,18 @@ class _RowFilter:
         self.width, self.base = width, base
 
 
-def _indicators(g: Graph) -> list[tuple[int, ...]]:
-    """The indicator vectors of g's simplicial cliques."""
-    return [indicator_weighting(g, c) for c in simplicial_report(g).cliques]
-
-
-def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None,
-           indicators: Sequence[tuple[int, ...]]
+def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None
            ) -> tuple[tuple[int, ...], ...]:
-    """The reduced echelon basis of the well-covered space over the field,
-    read by span_basis off vectors spanning it.
-
-    A filter above its floor spans the space with its live kernel vectors,
-    decoded by vectors().  A filter at its floor reads it off indicators
-    instead: the indicator vectors of the simplicial cliques where the
-    floor is sc, and none where it is 0 (the listed path).  Its kernel is
-    the space, of dimension sc, and holds those sc independent weightings,
-    so they span it.  No filter stands for a rational space certified by a
-    prime filter at its floor (see _sampled_filters), also the indicators'
-    span.  A caller with a floor builds the indicators once (_indicators)
-    for every field it asks for."""
-    if filt is None or len(filt.kernel) == filt.floor:
-        vectors = indicators
-    else:
-        vectors = filt.vectors()
-    return tuple(map(tuple, span_basis(vectors, field, g.n)))
+    """The free-column basis of the well-covered space over the field: the
+    live vectors (vectors) of a filter that read every MIS or reached its
+    floor, or, with no filter, for a rational space certified by a prime,
+    span_basis of the simplicial clique indicators, which span it (see
+    _sampled_filters)."""
+    if filt is None:
+        return tuple(map(tuple, span_basis(
+            [indicator_weighting(g, c) for c in simplicial_report(g).cliques],
+            field, g.n)))
+    return tuple(map(tuple, filt.vectors()))
 
 
 # The sampler's seed: a fixed seed keeps the samples, and so the work, the
@@ -494,21 +507,16 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     one streamed search.
 
     Every row filter takes the simplicial clique number sc as its floor.
-    The sampling phase feeds the prime filters the same seeded random
-    greedy MISs first; the first sample is the base of every difference
-    row.  A prime filter that finishes there certifies the rational space
-    as the span of the clique indicators (see _sampled_filters).  Where the
-    rationals are asked for with no prime field, one filter over
+    The prime filters read the sampling phase first (see _sampled_filters);
+    where the rationals are asked for with no prime field, one filter over
     GF(_Q_PRIME) is sampled in their place.  Where no prime filter
     finishes, a rational filter is built on the first sample, and it reads
     the stream alone.  While a filter is above its floor the search is
-    streamed: its MISs are taken in blocks, and each filter still above its
-    floor reads each block in turn, so at most one block of MISs is held.
-    A filter reads no MIS once it is finished.  mis_count is the stream's
-    length when the filters read it to the end, and count_mis's otherwise,
-    so it is exact either way and the cap still raises; where sampling
-    finished every filter, the search is never run.  The basis depends only
-    on the row space, so not on the samples or the MIS order: each space
+    streamed in blocks, and each filter still above its floor reads each
+    block in turn, so at most one block of MISs is held.  mis_count is the
+    stream's length when the filters read it to the end, and count_mis's
+    otherwise, so it is exact either way and the cap still raises; where
+    sampling finished every filter, the search is never run.  Each space
     equals well_covered_space's for the enumerated MIS list.
     """
     sc = simplicial_report(g).sc
@@ -529,9 +537,7 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
         live = [filt for filt in live if not filt.read(block)]
     if not live:
         count = count_mis(g, cap)
-    indicators = _indicators(g)
-    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p), indicators),
-                         count)
+    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p)), count)
                  for f in fields)
 
 
@@ -550,9 +556,7 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     that rank is taken modulo the prime _Q_PRIME, 65521, alone: the rows
     are integer rows, so their rank over Q is at least their rank modulo p,
     and where the prime stalls the result is None.  basis holds
-    well_covered_space's reduced echelon basis vectors, read off the
-    filter's final kernel of sc vectors, or off the clique indicators over
-    the rationals; samples holds the MISs in the order drawn, each as its
+    well_covered_space's basis vectors (see _basis); samples holds the MISs in the order drawn, each as its
     members in the order they joined; cliques holds the simplicial cliques.
     """
     rep = simplicial_report(g)
@@ -560,7 +564,7 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     samples, filters = _sampled_filters(g, (p,), rep.sc)
     if len(filters[p].kernel) > rep.sc:
         return None
-    basis = _basis(g, field, filters.get(field.p), _indicators(g))
+    basis = _basis(g, field, filters.get(field.p))
     return basis, tuple(samples), rep.cliques
 
 
@@ -570,15 +574,12 @@ def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
 
     One row filter with no floor reads the list, its first MIS the base, so
     nothing is assumed of the dimension: this is the path that can show
-    dim < sc.  Deterministic: basis vectors come from free-column
-    parameterization of the reduced echelon form; every entry is an int,
-    and rational vectors are coprime with positive leading entry (see
-    span_basis).
+    dim < sc.  The basis is the filter's live vectors (see _basis).
     """
     g = mis.graph
     filt = _RowFilter(mis.sets[0], g.n, field.p)
     filt.read(islice(mis.sets, 1, None))
-    return WcSpace(g, field, _basis(g, field, filt, ()), len(mis))
+    return WcSpace(g, field, _basis(g, field, filt), len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, cap: int = DEFAULT_MIS_CAP) -> int:

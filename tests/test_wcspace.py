@@ -564,6 +564,98 @@ def test_basis_does_not_depend_on_mis_order():
                 assert well_covered_space(shuffled, field) == space, g
 
 
+def test_listed_basis_is_the_oracle_basis_in_any_mis_order():
+    # the listed basis is the filter's live vectors, with no second
+    # elimination; in canonical and in shuffled MIS order it must be the
+    # free-column basis of the full difference system's nullspace
+    rng = random.Random(34)
+    signed = 0
+    for _, g in random_connected_graphs(60, 34, max_n=12):
+        mis = enumerate_mis(g)
+        sets = list(mis.sets)
+        rng.shuffle(sets)
+        for field in FOUR_FIELDS:
+            want = nullspace_basis_elimination(g.n, g.edges, field.p)
+            for order in (mis, MisList(graph=g, sets=tuple(sets))):
+                assert well_covered_space(order, field).basis_vectors() \
+                    == want, (g, field)
+            if field.is_rationals:
+                filt = _list_filter(sets, g.n, None)
+                signed += any(next(filter(None, w)) < 0
+                              for w in filt.kernel.values())
+    # some raw rational vector leads with a negative entry, so the sign
+    # normalisation is exercised
+    assert signed > 0
+
+
+def _assert_live_vectors_are_a_free_column_basis(filt):
+    # live vector i is nonzero on slot i (1 over GF(p)), zero on every
+    # other live slot, and zero past slot i, like the free-column basis
+    live = sorted(filt.kernel)
+    vectors = filt.vectors()
+    assert len(vectors) == len(live)
+    for i, w in zip(live, vectors):
+        assert w[i] == 1 if filt.p else w[i] != 0
+        assert all(w[k] == 0 for k in live if k != i)
+        assert not any(w[i + 1:])
+
+
+def test_live_vectors_stay_a_free_column_basis_after_every_row():
+    graphs = [g for g in named_corpus().values() if g.n <= 16]
+    graphs += [g for _, g in random_connected_graphs(30, 35, max_n=12)]
+    for g in graphs + [NON_UNIT_PIVOT]:
+        sets = list(enumerate_mis(g).sets)
+        random.Random(g.n).shuffle(sets)
+        for p in (None, 2, 3, 5):
+            filt = wcspace._RowFilter(sets[0], g.n, p)
+            _assert_live_vectors_are_a_free_column_basis(filt)
+            for members in sets[1:]:
+                filt.read((members,))
+                _assert_live_vectors_are_a_free_column_basis(filt)
+
+
+# random_3_070_n8_p0.5 of the verify harness (random_connected_graphs(120,
+# 3)): its rational filter takes two pivot digits of 2, and its one final
+# live vector is 2, 0, 0, 2, 0, 2, 0, 2 before it is divided by its content
+NON_UNIT_PIVOT = Graph(8, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 4), (1, 5),
+                           (1, 6), (1, 7), (2, 6), (2, 7), (3, 5), (3, 7),
+                           (4, 5), (4, 6), (5, 7)])
+
+
+def test_a_pivot_digit_other_than_one_takes_the_general_update(monkeypatch):
+    calls = _record_digits(monkeypatch)
+    mis = enumerate_mis(NON_UNIT_PIVOT)
+    filt = _list_filter(mis.sets, NON_UNIT_PIVOT.n, None)
+    pivots = [digits[0][1] for _, digits in calls if digits]
+    assert len(pivots) == len(filt.selected)
+    assert sorted(abs(d) for d in pivots if abs(d) != 1) == [2, 2]
+    assert list(filt.kernel.values()) == [[2, 0, 0, 2, 0, 2, 0, 2]]
+    assert filt.vectors() == [[1, 0, 0, 1, 0, 1, 0, 1]]
+    want = nullspace_basis_elimination(NON_UNIT_PIVOT.n, NON_UNIT_PIVOT.edges)
+    assert well_covered_space(mis, QQ).basis_vectors() == want
+    assert _selected_rows(filt) == greedy_spanning_rows(mis.sets,
+                                                        NON_UNIT_PIVOT.n)
+
+
+def test_bases_at_the_floor_equal_the_indicator_route():
+    # a filter that stops at its floor sc publishes its live vectors; they
+    # must be the basis span_basis reads off the clique indicators
+    graphs = list(named_corpus().values()) + [sierpinski(5).graph]
+    at_floor = 0
+    for g in graphs:
+        rep = simplicial_report(g)
+        indicators = [indicator_weighting(g, c) for c in rep.cliques]
+        for space in well_covered_spaces(g, FOUR_FIELDS, cap=10**18):
+            want = tuple(map(tuple, span_basis(indicators, space.field, g.n)))
+            if space.dimension == rep.sc:
+                at_floor += 1
+                assert space.basis == want, (g, space.field)
+            cert = certified_space(g, space.field)
+            if cert is not None:
+                assert cert[0] == want, (g, space.field)
+    assert at_floor >= 100, at_floor
+
+
 def _count_streamed_reads(monkeypatch) -> Counter:
     """Count the MISs each row filter reads from the search's stream, keyed
     by the filter's modulus (None over Q); sampled MISs are not counted."""

@@ -89,11 +89,22 @@ MUTANTS = (
     Mutant("slot-width-one-bit-short", WCSPACE,
            "if l1 >> (width - 1):",
            "if l1 >> width:", WCSPACE_TESTS),
-    # a filter with a floor reads its basis off the clique indicators
-    # while its kernel is still above the floor
+    # the rationals: the pivot is the highest failing slot, so the live
+    # slots drift from the free columns and the live vectors are not the
+    # free-column basis, though the same rows are selected
+    Mutant("slots-pivot-not-lowest", WCSPACE,
+           "(j, gj), *others = failing = list(",
+           "*others, (j, gj) = failing = list(", WCSPACE_TESTS),
+    # the rationals: a live vector is published without dividing by its
+    # content or fixing the sign of its first nonzero entry
+    Mutant("rational-basis-unnormalised", WCSPACE,
+           "vectors.append([x // content for x in w])",
+           "vectors.append(w)", WCSPACE_TESTS),
+    # a filter with a floor publishes the clique indicators' basis in place
+    # of its live vectors, also where its kernel is still above the floor
     Mutant("basis-indicators-above-floor", WCSPACE,
-           "if filt is None or len(filt.kernel) == filt.floor:",
-           "if filt is None or filt.floor:", WCSPACE_TESTS),
+           "    if filt is None:\n",
+           "    if filt is None or filt.floor:\n", WCSPACE_TESTS),
     # the listed path skips the second MIS: its row is never tested
     Mutant("listed-path-skips-a-mis", WCSPACE,
            "islice(mis.sets, 1, None)",
