@@ -41,7 +41,7 @@ A MIS has one stored form, its member tuple, and is tested as a bitmask:
 _maximal_independent folds the members into one mask of chosen vertices
 and one of their neighbors, and is the only maximal-independence test.
 is_mis calls it on a checked vertex set, and the sampler of
-wcspace._sampled_filters on every random greedy MIS it draws.
+wcspace._ladder on every random greedy MIS it draws.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ difference on a MIS is one exact digit, so one integer sum per MIS tests
 every vector at once.  A MIS that fails has its row selected, and one
 failing kernel vector, the pivot, eliminates the new row from the others
 and is dropped.  Over GF(2) a slot is one bit, the XOR of the packed bits
-over the MIS and the base is the set of failing vectors, and the pivot is
-XORed into each.  Over GF(p), p odd, the packed slots are the kernel, the
-digits of an unequal sum are decoded by one cast of its lanes and
+over the MIS and the base is the set of failing vectors, and XORing it into
+every vertex of the pivot's support updates them all.  Over GF(p), p odd,
+the digits of an unequal sum are decoded by one cast of its lanes and
 re-tested modulo p, and the elimination is one lane-wide add-and-reduce
 per vertex in the pivot's support.  Over the rationals the slots widen as
 the vectors grow; a pivot digit of +-1 costs one multiply-add per vertex in
@@ -38,27 +38,7 @@ simplicial clique N[v] in exactly one vertex, since it must dominate v, and
 each clique has a simplicial vertex in no other, so the clique indicators
 are sc independent well-covered weightings.  The kernel always contains the
 well-covered space, so once it is down to sc vectors it is that space, and
-the filter is finished.  A sampling phase first feeds every prime-field
-filter the same seeded random greedy MISs, each checked by is_mis's test,
-mis._maximal_independent, before it is read; the first sample is the base.
-It stops when every filter is finished, or after a fixed run of samples
-that select no row.  The samples come in rounds, each live filter reading a
-round in one call, and a round is never longer than the samples read one at
-a time would run before stopping, so the rounds read the same samples.  The
-rationals are certified from a prime: the difference rows are integer rows,
-so their rank over Q is at least their rank modulo p.  A GF(p) filter at
-its floor has rows of rank n - sc, so the dimension over Q is exactly sc,
-and the space is the span of the clique indicators; no rational filter is
-built.  With no prime field asked for, one fixed internal prime is sampled
-for this alone.  Where no prime filter finishes, a rational filter is built
-on the first sample; it reads no sample, since on the corpus and on some
-900 random graphs the samples that left every prime filter open never
-finished it either.  The filters not yet finished then read the search,
-streamed a block of MISs at a time, until they are.  Where the dimension
-exceeds sc they read it to the end, and its length is the MIS count;
-otherwise the count comes from count_mis, which lists no set.
-certified_space stops after the sampling phase, and returns the space only
-when its one prime filter reached its floor.
+the filter is finished.  _ladder feeds the filters their MISs.
 
 The final kernel is the space, and its live vectors are already its basis,
 so the selected rows are never eliminated a second time.  That basis is
@@ -144,10 +124,8 @@ def _slot_digits(diff: int, width: int):
         yield shift // width, d
 
 
-# Lane decoding: a memoryview cast format for each lane width read
-# natively, and the byte map from GF(2) bit characters to entries.
+# Lane decoding: a memoryview cast format for each lane width read natively.
 _LANES = {8 * calcsize(code): code for code in "BHIQ"}
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _lanes(x: int, width: int, count: int) -> list[int]:
@@ -202,18 +180,19 @@ class _RowFilter:
     (see the module docstring).  Each kind of field has its own read path,
     and every path picks the same pivot, so the same rows are selected.
 
-    Over GF(2) (_read_xor) the slots are one bit wide and are never summed:
-    kernel[i] is an int bitmask whose bit v is w_i[v], packed[v] has bit i
-    set when w_i[v] is 1, and base is the XOR of packed over first.  The
-    XOR x of packed over a MIS, and of base, has bit i set exactly when
-    w_i . row is odd, so its set bits are the failing slots.  The pivot's
-    vector w is XORed into every other failing vector, and packed[v] ^= x
-    for each v in w's support updates every failing slot and clears the
-    pivot's.
+    Over GF(p) the packed slots are the kernel, and kernel is the set of
+    live slot ids.
 
-    Over GF(p), p odd (_read_lanes), the packed slots are the kernel: slot
-    i of packed[v] holds w_i[v] as a residue in 0..p-1, and kernel is the
-    set of live slot ids.  n * (p - 1) bounds every digit, so a width with
+    Over GF(2) (_read_xor) the slots are one bit wide and are never summed:
+    packed[v] has bit i set when w_i[v] is 1, and base is the XOR of packed
+    over first.  The XOR x of packed over a MIS, and of base, has bit i set
+    exactly when w_i . row is odd, so its set bits are the failing slots.
+    The pivot w_j's support is the set of v whose packed[v] has bit j set,
+    and packed[v] ^= x on each of them adds w_j to every other failing
+    vector and clears w_j.
+
+    Over GF(p), p odd (_read_lanes), slot i of packed[v] holds w_i[v] as a
+    residue in 0..p-1.  n * (p - 1) bounds every digit, so a width with
     2**(width-1) above it keeps digits exact, and _lane_digits decodes all
     n of them in one cast; a digit fails unless p divides it.  With g_i the
     failing digits and j the pivot's slot, each other failing w_i becomes
@@ -240,14 +219,13 @@ class _RowFilter:
     def __init__(self, first: tuple[int, ...], n: int, p: int | None,
                  floor: int = 0) -> None:
         self.first, self.n, self.p, self.floor = first, n, p, floor
-        if p == 2:
-            self.kernel = {i: 1 << i for i in range(n)}
-            self.width = 1
-        elif p:
+        if p:
             self.kernel = set(range(n))
-            # the least power of two, at least 8, above bit_length(n(p - 1)),
-            # so that vectors() reads every lane in one cast
-            self.width = max(8, 1 << (n * (p - 1)).bit_length().bit_length())
+            # one bit over GF(2); over an odd prime the least power of two,
+            # at least 8, above bit_length(n(p - 1)), so that vectors()
+            # reads every lane in one cast
+            self.width = 1 if p == 2 else max(
+                8, 1 << (n * (p - 1)).bit_length().bit_length())
         else:
             self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i)
                            for i in range(n)}
@@ -265,8 +243,7 @@ class _RowFilter:
         space these are its free-column basis (see the module docstring)."""
         live = sorted(self.kernel)
         if self.p == 2:
-            return [list(format(self.kernel[i], f"0{self.n}b")[::-1].encode()
-                         .translate(_BITS)) for i in live]
+            return [[x >> i & 1 for x in self.packed] for i in live]
         if not self.p:
             vectors = []
             for w in map(self.kernel.__getitem__, live):
@@ -303,7 +280,8 @@ class _RowFilter:
 
     def _read_xor(self, mis: Iterable[tuple[int, ...]]) -> None:
         """read over GF(2): a MIS's packed XOR with the base is the set of
-        failing slots, and the pivot's support flips them all."""
+        failing slots, and XORing it into the pivot's support flips them
+        all."""
         first, kernel, selected = self.first, self.kernel, self.selected
         floor, packed, base = self.floor, self.packed, self.base
         get = packed.__getitem__
@@ -315,16 +293,10 @@ class _RowFilter:
             last = t
             selected.append(members)
             low = x & -x
-            w = kernel.pop(low.bit_length() - 1)
-            others = x ^ low
-            while others:
-                low = others & -others
-                kernel[low.bit_length() - 1] ^= w
-                others ^= low
-            while w:
-                low = w & -w
-                packed[low.bit_length() - 1] ^= x
-                w ^= low
+            kernel.remove(low.bit_length() - 1)
+            for v, y in enumerate(packed):
+                if y & low:
+                    packed[v] = y ^ x
             base = reduce(xor, map(get, first), 0)
             if len(kernel) == floor:
                 break
@@ -424,7 +396,7 @@ def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None
     live vectors (vectors) of a filter that read every MIS or reached its
     floor, or, with no filter, for a rational space certified by a prime,
     span_basis of the simplicial clique indicators, which span it (see
-    _sampled_filters)."""
+    _ladder)."""
     if filt is None:
         return tuple(map(tuple, span_basis(
             [indicator_weighting(g, c) for c in simplicial_report(g).cliques],
@@ -451,40 +423,57 @@ _STALL = 32
 _Q_PRIME = 65521
 
 
-def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
-    """Sampling phase: one row filter per prime, each over GF(p) with the
-    given floor, fed seeded random greedy MISs until every filter is
-    finished or _STALL samples in a row select no row in any live filter.
+def _ladder(g: Graph, fields: Sequence[FieldSpec], cap: int | None = None):
+    """The row filters of the fields, fed MISs until every filter is
+    finished: seeded samples, then, where a cap is given, the streamed
+    search.  Returns (samples, filters, count): the samples in the order
+    drawn, the filters keyed by their prime (None for the rationals), and
+    the MIS count, or None where nothing is streamed.  Every filter takes
+    the simplicial clique number sc as its floor.
 
-    The samples are drawn in rounds, and each live filter reads a whole
-    round in one read call.  A round has k samples, the least of the
-    largest gap len(kernel) - floor over the live filters and _STALL minus
-    the current stall.  Read one at a time, the samples could not stop
-    sooner: a filter selects at most one row per sample, and the stall
-    grows by at most one per sample.  After a round the stall is the run of
-    its samples after the last that selected a row in some filter,
-    k - 1 - last, or the stall before it plus k where none did, exactly as
-    one sample per read counts it.  So the samples, the selected rows and
-    the stopping point are those of one sample per read.
+    A sampling phase first feeds every prime-field filter the same seeded
+    random greedy MISs, each checked by is_mis's test,
+    mis._maximal_independent, before it is read; a sample that fails it
+    raises RuntimeError.  The first sample is the base of every difference
+    row.  The phase stops when every filter is finished, or after _STALL
+    samples in a row that select no row in any live filter.  The samples
+    come in rounds, and each live filter reads a whole round in one read
+    call.  A round has k samples, the least of the largest gap
+    len(kernel) - sc over the live filters and _STALL minus the current
+    stall.  Read one at a time, the samples could not stop sooner: a filter
+    selects at most one row per sample, and the stall grows by at most one
+    per sample.  After a round the stall is the run of its samples after the
+    last that selected a row in some filter, k - 1 - last, or the stall
+    before it plus k where none did, exactly as one sample per read counts
+    it.  So the samples, the selected rows and the stopping point are those
+    of one sample per read.
 
-    Every sample is checked by mis._maximal_independent, is_mis's test,
-    before it is read; a sample that fails it raises RuntimeError.  The
-    first sample is the base of every difference row.  Returns the samples
-    and the filters keyed by their prime; a filter is finished when its
-    kernel is down to the floor.  The difference rows are integer rows, so
-    their rank over Q is at least their rank modulo p: a prime filter at its
-    floor sc leaves the rational space at most sc dimensions, and the clique
-    indicators give it at least sc.
+    The rationals are certified from a prime: the difference rows are integer
+    rows, so their rank over Q is at least their rank modulo p.  A GF(p) filter
+    at its floor has rows of rank n - sc, so the dimension over Q is exactly
+    sc, and the space is the span of the clique indicators; no rational filter
+    is built.  With no prime field asked for, one filter over GF(_Q_PRIME) is
+    sampled for this alone.  Where no prime filter finishes and the search is
+    streamed, a rational filter is built on the first sample; it reads no
+    sample, since on the corpus and on some 900 random graphs the samples that
+    left every prime filter open never finished it either.  The filters of the
+    fields asked for that are not yet finished then read the search, streamed a
+    block of MISs at a time, until they are, so at most one block is held.
+    Where the dimension exceeds sc they read it to the end, and its length is
+    the MIS count; otherwise the count comes from count_mis, which lists no
+    set.  Either way it is exact and the cap still raises; where sampling
+    finished every filter, the search is never run.
     """
-    adj = adjacency_masks(g)
-    rng = Random(_SAMPLE_SEED)
+    floor = simplicial_report(g).sc
+    asked = {f.p for f in fields}
+    primes = [f.p for f in fields if f.p] or [_Q_PRIME] * (None in asked)
+    adj, rng = adjacency_masks(g), Random(_SAMPLE_SEED)
 
     def draw() -> tuple[int, ...]:
         members = random_greedy_mis(adj, rng)
         if not _maximal_independent(adj, members):
-            raise RuntimeError(
-                f"sampled set {sorted(members)} is not a maximal independent "
-                "set")
+            raise RuntimeError(f"sampled set {sorted(members)} is not a "
+                               "maximal independent set")
         return members
 
     samples = [draw()]
@@ -498,55 +487,39 @@ def _sampled_filters(g: Graph, primes: Iterable[int], floor: int):
         reading, live = live, [filt for filt in live if not filt.read(batch)]
         last = max(filt.last for filt in reading)
         stall = stall + k if last < 0 else k - 1 - last
-    return samples, filters
-
-
-def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
-                        cap: int = DEFAULT_MIS_CAP) -> tuple[WcSpace, ...]:
-    """Exact well-covered space over each field, in the order given, from
-    one streamed search.
-
-    Every row filter takes the simplicial clique number sc as its floor.
-    The prime filters read the sampling phase first (see _sampled_filters);
-    where the rationals are asked for with no prime field, one filter over
-    GF(_Q_PRIME) is sampled in their place.  Where no prime filter
-    finishes, a rational filter is built on the first sample, and it reads
-    the stream alone.  While a filter is above its floor the search is
-    streamed in blocks, and each filter still above its floor reads each
-    block in turn, so at most one block of MISs is held.  mis_count is the
-    stream's length when the filters read it to the end, and count_mis's
-    otherwise, so it is exact either way and the cap still raises; where
-    sampling finished every filter, the search is never run.  Each space
-    equals well_covered_space's for the enumerated MIS list.
-    """
-    sc = simplicial_report(g).sc
-    primes = [f.p for f in fields if f.p]
-    rationals = len(primes) < len(fields)
-    samples, filters = _sampled_filters(
-        g, primes or ([_Q_PRIME] if rationals else []), sc)
-    live = [filt for filt in filters.values() if len(filt.kernel) > sc]
-    if rationals and len(live) == len(filters):  # no prime filter finished
-        if not primes:
-            live = []  # GF(_Q_PRIME) was asked for by no field
-        filters[None] = _RowFilter(samples[0], g.n, None, sc)
-        live.append(filters[None])
-    stream = iter_mis(g, cap)
-    count = 0
+    if cap is None:
+        return samples, filters, None
+    if None in asked and len(live) == len(filters):  # no prime filter finished
+        filters[None] = _RowFilter(samples[0], g.n, None, floor)
+    live = [filt for p, filt in filters.items()
+            if p in asked and len(filt.kernel) > floor]
+    stream, count = iter_mis(g, cap), 0
     while live and (block := list(islice(stream, _BLOCK))):
         count += len(block)
         live = [filt for filt in live if not filt.read(block)]
     if not live:
         count = count_mis(g, cap)
+    return samples, filters, count
+
+
+def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
+                        cap: int = DEFAULT_MIS_CAP) -> tuple[WcSpace, ...]:
+    """Exact well-covered space over each field, in the order given, from
+    the sampled MISs and one streamed search (see _ladder).  Each space
+    equals well_covered_space's for the enumerated MIS list, and mis_count
+    is exact, so the cap still raises.
+    """
+    _, filters, count = _ladder(g, fields, cap)
     return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p)), count)
                  for f in fields)
 
 
 def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     """The well-covered space over the field with its certificate, from the
-    sampling phase of well_covered_spaces alone: (basis, samples, cliques),
-    or None when the sampled rows leave the kernel above the simplicial
-    clique number sc.  None is not a verdict: the dimension exceeds sc, or
-    sampling stalled first.
+    sampled MISs of well_covered_spaces alone (_ladder with no stream):
+    (basis, samples, cliques), or None when the sampled rows leave the
+    kernel above the simplicial clique number sc.  None is not a verdict:
+    the dimension exceeds sc, or sampling stalled first.
 
     The difference rows of the samples (each checked to be maximal and
     independent), taken against the first, have rank n - sc, so the space
@@ -556,16 +529,16 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     that rank is taken modulo the prime _Q_PRIME, 65521, alone: the rows
     are integer rows, so their rank over Q is at least their rank modulo p,
     and where the prime stalls the result is None.  basis holds
-    well_covered_space's basis vectors (see _basis); samples holds the MISs in the order drawn, each as its
-    members in the order they joined; cliques holds the simplicial cliques.
+    well_covered_space's basis vectors (see _basis); samples holds the MISs
+    in the order drawn, each as its members in the order they joined;
+    cliques holds the simplicial cliques.
     """
     rep = simplicial_report(g)
-    p = field.p or _Q_PRIME
-    samples, filters = _sampled_filters(g, (p,), rep.sc)
-    if len(filters[p].kernel) > rep.sc:
+    samples, filters, _ = _ladder(g, (field,))
+    (filt,) = filters.values()  # over the rationals, GF(_Q_PRIME)'s
+    if len(filt.kernel) > rep.sc:
         return None
-    basis = _basis(g, field, filters.get(field.p))
-    return basis, tuple(samples), rep.cliques
+    return _basis(g, field, filters.get(field.p)), tuple(samples), rep.cliques
 
 
 def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:

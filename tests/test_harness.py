@@ -382,7 +382,7 @@ def test_the_harness_reads_the_floor_free_listed_path(monkeypatch):
     # lower_bound tests dim >= sc, so no space the harness reads may take
     # sc as a floor: it samples nothing, and every row filter has floor 0
     sampled, floors = [], []
-    sample = wcspace._sampled_filters
+    sample = wcspace._ladder
     init = wcspace._RowFilter.__init__
 
     def sample_spy(*args):
@@ -393,7 +393,7 @@ def test_the_harness_reads_the_floor_free_listed_path(monkeypatch):
         floors.append(floor)
         init(self, first, n, p, floor)
 
-    monkeypatch.setattr(wcspace, "_sampled_filters", sample_spy)
+    monkeypatch.setattr(wcspace, "_ladder", sample_spy)
     monkeypatch.setattr(wcspace._RowFilter, "__init__", init_spy)
     run_suite("default", seed=1, random_count=5)
     assert floors and set(floors) == {0} and not sampled

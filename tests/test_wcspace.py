@@ -483,7 +483,7 @@ def test_sampled_kernels_are_exact_at_the_floor(monkeypatch):
     built = _spy_built_filters(monkeypatch)
     for g in graphs:
         sc = simplicial_report(g).sc
-        _, filters = wcspace._sampled_filters(g, primes, sc)
+        _, filters, _ = wcspace._ladder(g, [FieldSpec(p) for p in primes])
         assert list(filters) == primes
         finished = [p for p, filt in filters.items() if len(filt.kernel) == sc]
         for p in finished:
@@ -966,11 +966,39 @@ def test_a_filter_born_at_its_floor_draws_no_sample():
             (((1,),), ((0,),), (frozenset({0}),)), field
 
 
+def test_the_certificate_holds_the_samples_wcdim_read(monkeypatch):
+    # certified_space and well_covered_spaces sample through one driver:
+    # over one field both draw the same MISs, and a certificate's samples
+    # are the MISs well_covered_spaces read
+    drawn = []
+    draw = wcspace.random_greedy_mis
+
+    def draw_spy(adj, rng):
+        drawn.append(draw(adj, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(wcspace, "random_greedy_mis", draw_spy)
+    certified = 0
+    for g in named_corpus().values():
+        for field in (GF2, GF3, QQ):
+            drawn.clear()
+            cert = certified_space(g, field)
+            cert_drawn = drawn[:]
+            drawn.clear()
+            well_covered_spaces(g, (field,))
+            assert drawn == cert_drawn, (g, field)
+            if cert is not None:
+                certified += 1
+                assert list(cert[1]) == drawn, (g, field)
+    # most corpus graphs are certified over each field
+    assert certified > len(named_corpus()) * 2, certified
+
+
 def _sampled_one_at_a_time(g, primes, floor):
     """The sampling phase as one sample per read: each filter reads one
     sample at a time, and the stall counter restarts at every sample that
-    selects a row in some filter.  _sampled_filters reads rounds of samples
-    and must stop at the same sample, with the same filters."""
+    selects a row in some filter.  _ladder reads rounds of samples and must
+    stop at the same sample, with the same filters."""
     adj = adjacency_masks(g)
     rng = random.Random(wcspace._SAMPLE_SEED)
     samples = [random_greedy_mis(adj, rng)]
@@ -1005,7 +1033,8 @@ def test_sampling_rounds_match_one_sample_at_a_time():
     for primes in ((2, 3), (65521,), (3,), (2, 3, 5)):
         for g in graphs:
             sc = simplicial_report(g).sc
-            samples, filters = wcspace._sampled_filters(g, primes, sc)
+            samples, filters, _ = wcspace._ladder(
+                g, [FieldSpec(p) for p in primes])
             ref_samples, ref_filters = _sampled_one_at_a_time(g, primes, sc)
             # the same samples, so the same stopping point
             assert samples == ref_samples, (g, primes)

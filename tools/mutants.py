@@ -67,12 +67,11 @@ HARNESS, HARNESS_TESTS = "src/wellcovered/harness.py", "tests/test_harness.py"
 MUTANTS = (
     # GF(2): the pivot's support no longer flips the failing slots
     Mutant("xor-packed-not-flipped", WCSPACE,
-           "packed[low.bit_length() - 1] ^= x",
-           "packed[low.bit_length() - 1] ^= 0", WCSPACE_TESTS),
-    # GF(2): the pivot is eliminated from the first other failing vector only
+           "packed[v] = y ^ x", "packed[v] = y", WCSPACE_TESTS),
+    # GF(2): a selected row clears the pivot's bit only, so the pivot is
+    # eliminated from no other failing vector
     Mutant("xor-first-other-only", WCSPACE,
-           "others = x ^ low",
-           "others = (x ^ low) & -(x ^ low)", WCSPACE_TESTS),
+           "packed[v] = y ^ x", "packed[v] = y ^ low", WCSPACE_TESTS),
     # odd p: a digit that is a nonzero multiple of p fails its vector
     Mutant("slot-mod-p-dropped", WCSPACE,
            "enumerate(_lane_digits(diff, width, n)) if d % p]",
@@ -111,8 +110,8 @@ MUTANTS = (
            "islice(mis.sets, 2, None)", WCSPACE_TESTS),
     # the certificate accepts a sampled kernel one vector above sc
     Mutant("certified-space-accepts-sc-plus-one", WCSPACE,
-           "if len(filters[p].kernel) > rep.sc:",
-           "if len(filters[p].kernel) > rep.sc + 1:", WCSPACE_TESTS),
+           "if len(filt.kernel) > rep.sc:",
+           "if len(filt.kernel) > rep.sc + 1:", WCSPACE_TESTS),
     # the shared maximal-independence test drops its independence clause,
     # so the sampler passes a drawn set holding two adjacent vertices
     Mutant("sampler-independence-dropped", MIS,
@@ -133,8 +132,8 @@ MUTANTS = (
     # a rational filter is built while any prime filter is open, not only
     # where none reached its floor to certify the rationals
     Mutant("rational-filter-wrong-condition", WCSPACE,
-           "if rationals and len(live) == len(filters):",
-           "if rationals and live:", WCSPACE_TESTS),
+           "if None in asked and len(live) == len(filters):",
+           "if None in asked and live:", WCSPACE_TESTS),
     # a clique whose removal leaves one component counts as splitting
     Mutant("scs-split-one-component", FAMILIES,
            "if rest and _reach(masks, rest & -rest, rest) != rest:",
