@@ -11,26 +11,25 @@ matrix.  One forward pass over the MISs selects a spanning subset of
 difference rows instead, taking differences against a base MIS: a row is
 selected exactly when it is outside the span of the rows selected before
 it.  A given MIS list is read by one row filter per field, with its first
-MIS as the base.  A filter keeps vectors spanning the kernel of the rows
-selected so far, starting from the identity: integers over the rationals,
-residues over GF(p).  A MIS's difference row already lies in the selected
-row space exactly when every kernel vector has the same sum on that MIS as
-on the base, compared modulo p over GF(p), since a subspace is the
-annihilator of its annihilator.  The kernel vectors are packed side by
-side into one integer per vertex, in slots wide enough that each vector's
-difference on a MIS is one exact digit, so one integer sum per MIS tests
-every vector at once.  A MIS that fails has its row selected, and one
-failing kernel vector, the pivot, eliminates the new row from the others
-and is dropped.  Over GF(2) a slot is one bit, the XOR of the packed bits
-over the MIS and the base is the set of failing vectors, and XORing it into
-every vertex of the pivot's support updates them all.  Over GF(p), p odd,
-the digits of an unequal sum are decoded by one cast of its lanes and
-re-tested modulo p, and the elimination is one lane-wide add-and-reduce
-per vertex in the pivot's support.  Over the rationals the slots widen as
-the vectors grow; a pivot digit of +-1 costs one multiply-add per vertex in
-the pivot's support, and any other is eliminated fraction-free.  The row
-space only grows, so the final kernel satisfies every MIS: the selection is
-exact over every field and needs no verification pass.
+MIS as the base.  Every filter works over a prime field GF(p), and a
+rational space is lifted from one (see below).  A filter keeps residue
+vectors spanning the kernel of the rows selected so far, starting from the
+identity.  A MIS's difference row already lies in the selected row space
+exactly when every kernel vector has the same sum modulo p on that MIS as
+on the base, since a subspace is the annihilator of its annihilator.  The
+kernel vectors are packed side by side into one integer per vertex, in
+slots wide enough that each vector's difference on a MIS is one exact
+digit, so one integer sum per MIS tests every vector at once.  A MIS that
+fails has its row selected, and one failing kernel vector, the pivot,
+eliminates the new row from the others and is dropped.  Over GF(2) a slot
+is one bit, the XOR of the packed bits over the MIS and the base is the set
+of failing vectors, and XORing it into every vertex of the pivot's support
+updates them all.  Over GF(p), p odd, the digits of an unequal sum are
+decoded by one cast of its lanes and re-tested modulo p, and the
+elimination is one lane-wide add-and-reduce per vertex in the pivot's
+support.  The row space only grows, so the final kernel satisfies every
+MIS: the selection is exact over every field and needs no verification
+pass.
 
 Without a MIS list, the filters get a floor: the simplicial clique number
 sc, a lower bound on the dimension over every field.  Every MIS meets each
@@ -46,7 +45,7 @@ nullspace_basis's for the constraint rows: one vector per free column of
 their reduced echelon form, zero on every other free column, so it depends
 on neither the rows selected, the base nor the MIS order.  Proof: each live
 vector w_i starts as e_i and stays zero on every other live slot, as an
-update w_i <- g_j w_i - g_i w_j keeps that (w_j[i] = 0), so the live
+update w_i <- w_i - (g_i / g_j) w_j keeps that (w_j[i] = 0), so the live
 vectors are a free-column basis with the live slots as free set F.  The
 echelon form's free set is the set of trailing indices (last nonzero
 entries) of the kernel's vectors; by induction it is F, so w_i is the
@@ -55,23 +54,45 @@ of a selected row, with digits g_i nonzero.  The new kernel reaches every
 old trailing index but k = min J: i outside J by w_i, and i in J above k
 by w_i - (g_i / g_k) w_k, while a vector with trailing index k has
 sum a_i g_i = a_k g_k, nonzero.  The pivot is slot k, so F stays the free
-set.  Each basis vector is thus a live vector, normalised by vectors: over
-GF(p) w_i[i] stays 1, as w_i only gains multiples of w_j, and over the
-rationals w_i is divided by its content and signed so its first nonzero
-entry is positive.  Only a rational space certified by a prime has no
-filter, and span_basis reads its basis off the clique indicators.
+set.  Each basis vector is thus a live vector, with w_i[i] still 1, as w_i
+only gains multiples of w_j.
+
+The rationals are lifted from a filter over GF(p) that read every MIS or
+reached its floor (_lift): its live vectors w are the free-column basis
+over GF(p), and every difference row r has r . w = 0 mod p.  Each w
+becomes an int vector v = c w mod p, c a unit: its balanced residues
+(x - p where x > p/2), or, where their L1 norm is p or more, each entry
+rebuilt as a fraction a/b with |a|, |b| <= sqrt(p/2) (rational
+reconstruction) and the vector scaled to coprime ints.  v is signed so its
+first nonzero entry is positive, and the basis is accepted only if every v
+has L1 norm below p.  Then it is exact.  r has entries in {-1, 0, 1}, so
+|r . v| <= |v|_1 < p, and r . v = 0 mod p forces r . v = 0: v is a
+rational well-covered weighting.  v_i is nonzero on slot i, where w_i is 1
+and c a unit, and zero on every other live slot and past slot i, where w_i
+is zero mod p and |v_i|_1 < p.  So the v's are independent, and since the
+integer rows have rank over Q at least their rank mod p, they are a basis
+of the rational space with the live slots as its free set: each v_i is
+free column i's basis vector, scaled to coprime ints with its first
+nonzero entry positive.  Where the check fails, the same MISs are read
+again over the next primes above p, the residues of the filters with the
+same live slots are combined by the Chinese remainder theorem, and the
+lift is retried modulo their product M, by the same argument with M for
+p.  All but finitely many primes keep the rational rank and free set, and
+the entries' heights are bounded, so the retries end.  Only a rational
+space certified by a prime at its floor has no filter, and span_basis
+reads its basis off the clique indicators.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import reduce
-from itertools import compress, islice
-from math import gcd
-from operator import neg, sub, xor
+from functools import partial, reduce
+from itertools import islice
+from math import gcd, isqrt, lcm
+from operator import xor
 from random import Random
 from struct import calcsize
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, _Record, adjacency_masks, simplicial_report
 from .linalg import FieldSpec, QQ, span_basis
@@ -111,34 +132,22 @@ class WcSpace(_Record):
         return [list(w) for w in self.basis]
 
 
-def _slot_digits(diff: int, width: int):
-    """(slot, digit) for every nonzero digit of diff in balanced base
-    2**width, whose digits lie in [-2**(width-1), 2**(width-1)); lowest slot
-    first."""
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    while diff:
-        shift = ((diff & -diff).bit_length() - 1) // width * width
-        d = (((diff >> shift) + half) & mask) - half
-        diff -= d << shift
-        yield shift // width, d
-
-
 # Lane decoding: a memoryview cast format for each lane width read natively.
 _LANES = {8 * calcsize(code): code for code in "BHIQ"}
 
 
-def _lanes(x: int, width: int, count: int) -> list[int]:
-    """The count lowest width-bit lanes of the non-negative int x, lowest
-    first: one memoryview cast where the width has a native format, and
-    int.from_bytes slices otherwise (a width of 128 bits, say)."""
+def _lanes(xs: Iterable[int], width: int, count: int) -> list[int]:
+    """The count lowest width-bit lanes of each non-negative int in xs,
+    lowest first, one int after another: one memoryview cast where the
+    width has a native format, and int.from_bytes slices otherwise (a width
+    of 128 bits, say)."""
     step = width // 8
     if width in _LANES:
-        return memoryview(x.to_bytes(step * count, sys.byteorder)) \
-            .cast(_LANES[width]).tolist()
-    raw = x.to_bytes(step * count, "little")
+        return memoryview(b"".join(x.to_bytes(step * count, sys.byteorder)
+                                   for x in xs)).cast(_LANES[width]).tolist()
+    raw = b"".join(x.to_bytes(step * count, "little") for x in xs)
     return [int.from_bytes(raw[i:i + step], "little")
-            for i in range(0, step * count, step)]
+            for i in range(0, len(raw), step)]
 
 
 def _lane_digits(diff: int, width: int, count: int) -> list[int]:
@@ -149,7 +158,7 @@ def _lane_digits(diff: int, width: int, count: int) -> list[int]:
     one _lanes cast reads them all."""
     half = 1 << (width - 1)
     halves = half * (((1 << (count * width)) - 1) // ((1 << width) - 1))
-    return [d - half for d in _lanes(diff + halves, width, count)]
+    return [d - half for d in _lanes((diff + halves,), width, count)]
 
 
 # MISs taken from the stream at a time.  Each row filter reads a block in
@@ -159,10 +168,10 @@ _BLOCK = 1024
 
 
 class _RowFilter:
-    """One field's row selection over MISs read in order: the difference
-    row of a MIS against the base MIS first is selected exactly when it is
-    not in the span of the rows selected before it, over GF(p), or over the
-    rationals when p is None.  The filter is finished when the kernel is
+    """One prime field's row selection over MISs read in order: the
+    difference row of a MIS against the base MIS first is selected exactly
+    when it is not in the span of the rows selected before it, over GF(p).
+    The filter is finished when the kernel is
     down to floor vectors (see read).  It never builds a difference row, as
     the packed sums test each MIS's row; selected holds the member tuples
     of the MISs whose rows were selected, in order.
@@ -177,11 +186,11 @@ class _RowFilter:
     new row from the other failing vectors, and it is dropped.  So the live
     vectors always span the kernel of the selected rows exactly, each is
     zero on every other live slot, and vectors() reads the basis off them
-    (see the module docstring).  Each kind of field has its own read path,
-    and every path picks the same pivot, so the same rows are selected.
-
-    Over GF(p) the packed slots are the kernel, and kernel is the set of
-    live slot ids.
+    (see the module docstring).  The packed slots are the kernel, and kernel
+    is the set of live slot ids.  GF(2) and the odd primes each have a read
+    path, and both pick the same pivot, so the same rows are selected.  A
+    filter over GF(_Q_PRIME) stands in for the rationals, which _lift reads
+    off it.
 
     Over GF(2) (_read_xor) the slots are one bit wide and are never summed:
     packed[v] has bit i set when w_i[v] is 1, and base is the XOR of packed
@@ -202,34 +211,20 @@ class _RowFilter:
     distinct a.  Every slot is then in 0..2p-2, and one lane-wide step
     takes p off each slot at p or above: adding 2**(width-1) - p to every
     slot sets its top bit exactly then, which needs 2**(width-1) >= p.
-
-    Over the rationals (_read_slots) kernel maps a slot i to w_i as a list
-    of ints.  A row has entries in {-1, 0, 1}, so a vector's L1 norm bounds
-    its digit, and width at least doubles (every vector is re-packed)
-    whenever a vector outgrows it.  A pivot digit g_j of +-1 turns each
-    other failing w_i into w_i - g_i g_j w_j and clears w_j, so packed[v]
-    loses w_j[v] * sum of g_i g_j << (i * width) over the failing slots.
-    Any other pivot eliminates the row fraction-free, dividing each new w_i
-    by its content, and packed changes only in the slots that changed.
     """
 
     __slots__ = ("first", "n", "p", "floor", "kernel", "width", "packed",
                  "base", "selected", "last")
 
-    def __init__(self, first: tuple[int, ...], n: int, p: int | None,
+    def __init__(self, first: tuple[int, ...], n: int, p: int,
                  floor: int = 0) -> None:
         self.first, self.n, self.p, self.floor = first, n, p, floor
-        if p:
-            self.kernel = set(range(n))
-            # one bit over GF(2); over an odd prime the least power of two,
-            # at least 8, above bit_length(n(p - 1)), so that vectors()
-            # reads every lane in one cast
-            self.width = 1 if p == 2 else max(
-                8, 1 << (n * (p - 1)).bit_length().bit_length())
-        else:
-            self.kernel = {i: [0] * i + [1] + [0] * (n - 1 - i)
-                           for i in range(n)}
-            self.width = 2
+        self.kernel = set(range(n))
+        # one bit over GF(2); over an odd prime the least power of two, at
+        # least 8, above bit_length(n(p - 1)), so that vectors() reads every
+        # lane in one cast
+        self.width = 1 if p == 2 else max(
+            8, 1 << (n * (p - 1)).bit_length().bit_length())
         self.packed = [1 << (v * self.width) for v in range(n)]
         # over GF(2) these bits are distinct, so their sum is their XOR
         self.base = sum(map(self.packed.__getitem__, first))
@@ -237,25 +232,15 @@ class _RowFilter:
         self.last = -1
 
     def vectors(self) -> list[list[int]]:
-        """The live kernel vectors in ascending slot order, as int lists;
-        over the rationals each is divided by its content and signed so its
-        first nonzero entry is positive.  Once the kernel is the well-covered
-        space these are its free-column basis (see the module docstring)."""
+        """The live kernel vectors in ascending slot order, as lists of
+        residues.  Once the kernel is the well-covered space these are its
+        free-column basis (see the module docstring)."""
         live = sorted(self.kernel)
         if self.p == 2:
             return [[x >> i & 1 for x in self.packed] for i in live]
-        if not self.p:
-            vectors = []
-            for w in map(self.kernel.__getitem__, live):
-                content = gcd(*w)
-                if next(filter(None, w)) < 0:
-                    content = -content
-                vectors.append([x // content for x in w])
-            return vectors
         count = max(live, default=-1) + 1
-        lanes = list(zip(*(_lanes(x, self.width, count)
-                           for x in self.packed)))
-        return [list(lanes[i]) for i in live]
+        lanes = _lanes(self.packed, self.width, count)
+        return [lanes[i::count] for i in live]
 
     def read(self, mis: Iterable[tuple[int, ...]]) -> bool:
         """Read MISs in order, selecting each row not yet spanned.  True once
@@ -267,15 +252,13 @@ class _RowFilter:
         space over this field.  The kernel always contains that space, so a
         kernel of floor vectors is the space itself, and every later row is
         spanned.  With floor 0 the filter finishes when the kernel empties.
-        Over GF(p), last is then the index, among the MISs this call read,
+        last is then the index, among the MISs this call read,
         of the last one whose row was selected, or -1 where none was.
         """
         if self.p == 2:
             self._read_xor(mis)
-        elif self.p:
-            self._read_lanes(mis)
         else:
-            self._read_slots(mis)
+            self._read_lanes(mis)
         return len(self.kernel) == self.floor
 
     def _read_xor(self, mis: Iterable[tuple[int, ...]]) -> None:
@@ -342,65 +325,100 @@ class _RowFilter:
                 break
         self.base, self.last = base, last
 
-    def _read_slots(self, mis: Iterable[tuple[int, ...]]) -> None:
-        """read over the rationals, on packed digit slots that widen as the
-        vectors grow."""
-        n, first, kernel, selected = self.n, self.first, self.kernel, \
-            self.selected
-        floor, packed, width, base = self.floor, self.packed, self.width, \
-            self.base
-        get = packed.__getitem__
-        for members in mis:
-            diff = sum(map(get, members)) - base
-            if not diff:
-                continue
-            selected.append(members)
-            (j, gj), *others = failing = list(_slot_digits(diff, width))
-            w = kernel.pop(j)
-            unit = gj * gj == 1
-            deltas = {} if unit else {j: list(map(neg, w))}
-            for i, gi in others:
-                u = kernel[i]
-                if unit:  # w_i - g_i g_j w_j, with no gcd
-                    kernel[i] = [a - gi * gj * b for a, b in zip(u, w)]
-                    continue
-                new = [gj * a - gi * b for a, b in zip(u, w)]
-                content = gcd(*new)
-                if content > 1:
-                    new = [x // content for x in new]
-                kernel[i] = new
-                deltas[i] = list(map(sub, new, u))
-            l1 = max((sum(map(abs, kernel[i])) for i, _ in others), default=0)
-            if l1 >> (width - 1):
-                width = max(2 * width, l1.bit_length() + 1)
-                packed[:] = [0] * n
-                deltas = kernel  # re-pack every live vector at the new width
-            elif unit:
-                # slot i loses g_i g_j w_j, and slot j all of w_j: g_j g_j = 1
-                step = sum(gi * gj << (i * width) for i, gi in failing)
-                for v in compress(range(n), w):
-                    packed[v] -= w[v] * step
-            for i, delta in deltas.items():
-                shift = i * width
-                for v in compress(range(n), delta):
-                    packed[v] += delta[v] << shift
-            base = sum(map(get, first))
-            if len(kernel) == floor:
-                break
-        self.width, self.base = width, base
+
+def _fraction(x: int, m: int) -> tuple[int, int] | None:
+    """(a, b) with a = b x mod m, |a| and |b| at most sqrt(m/2) and b prime
+    to m, by the half-extended Euclidean algorithm; None where there is
+    none."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(t1, m) != 1:
+        return None
+    return r1, t1
 
 
-def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None
+def _lifted(residues: list[list[int]], m: int
+            ) -> tuple[tuple[int, ...], ...] | None:
+    """The rational basis that the residue vectors modulo m fix, or None
+    where the check fails (see the module docstring): each vector as its
+    balanced residues or, where their L1 norm is m or more, rebuilt entry
+    by entry as fractions; the basis is accepted only if every vector has
+    L1 norm below m."""
+    half = m // 2
+    basis = []
+    for w in residues:
+        if max(w) <= half and sum(w) < m:
+            # w is its own balanced form, with no negative entry to sign
+            basis.append(tuple(w))
+            continue
+        v = [x - m if x > half else x for x in w]
+        if sum(map(abs, v)) >= m:
+            fractions = [_fraction(x, m) for x in w]
+            if None in fractions:
+                return None
+            den = lcm(*(b for _, b in fractions))
+            v = [a * (den // b) for a, b in fractions]
+            content = gcd(*v)
+            v = [x // content for x in v]
+            if sum(map(abs, v)) >= m:
+                return None
+        if next(filter(None, v)) < 0:
+            v = [-x for x in v]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _next_prime(p: int) -> int:
+    """The least prime above p, by trial division."""
+    q = p + 1
+    while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        q += 1
+    return q
+
+
+def _lift(filt: _RowFilter, mis: Callable[[], Iterable[tuple[int, ...]]]
+          ) -> tuple[tuple[int, ...], ...]:
+    """The rational basis lifted from filt, a GF(p) filter that read every
+    MIS or reached its floor (see the module docstring).  Where the check
+    fails, a filter over the next prime reads mis(), the MISs filt read
+    after its base, afresh; the residues of the filters with the same live
+    slots are combined by the Chinese remainder theorem, and the lift is
+    retried modulo the product of their primes."""
+    w, m = filt.vectors(), filt.p
+    groups: dict[tuple[int, ...], tuple[list[list[int]], int]] = {}
+    while (basis := _lifted(w, m)) is None:
+        groups[tuple(sorted(filt.kernel))] = w, m
+        p = _next_prime(filt.p)
+        filt = _RowFilter(filt.first, filt.n, p, filt.floor)
+        filt.read(mis())
+        w, m = filt.vectors(), p
+        if (live := tuple(sorted(filt.kernel))) in groups:
+            u, mu = groups[live]
+            inv = pow(mu, -1, p)
+            w = [[a + mu * ((b - a) * inv % p) for a, b in zip(x, y)]
+                 for x, y in zip(u, w)]
+            m = mu * p
+    return basis
+
+
+def _basis(g: Graph, field: FieldSpec, filt: _RowFilter | None,
+           mis: Callable[[], Iterable[tuple[int, ...]]] | None
            ) -> tuple[tuple[int, ...], ...]:
-    """The free-column basis of the well-covered space over the field: the
-    live vectors (vectors) of a filter that read every MIS or reached its
-    floor, or, with no filter, for a rational space certified by a prime,
-    span_basis of the simplicial clique indicators, which span it (see
-    _ladder)."""
+    """The free-column basis of the well-covered space over the field, from
+    a filter that read every MIS or reached its floor: over a prime field
+    its live vectors (vectors), and over the rationals their lift (_lift,
+    which may re-read mis()).  With no filter, for a rational space
+    certified by a prime, it is span_basis of the simplicial clique
+    indicators, which span it (see _ladder)."""
     if filt is None:
         return tuple(map(tuple, span_basis(
             [indicator_weighting(g, c) for c in simplicial_report(g).cliques],
             field, g.n)))
+    if field.is_rationals:
+        return _lift(filt, mis)
     return tuple(map(tuple, filt.vectors()))
 
 
@@ -414,12 +432,13 @@ _SAMPLE_SEED = 0
 # exceeds sc), the run bounds the samples wasted before the search.
 _STALL = 32
 
-# The prime sampled in place of the rationals when no prime field is asked
-# for with them.  Its filter certifies the rational space only when it
-# finishes, so the prime is never a source of error.  A large prime makes a
-# rank that drops modulo p unlikely, and a small one keeps the packed slots
-# narrow: on Sierpinski order 6 this one certifies Q in 4.9 s of CPU where
-# 2**31 - 1 takes 8.9 s (CPython 3.11, one x86_64 core, one run each).
+# The prime that stands in for the rationals: its filter is sampled where no
+# prime field is asked for with them, and reads the MISs whose rational basis
+# _lift reads off it.  It is never a source of error: a sampled filter
+# certifies the rationals only at its floor, and a lift is accepted only
+# where its L1 check proves it.  A large prime makes a rank that drops
+# modulo p, or a lift that fails its check, rare; a small one keeps the
+# packed slots narrow.
 _Q_PRIME = 65521
 
 
@@ -451,18 +470,20 @@ def _ladder(g: Graph, fields: Sequence[FieldSpec], cap: int | None = None):
     The rationals are certified from a prime: the difference rows are integer
     rows, so their rank over Q is at least their rank modulo p.  A GF(p) filter
     at its floor has rows of rank n - sc, so the dimension over Q is exactly
-    sc, and the space is the span of the clique indicators; no rational filter
-    is built.  With no prime field asked for, one filter over GF(_Q_PRIME) is
-    sampled for this alone.  Where no prime filter finishes and the search is
-    streamed, a rational filter is built on the first sample; it reads no
-    sample, since on the corpus and on some 900 random graphs the samples that
-    left every prime filter open never finished it either.  The filters of the
-    fields asked for that are not yet finished then read the search, streamed a
-    block of MISs at a time, until they are, so at most one block is held.
-    Where the dimension exceeds sc they read it to the end, and its length is
-    the MIS count; otherwise the count comes from count_mis, which lists no
-    set.  Either way it is exact and the cap still raises; where sampling
-    finished every filter, the search is never run.
+    sc, and the space is the span of the clique indicators; no filter is built
+    for the rationals.  With no prime field asked for, one filter over
+    GF(_Q_PRIME) is sampled for this alone.  Where no prime filter finishes
+    and the search is streamed, another filter over GF(_Q_PRIME), keyed None,
+    is built on the first sample, and _basis lifts the rational basis from
+    it.  It reads no sample, since on the corpus and on some 900 random
+    graphs the samples that left every prime filter open never finished such
+    a filter either.  The filters of the fields asked for that are not yet
+    finished then read the search, streamed a block of MISs at a time, until
+    they are, so at most one block is held.  Where the dimension exceeds sc
+    they read it to the end, and its length is the MIS count; otherwise the
+    count comes from count_mis, which lists no set.  Either way it is exact
+    and the cap still raises; where sampling finished every filter, the
+    search is never run.
     """
     floor = simplicial_report(g).sc
     asked = {f.p for f in fields}
@@ -490,7 +511,7 @@ def _ladder(g: Graph, fields: Sequence[FieldSpec], cap: int | None = None):
     if cap is None:
         return samples, filters, None
     if None in asked and len(live) == len(filters):  # no prime filter finished
-        filters[None] = _RowFilter(samples[0], g.n, None, floor)
+        filters[None] = _RowFilter(samples[0], g.n, _Q_PRIME, floor)
     live = [filt for p, filt in filters.items()
             if p in asked and len(filt.kernel) > floor]
     stream, count = iter_mis(g, cap), 0
@@ -510,7 +531,8 @@ def well_covered_spaces(g: Graph, fields: Sequence[FieldSpec],
     is exact, so the cap still raises.
     """
     _, filters, count = _ladder(g, fields, cap)
-    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p)), count)
+    stream = partial(iter_mis, g, cap)
+    return tuple(WcSpace(g, f, _basis(g, f, filters.get(f.p), stream), count)
                  for f in fields)
 
 
@@ -528,17 +550,19 @@ def certified_space(g: Graph, field: FieldSpec) -> tuple | None:
     the clique indicators give dimension at least sc.  Over the rationals
     that rank is taken modulo the prime _Q_PRIME, 65521, alone: the rows
     are integer rows, so their rank over Q is at least their rank modulo p,
-    and where the prime stalls the result is None.  basis holds
-    well_covered_space's basis vectors (see _basis); samples holds the MISs
-    in the order drawn, each as its members in the order they joined;
-    cliques holds the simplicial cliques.
+    and where the prime stalls the result is None.  No lift is needed
+    there: the rational space is the span of the clique indicators.  basis
+    holds well_covered_space's basis vectors (see _basis); samples holds
+    the MISs in the order drawn, each as its members in the order they
+    joined; cliques holds the simplicial cliques.
     """
     rep = simplicial_report(g)
     samples, filters, _ = _ladder(g, (field,))
     (filt,) = filters.values()  # over the rationals, GF(_Q_PRIME)'s
     if len(filt.kernel) > rep.sc:
         return None
-    return _basis(g, field, filters.get(field.p)), tuple(samples), rep.cliques
+    return _basis(g, field, filters.get(field.p), None), tuple(samples), \
+        rep.cliques
 
 
 def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
@@ -547,12 +571,13 @@ def well_covered_space(mis: MisList, field: FieldSpec) -> WcSpace:
 
     One row filter with no floor reads the list, its first MIS the base, so
     nothing is assumed of the dimension: this is the path that can show
-    dim < sc.  The basis is the filter's live vectors (see _basis).
+    dim < sc.  Over the rationals the filter is over GF(_Q_PRIME).  The
+    basis is the filter's live vectors, or their lift (see _basis).
     """
-    g = mis.graph
-    filt = _RowFilter(mis.sets[0], g.n, field.p)
-    filt.read(islice(mis.sets, 1, None))
-    return WcSpace(g, field, _basis(g, field, filt), len(mis))
+    g, rest = mis.graph, partial(islice, mis.sets, 1, None)
+    filt = _RowFilter(mis.sets[0], g.n, field.p or _Q_PRIME)
+    filt.read(rest())
+    return WcSpace(g, field, _basis(g, field, filt, rest), len(mis))
 
 
 def wcdim(g: Graph, field: FieldSpec = QQ, cap: int = DEFAULT_MIS_CAP) -> int:

@@ -296,15 +296,9 @@ def test_basis_matches_oracle_elimination(g):
 RESIDUES_AGREE = Graph(6, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (3, 5),
                            (4, 5)])
 
-# over Q a kernel vector's L1 norm outgrows the first slot width (2 -> 4);
-# with width 2 kept, misread digits select the wrong rows
-WIDTH_GROWS = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (1, 6),
-                        (2, 3), (2, 6), (3, 6), (4, 6)])
-
-
 def _list_filter(mis, n, p):
-    """A row filter, over GF(p) or over the rationals when p is None, that
-    has read the MISs in order, the first being the base."""
+    """A row filter over GF(p) that has read the MISs in order, the first
+    being the base."""
     mis = iter(mis)
     filt = wcspace._RowFilter(next(mis), n, p)
     filt.read(mis)
@@ -314,33 +308,26 @@ def _list_filter(mis, n, p):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(connected_graphs())
 @example(RESIDUES_AGREE)
-@example(WIDTH_GROWS)
 @example(cycle(8))
 def test_spanning_rows_match_greedy_oracle(g):
     tuples = enumerate_mis(g).sets
-    for p in (None, 2, 3, 5, 7, 65521):
+    for p in (2, 3, 5, 7, 65521):
         got = _selected_rows(_list_filter(tuples, g.n, p))
         assert got == greedy_spanning_rows(tuples, g.n, p), p
 
 
 def _record_digits(monkeypatch) -> list:
-    """Record (width, digits) for every packed-sum difference decoded, the
-    digits as the (slot, digit) pairs of its nonzero digits: one at a time
-    over the rationals, a whole lane list at once over an odd prime."""
+    """Record (width, digits) for every packed-sum difference an odd-prime
+    filter decodes, the digits as the (slot, digit) pairs of its nonzero
+    digits."""
     calls = []
-    decode, decode_lanes = wcspace._slot_digits, wcspace._lane_digits
-
-    def spy(diff, width):
-        digits = list(decode(diff, width))
-        calls.append((width, digits))
-        return iter(digits)
+    decode_lanes = wcspace._lane_digits
 
     def spy_lanes(diff, width, count):
         digits = decode_lanes(diff, width, count)
         calls.append((width, [(i, d) for i, d in enumerate(digits) if d]))
         return digits
 
-    monkeypatch.setattr(wcspace, "_slot_digits", spy)
     monkeypatch.setattr(wcspace, "_lane_digits", spy_lanes)
     return calls
 
@@ -357,18 +344,10 @@ def test_unequal_sums_agreeing_mod_p_select_no_row(monkeypatch):
         assert rows == greedy_spanning_rows(tuples, RESIDUES_AGREE.n, p), p
 
 
-def test_slot_width_grows_with_rational_vectors(monkeypatch):
-    calls = _record_digits(monkeypatch)
-    tuples = enumerate_mis(WIDTH_GROWS).sets
-    rows = _selected_rows(_list_filter(tuples, WIDTH_GROWS.n, None))
-    assert [w for w, _ in calls] == [2, 4, 4, 4]
-    assert rows == greedy_spanning_rows(tuples, WIDTH_GROWS.n)
-
-
 def test_pass_stops_when_the_kernel_empties():
     g = cycle(8)  # well-covered dimension 0
     tuples = enumerate_mis(g).sets
-    for p in (None, 2, 3):
+    for p in (2, 3):
         full = next(k for k in range(len(tuples))
                     if len(greedy_spanning_rows(tuples[:k + 1], g.n, p)) == g.n)
         assert full < len(tuples) - 1
@@ -442,17 +421,14 @@ def test_integral_rationals_are_ints_at_the_library_interface():
 
 
 def _assert_live_kernel_is_exact(filt, field):
-    # every live vector is orthogonal to every selected row (mod p over
-    # GF(p), where its entries are residues), and the live vectors are
-    # independent
+    # every live vector is a vector of residues orthogonal to every
+    # selected row mod p, and the live vectors are independent
     p = filt.p
     live = filt.vectors()
-    if p:
-        assert all(0 <= x < p for w in live for x in w)
+    assert all(0 <= x < p for w in live for x in w)
     for w in live:
         for row in _selected_rows(filt):
-            dot = sum(a * b for a, b in zip(w, row))
-            assert (dot % p if p else dot) == 0
+            assert sum(a * b for a, b in zip(w, row)) % p == 0
     assert rank_of_rows(live, field, filt.n) == len(live)
 
 
@@ -463,7 +439,7 @@ def test_kernel_is_exact_when_read_stops_at_the_floor():
     for g in graphs:
         sc = simplicial_report(g).sc
         mis = enumerate_mis(g)
-        for field in FOUR_FIELDS:
+        for field in FOUR_FIELDS[1:]:  # the prime fields
             if well_covered_space(mis, field).dimension != sc:
                 continue
             filt = wcspace._RowFilter(mis.sets[0], g.n, field.p, sc)
@@ -489,10 +465,10 @@ def test_sampled_kernels_are_exact_at_the_floor(monkeypatch):
         for p in finished:
             _assert_live_kernel_is_exact(filters[p], FieldSpec(p))
         # a certified Q: some prime filter reached its floor on the same
-        # samples, and no rational filter is built
+        # samples, and no filter over GF(_Q_PRIME) is built for Q
         built.clear()
         well_covered_spaces(g, FOUR_FIELDS)
-        assert (None not in built) == bool(finished), g
+        assert (wcspace._Q_PRIME not in built) == bool(finished), g
 
 
 # sha256 of json.dumps(report, sort_keys=True) for sierpinski order 4: the
@@ -580,11 +556,13 @@ def test_listed_basis_is_the_oracle_basis_in_any_mis_order():
                 assert well_covered_space(order, field).basis_vectors() \
                     == want, (g, field)
             if field.is_rationals:
-                filt = _list_filter(sets, g.n, None)
-                signed += any(next(filter(None, w)) < 0
-                              for w in filt.kernel.values())
-    # some raw rational vector leads with a negative entry, so the sign
-    # normalisation is exercised
+                p = wcspace._Q_PRIME
+                filt = _list_filter(sets, g.n, p)
+                signed += any(next(x - p if x > p // 2 else x
+                                   for x in w if x) < 0
+                              for w in filt.vectors())
+    # some lifted vector's balanced residues lead with a negative entry, so
+    # the sign normalisation is exercised
     assert signed > 0
 
 
@@ -595,7 +573,7 @@ def _assert_live_vectors_are_a_free_column_basis(filt):
     vectors = filt.vectors()
     assert len(vectors) == len(live)
     for i, w in zip(live, vectors):
-        assert w[i] == 1 if filt.p else w[i] != 0
+        assert w[i] == 1
         assert all(w[k] == 0 for k in live if k != i)
         assert not any(w[i + 1:])
 
@@ -606,7 +584,7 @@ def test_live_vectors_stay_a_free_column_basis_after_every_row():
     for g in graphs + [NON_UNIT_PIVOT]:
         sets = list(enumerate_mis(g).sets)
         random.Random(g.n).shuffle(sets)
-        for p in (None, 2, 3, 5):
+        for p in (2, 3, 5):
             filt = wcspace._RowFilter(sets[0], g.n, p)
             _assert_live_vectors_are_a_free_column_basis(filt)
             for members in sets[1:]:
@@ -615,8 +593,9 @@ def test_live_vectors_stay_a_free_column_basis_after_every_row():
 
 
 # random_3_070_n8_p0.5 of the verify harness (random_connected_graphs(120,
-# 3)): its rational filter takes two pivot digits of 2, and its one final
-# live vector is 2, 0, 0, 2, 0, 2, 0, 2 before it is divided by its content
+# 3)): its GF(_Q_PRIME) filter takes the pivot digits 2 and 1/2 mod p, and
+# its rational basis is the one vector 1, 0, 0, 1, 0, 1, 0, 1, which
+# fraction-free elimination reaches as 2, 0, 0, 2, 0, 2, 0, 2 (content 2)
 NON_UNIT_PIVOT = Graph(8, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 4), (1, 5),
                            (1, 6), (1, 7), (2, 6), (2, 7), (3, 5), (3, 7),
                            (4, 5), (4, 6), (5, 7)])
@@ -625,16 +604,79 @@ NON_UNIT_PIVOT = Graph(8, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 4), (1, 5),
 def test_a_pivot_digit_other_than_one_takes_the_general_update(monkeypatch):
     calls = _record_digits(monkeypatch)
     mis = enumerate_mis(NON_UNIT_PIVOT)
-    filt = _list_filter(mis.sets, NON_UNIT_PIVOT.n, None)
-    pivots = [digits[0][1] for _, digits in calls if digits]
+    p = wcspace._Q_PRIME
+    filt = _list_filter(mis.sets, NON_UNIT_PIVOT.n, p)
+    pivots = [next(d % p for _, d in digits if d % p)
+              for _, digits in calls if any(d % p for _, d in digits)]
     assert len(pivots) == len(filt.selected)
-    assert sorted(abs(d) for d in pivots if abs(d) != 1) == [2, 2]
-    assert list(filt.kernel.values()) == [[2, 0, 0, 2, 0, 2, 0, 2]]
+    assert sorted(d for d in pivots if d not in (1, p - 1)) == \
+        [2, (p + 1) // 2]
     assert filt.vectors() == [[1, 0, 0, 1, 0, 1, 0, 1]]
     want = nullspace_basis_elimination(NON_UNIT_PIVOT.n, NON_UNIT_PIVOT.edges)
-    assert well_covered_space(mis, QQ).basis_vectors() == want
+    assert well_covered_space(mis, QQ).basis_vectors() == want == \
+        [[1, 0, 0, 1, 0, 1, 0, 1]]
     assert _selected_rows(filt) == greedy_spanning_rows(mis.sets,
                                                         NON_UNIT_PIVOT.n)
+
+
+def _record_moduli(monkeypatch) -> list:
+    """The modulus of every lift tried from now on, in order."""
+    moduli = []
+    lifted = wcspace._lifted
+
+    def spy(residues, m):
+        moduli.append(m)
+        return lifted(residues, m)
+
+    monkeypatch.setattr(wcspace, "_lifted", spy)
+    return moduli
+
+
+def test_a_small_prime_lifts_the_oracle_basis_through_more_primes(
+        monkeypatch):
+    # at p = 7 a fraction is rebuilt only from 0 and +-1, and a vector
+    # passes the check only with L1 norm below 7: the lift fails on some
+    # graphs, re-reads their MISs over 11, 13, ... and combines the
+    # residues, and must still give the oracle's basis, listed and streamed
+    monkeypatch.setattr(wcspace, "_Q_PRIME", 7)
+    moduli = _record_moduli(monkeypatch)
+    graphs = [g for _, g in random_connected_graphs(60, 34, max_n=12)]
+    retried = streamed = 0
+    for g in graphs + [NON_UNIT_PIVOT, GF2_RANK_DROP]:
+        want = nullspace_basis_elimination(g.n, g.edges)
+        moduli.clear()
+        listed = well_covered_space(enumerate_mis(g), QQ)
+        assert listed.basis_vectors() == want, g
+        retried += len(moduli) > 1
+        moduli.clear()
+        assert well_covered_spaces(g, (QQ,))[0] == listed, g
+        streamed += len(moduli) > 1
+    # both paths re-read their MISs: the list, and the search streamed anew
+    assert retried >= 3 and streamed >= 3, (retried, streamed)
+
+
+# random_6_083_n8_p0.7 of random_connected_graphs(200, 6): dimension 2
+# over Q and GF(3), and 3 over GF(2)
+GF2_KEEPS_MORE = Graph(8, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (1, 2),
+                           (1, 6), (2, 3), (2, 7), (3, 5), (3, 6), (4, 5),
+                           (4, 6), (4, 7), (5, 7), (6, 7)])
+
+
+def test_a_bad_prime_starts_its_own_residue_group(monkeypatch):
+    # GF(2) keeps a larger kernel than Q, so its live slots are not the
+    # rational ones: the residues of the next primes are combined apart
+    # from GF(2)'s, and the lift is still the oracle's
+    g = GF2_KEEPS_MORE
+    mis = enumerate_mis(g)
+    assert [well_covered_space(mis, f).dimension for f in DEFAULT_FIELDS] \
+        == [2, 3, 2]
+    monkeypatch.setattr(wcspace, "_Q_PRIME", 2)
+    moduli = _record_moduli(monkeypatch)
+    space = well_covered_space(mis, QQ)
+    assert space.basis_vectors() == nullspace_basis_elimination(g.n, g.edges)
+    assert moduli[:2] == [2, 3]
+    # a modulus that is not the last one times a prime starts a group
+    assert any(m % last for last, m in zip(moduli, moduli[1:])), moduli
 
 
 def test_bases_at_the_floor_equal_the_indicator_route():
@@ -658,7 +700,7 @@ def test_bases_at_the_floor_equal_the_indicator_route():
 
 def _count_streamed_reads(monkeypatch) -> Counter:
     """Count the MISs each row filter reads from the search's stream, keyed
-    by the filter's modulus (None over Q); sampled MISs are not counted."""
+    by the filter; sampled MISs are not counted."""
     class Streamed(tuple):
         pass
 
@@ -672,7 +714,7 @@ def _count_streamed_reads(monkeypatch) -> Counter:
         def counted():
             for members in mis:
                 if type(members) is Streamed:
-                    fed[self.p] += 1
+                    fed[self] += 1
                 yield members
         return read(self, counted())
 
@@ -691,7 +733,8 @@ def test_streamed_filters_stop_reading_while_counting_goes_on(monkeypatch,
     assert [s.dimension for s in spaces] == [0, 0, 0]
     assert [s.mis_count for s in spaces] == [count_mis(g)] * 3 == [10] * 3
     # each filter reads some of the ten streamed MISs, but not all of them
-    assert len(fed) == 3 and all(0 < k < 10 for k in fed.values()), fed
+    assert sorted(filt.p for filt in fed) == [2, 3, wcspace._Q_PRIME]
+    assert all(0 < k < 10 for k in fed.values()), fed
 
 
 def _relabelled_s4():
@@ -745,12 +788,14 @@ def test_filters_read_the_stream_where_dim_exceeds_sc(monkeypatch):
             assert space == well_covered_space(mis, field), (g, field)
             if space.dimension > sc:
                 # a filter above its floor reads the whole stream
-                assert fed[field.p] == len(mis), (g, field)
+                p = field.p or wcspace._Q_PRIME
+                assert [k for filt, k in fed.items() if filt.p == p] == \
+                    [len(mis)], (g, field)
         monkeypatch.undo()
 
 
 def _spy_built_filters(monkeypatch) -> list:
-    """The modulus of every _RowFilter built from now on, None over Q."""
+    """The prime of every _RowFilter built from now on."""
     built = []
     init = wcspace._RowFilter.__init__
 
@@ -789,18 +834,19 @@ def test_a_prime_filter_above_its_floor_hands_over_to_the_rationals(
             for members in mis:
                 # the stream's MISs are tuple subclasses, the samples tuples
                 if type(members) is tuple:
-                    sampled[self.p] += 1
+                    sampled[self] += 1
                 yield members
         return read(self, counted())
 
     monkeypatch.setattr(wcspace._RowFilter, "read", spy)
     space = well_covered_spaces(SAMPLES_FALL_SHORT, (QQ,))[0]
-    assert built == [wcspace._Q_PRIME, None]
+    # the sampled filter and the rationals' filter, both over GF(_Q_PRIME)
+    assert built == [wcspace._Q_PRIME, wcspace._Q_PRIME]
     assert space.dimension == 2 > simplicial_report(SAMPLES_FALL_SHORT).sc
-    # only the rational filter reads the stream, and it reads all of it
-    assert fed == {None: space.mis_count}
-    # the rational filter is never handed a sampled MIS
-    assert list(sampled) == [wcspace._Q_PRIME]
+    # only the rationals' filter reads the stream, and it reads all of it;
+    # it is never handed a sampled MIS
+    assert list(fed.values()) == [space.mis_count]
+    assert len(sampled) == 1 and not fed.keys() & sampled.keys()
     assert certified_space(SAMPLES_FALL_SHORT, QQ) is None
 
 
@@ -818,9 +864,10 @@ def test_rationals_read_the_stream_where_gf2_stays_open(monkeypatch):
     built = _spy_built_filters(monkeypatch)
     fed = _count_streamed_reads(monkeypatch)
     q, gf2 = well_covered_spaces(g, (QQ, GF2))
-    assert built == [2, None]
+    assert built == [2, wcspace._Q_PRIME]
     assert (q.dimension, gf2.dimension) == (0, 1)
-    assert set(fed) == {2, None}  # the rational filter reads the stream
+    # the rationals' filter reads the stream
+    assert {filt.p for filt in fed} == {2, wcspace._Q_PRIME}
     # Q is certified modulo _Q_PRIME alone: a prime that falls short leaves
     # no certificate, and no rational filter is built
     monkeypatch.setattr(wcspace, "_Q_PRIME", 2)
@@ -839,7 +886,7 @@ def test_one_finished_prime_certifies_the_rationals_while_gf2_stays_open(
     # GF(3) reaches its floor, so no rational filter is built, and only
     # the GF(2) filter reads the stream
     assert built == [2, 3]
-    assert set(fed) == {2}
+    assert {filt.p for filt in fed} == {2}
 
 
 FIELD_SETS = ((QQ,), (QQ, GF2), (GF2, QQ, GF3), FOUR_FIELDS)
@@ -1050,7 +1097,7 @@ def test_sampling_rounds_match_one_sample_at_a_time():
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
-def test_lane_digits_equal_the_slot_digits(width):
+def test_lane_digits_decode_every_balanced_digit(width):
     rng = random.Random(width)
     half = 1 << (width - 1)
     for count in (1, 2, 5, 40):
@@ -1059,7 +1106,5 @@ def test_lane_digits_equal_the_slot_digits(width):
                                   rng.randrange(-half, half)))
                       for _ in range(count)]
             diff = sum(d << (i * width) for i, d in enumerate(digits))
-            lanes = wcspace._lane_digits(diff, width, count)
-            assert lanes == digits, (width, digits)
-            assert [(i, d) for i, d in enumerate(lanes) if d] == \
-                list(wcspace._slot_digits(diff, width)), (width, digits)
+            assert wcspace._lane_digits(diff, width, count) == digits, \
+                (width, digits)

@@ -144,13 +144,11 @@ def calls() -> dict[str, object]:
 
 def _run(call) -> tuple[str, str, int]:
     """(stdout, stderr, exit code) of one call."""
+    if callable(call):
+        return call(), "", 0
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        if callable(call):
-            code = 0
-            print(call(), end="")
-        else:
-            code = cli.main(list(call))
+        code = cli.main(list(call))
     return out.getvalue(), err.getvalue(), code
 
 

@@ -84,30 +84,38 @@ MUTANTS = (
     Mutant("lanes-pivot-kept", WCSPACE,
            "for i, gi in others) - (a << shift)",
            "for i, gi in others)", WCSPACE_TESTS),
-    # the rationals: a slot is widened one bit too late
-    Mutant("slot-width-one-bit-short", WCSPACE,
-           "if l1 >> (width - 1):",
-           "if l1 >> width:", WCSPACE_TESTS),
-    # the rationals: the pivot is the highest failing slot, so the live
-    # slots drift from the free columns and the live vectors are not the
+    # odd p: the pivot is the highest failing slot, so the live slots
+    # drift from the free columns and the live vectors are not the
     # free-column basis, though the same rows are selected
-    Mutant("slots-pivot-not-lowest", WCSPACE,
-           "(j, gj), *others = failing = list(",
-           "*others, (j, gj) = failing = list(", WCSPACE_TESTS),
-    # the rationals: a live vector is published without dividing by its
-    # content or fixing the sign of its first nonzero entry
-    Mutant("rational-basis-unnormalised", WCSPACE,
-           "vectors.append([x // content for x in w])",
-           "vectors.append(w)", WCSPACE_TESTS),
+    Mutant("lanes-pivot-not-lowest", WCSPACE,
+           "(j, gj), *others = failing",
+           "*others, (j, gj) = failing", WCSPACE_TESTS),
+    # the rational lift accepts a rebuilt vector without its L1 check, so
+    # a vector that some difference row misses over Z can pass
+    Mutant("lift-skips-the-l1-check", WCSPACE,
+           "            if sum(map(abs, v)) >= m:\n"
+           "                return None\n", "", WCSPACE_TESTS),
+    # the CRT step keeps the first prime's residues and drops the second
+    # prime's, while the lift still reads them modulo the product
+    Mutant("crt-drops-the-second-prime", WCSPACE,
+           "w = [[a + mu * ((b - a) * inv % p) for a, b in zip(x, y)]\n"
+           "                 for x, y in zip(u, w)]",
+           "w = u", WCSPACE_TESTS),
+    # the rational lift leaves a vector whose first nonzero entry is
+    # negative unsigned
+    Mutant("lift-sign-unnormalised", WCSPACE,
+           "        if next(filter(None, v)) < 0:\n"
+           "            v = [-x for x in v]\n", "", WCSPACE_TESTS),
     # a filter with a floor publishes the clique indicators' basis in place
     # of its live vectors, also where its kernel is still above the floor
     Mutant("basis-indicators-above-floor", WCSPACE,
            "    if filt is None:\n",
            "    if filt is None or filt.floor:\n", WCSPACE_TESTS),
-    # the listed path skips the second MIS: its row is never tested
+    # the listed path skips the second MIS: its row is never tested, on
+    # the first read or a re-read
     Mutant("listed-path-skips-a-mis", WCSPACE,
-           "islice(mis.sets, 1, None)",
-           "islice(mis.sets, 2, None)", WCSPACE_TESTS),
+           "partial(islice, mis.sets, 1, None)",
+           "partial(islice, mis.sets, 2, None)", WCSPACE_TESTS),
     # the certificate accepts a sampled kernel one vector above sc
     Mutant("certified-space-accepts-sc-plus-one", WCSPACE,
            "if len(filt.kernel) > rep.sc:",
@@ -129,8 +137,8 @@ MUTANTS = (
            "_STALL - stall)",
            "k = max(len(filt.kernel) for filt in live) - floor",
            WCSPACE_TESTS),
-    # a rational filter is built while any prime filter is open, not only
-    # where none reached its floor to certify the rationals
+    # a filter for the rationals is built while any prime filter is open,
+    # not only where none reached its floor to certify the rationals
     Mutant("rational-filter-wrong-condition", WCSPACE,
            "if None in asked and len(live) == len(filters):",
            "if None in asked and live:", WCSPACE_TESTS),
