@@ -350,10 +350,6 @@ def _lifted(residues: list[list[int]], m: int
     half = m // 2
     basis = []
     for w in residues:
-        if max(w) <= half and sum(w) < m:
-            # w is its own balanced form, with no negative entry to sign
-            basis.append(tuple(w))
-            continue
         v = [x - m if x > half else x for x in w]
         if sum(map(abs, v)) >= m:
             fractions = [_fraction(x, m) for x in w]
@@ -473,13 +469,15 @@ def _ladder(g: Graph, fields: Sequence[FieldSpec], cap: int | None = None):
     sc, and the space is the span of the clique indicators; no filter is built
     for the rationals.  With no prime field asked for, one filter over
     GF(_Q_PRIME) is sampled for this alone.  Where no prime filter finishes
-    and the search is streamed, another filter over GF(_Q_PRIME), keyed None,
-    is built on the first sample, and _basis lifts the rational basis from
-    it.  It reads no sample, since on the corpus and on some 900 random
-    graphs the samples that left every prime filter open never finished such
-    a filter either.  The filters of the fields asked for that are not yet
-    finished then read the search, streamed a block of MISs at a time, until
-    they are, so at most one block is held.  Where the dimension exceeds sc
+    and the search is streamed, the rationals take a filter over
+    GF(_Q_PRIME), keyed None as well, and _basis lifts the rational basis
+    from it: the sampled one where there is one, which reads on, and
+    otherwise a new one on the first sample.  A new one reads no sample,
+    since on the corpus and on some 900 random graphs the samples that left
+    every prime filter open never finished such a filter either.  The
+    filters of the fields asked for that are not yet finished, each once,
+    then read the search, streamed a block of MISs at a time, until they
+    are, so at most one block is held.  Where the dimension exceeds sc
     they read it to the end, and its length is the MIS count; otherwise the
     count comes from count_mis, which lists no set.  Either way it is exact
     and the cap still raises; where sampling finished every filter, the
@@ -511,9 +509,10 @@ def _ladder(g: Graph, fields: Sequence[FieldSpec], cap: int | None = None):
     if cap is None:
         return samples, filters, None
     if None in asked and len(live) == len(filters):  # no prime filter finished
-        filters[None] = _RowFilter(samples[0], g.n, _Q_PRIME, floor)
-    live = [filt for p, filt in filters.items()
-            if p in asked and len(filt.kernel) > floor]
+        filters[None] = filters.get(_Q_PRIME) or \
+            _RowFilter(samples[0], g.n, _Q_PRIME, floor)
+    live = list(dict.fromkeys(filt for p, filt in filters.items()
+                              if p in asked and len(filt.kernel) > floor))
     stream, count = iter_mis(g, cap), 0
     while live and (block := list(islice(stream, _BLOCK))):
         count += len(block)

@@ -840,14 +840,22 @@ def test_a_prime_filter_above_its_floor_hands_over_to_the_rationals(
 
     monkeypatch.setattr(wcspace._RowFilter, "read", spy)
     space = well_covered_spaces(SAMPLES_FALL_SHORT, (QQ,))[0]
-    # the sampled filter and the rationals' filter, both over GF(_Q_PRIME)
-    assert built == [wcspace._Q_PRIME, wcspace._Q_PRIME]
+    # the sampled filter over GF(_Q_PRIME) is the rationals' filter
+    assert built == [wcspace._Q_PRIME]
     assert space.dimension == 2 > simplicial_report(SAMPLES_FALL_SHORT).sc
-    # only the rationals' filter reads the stream, and it reads all of it;
-    # it is never handed a sampled MIS
+    # it reads on from the samples through all of the stream
     assert list(fed.values()) == [space.mis_count]
-    assert len(sampled) == 1 and not fed.keys() & sampled.keys()
+    assert len(sampled) == 1 and fed.keys() == sampled.keys()
     assert certified_space(SAMPLES_FALL_SHORT, QQ) is None
+    # asked for beside Q, GF(_Q_PRIME)'s filter is the rationals' too, and
+    # it reads the stream once
+    built.clear()
+    fed.clear()
+    gfq, q = well_covered_spaces(
+        SAMPLES_FALL_SHORT, (FieldSpec(wcspace._Q_PRIME), QQ))
+    assert q == space and gfq.dimension == 2
+    assert built == [wcspace._Q_PRIME]
+    assert list(fed.values()) == [space.mis_count]
 
 
 def _random_7_graphs() -> dict:

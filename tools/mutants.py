@@ -142,6 +142,13 @@ MUTANTS = (
     Mutant("rational-filter-wrong-condition", WCSPACE,
            "if None in asked and len(live) == len(filters):",
            "if None in asked and live:", WCSPACE_TESTS),
+    # a filter keyed both by GF(_Q_PRIME) and by the rationals reads the
+    # stream twice
+    Mutant("shared-filter-read-twice", WCSPACE,
+           "live = list(dict.fromkeys(filt for p, filt in filters.items()\n"
+           "                              if p in asked",
+           "live = list((filt for p, filt in filters.items()\n"
+           "                              if p in asked", WCSPACE_TESTS),
     # a clique whose removal leaves one component counts as splitting
     Mutant("scs-split-one-component", FAMILIES,
            "if rest and _reach(masks, rest & -rest, rest) != rest:",
